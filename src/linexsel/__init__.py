@@ -4,8 +4,8 @@ Given one observation from each of two bivariate normal populations with
 known common covariance, the natural rule selects the population with the
 larger X and the quantity of interest is the selected population's Y-mean.
 This package implements the estimators of that random target, the
-admissible shift interval, the truncation improvement operator, and a
-seeded Monte Carlo risk engine with analytic quadrature cross-checks.
+admissible shift interval and the exact risk of shift estimators, the
+truncation improvement operator, and a seeded Monte Carlo risk engine.
 """
 
 __version__ = "0.1.0"
@@ -19,6 +19,7 @@ from .admissibility import (
     classify,
     h_a,
     psi,
+    shift_risk,
 )
 from .analysis import (
     AnalysisReport,
@@ -27,6 +28,7 @@ from .analysis import (
     GroupedDataset,
     analyze,
     bundled_dataset_path,
+    estimate_rows,
     fit,
     load_dataset,
 )
@@ -43,38 +45,35 @@ from .core import (
     linex_loss,
     log_sum_exp,
     rng_stream,
-    sample_pair,
+    sample_batch,
     std_normal_cdf,
     std_normal_pdf,
 )
 from .estimators import (
     EstimatorSpec,
     PriorSpec,
+    base_phi,
+    base_phi_batch,
     bayes_posterior,
     est_bayes,
-    est_n1,
-    est_n2,
-    est_n3,
-    est_n4,
-    est_shift,
     evaluate,
+    evaluate_batch,
     posterior_risk_constant,
 )
 from .improvement import (
     ImprovementOutcome,
     applicable_case,
-    base_phi,
     case_label,
     improve,
-    named_case_rule,
+    improve_batch,
 )
 from .oracles import (
     ConditionalWeights,
+    clip_band,
     cond_t3_mgf,
     cond_t3_pdf,
     conditional_weights,
     phi_bounds,
-    shift_risk_quadrature,
     varphi,
     w_pdf,
 )
@@ -90,6 +89,6 @@ from .risksim import (
     simulate_all,
     simulate_risk,
 )
-from .selection import SelectedParameter, SelectionSummary, realized_parameter, select
+from .selection import SelectionSummary, realized_parameter, select, select_batch
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,10 +1,10 @@
 """Admissibility of constant-shift estimators Y_[2] + d.
 
-Within the shift class, the risk at a parameter gap theta_x is minimized by
-a closed-form shift psi(theta*); sweeping theta_x over [0, inf) sweeps psi
-over an interval [d0, d1], and exactly the shifts inside that interval are
-admissible within the class. Shifts outside are dominated by the nearer
-endpoint.
+Within the shift class, the risk at a parameter gap theta_x has a closed
+form (`shift_risk`) and is minimized by a closed-form shift psi(theta*);
+sweeping theta_x over [0, inf) sweeps psi over an interval [d0, d1], and
+exactly the shifts inside that interval are admissible within the class.
+Shifts outside are dominated by the nearer endpoint.
 """
 
 from __future__ import annotations
@@ -12,7 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CovarianceSpec, InvalidParameterError, LinexParams, ThetaStar, std_normal_cdf
+from .core import (
+    CovarianceSpec,
+    InvalidParameterError,
+    LinexParams,
+    ThetaStar,
+    std_normal_cdf,
+    std_normal_pdf,
+)
 
 ADMISSIBLE_IN_CLASS = "admissible_in_class"
 DOMINATED_BY_D0 = "dominated_by_d0"
@@ -45,6 +52,20 @@ def psi(theta_star: ThetaStar, a: LinexParams, cov: CovarianceSpec) -> float:
     Depends on theta* only through theta_x.
     """
     return -a.a * cov.sigma_yy / 2.0 - math.log(h_a(theta_star.theta_x, a, cov)) / a.a
+
+
+def shift_risk(d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceSpec) -> float:
+    """Exact LINEX risk of the shift estimator Y_[2] + d.
+
+    With W = Y_[2] - theta_y^S, R(d) = e^{ad} E[e^{aW}] - a(d + E[W]) - 1, where
+    E[e^{aW}] = e^{a^2 syy/2} h_a(theta_x) and E[W] = 2 sxy phi(u)/sqrt(2 sxx) at
+    u = theta_x/sqrt(2 sxx). psi is the minimizer of this closed form.
+    """
+    s = math.sqrt(2.0 * cov.sigma_xx)
+    tx = theta_star.theta_x
+    mean_w = 2.0 * cov.sigma_xy * std_normal_pdf(tx / s) / s
+    tilt = math.exp(a.a * d + a.a * a.a * cov.sigma_yy / 2.0) * h_a(tx, a, cov)
+    return tilt - a.a * (d + mean_w) - 1.0
 
 
 def _end_correction(a: LinexParams, cov: CovarianceSpec) -> float:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import CovarianceSpec, LinexParams, ObservationPair
-from .estimators import EstimatorSpec, PriorSpec, est_bayes, evaluate
+from .estimators import EstimatorSpec, PriorSpec, evaluate
 from .improvement import applicable_case, case_label, improve
 from .selection import SelectionSummary, select
 
@@ -193,6 +193,35 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
+def estimate_rows(
+    s: SelectionSummary,
+    a: LinexParams,
+    cov: CovarianceSpec,
+    c: float = 1.0,
+    prior: Optional[PriorSpec] = None,
+    d: Optional[float] = None,
+) -> list[tuple[str, float, str]]:
+    """(label, value, truncation note) rows of an estimate report.
+
+    Each natural estimator is followed by its improvement-region variant when
+    one applies at (a, rho); the shift Y_[2] + d and the Bayes estimate come
+    last when d or a prior is given.
+    """
+    rows = []
+    for spec in (EstimatorSpec.n1(), EstimatorSpec.n2(), EstimatorSpec.n3(), EstimatorSpec.n4(c)):
+        rows.append((spec.kind, evaluate(spec, s, a, cov), ""))
+        case_id = applicable_case(spec.kind, a.a, cov.rho)
+        if case_id is not None:
+            outcome = improve(EstimatorSpec.improved(spec), s, a, cov)
+            rows.append((case_label(case_id), outcome.value, outcome.truncated))
+    if d is not None:
+        shift = EstimatorSpec.shift(d)
+        rows.append((shift.label, evaluate(shift, s, a, cov), ""))
+    if prior is not None:
+        rows.append(("Bayes", evaluate(EstimatorSpec.bayes(prior), s, a, cov), ""))
+    return rows
+
+
 def analyze(
     model: FittedModel,
     a: LinexParams,
@@ -206,28 +235,12 @@ def analyze(
     improvement-region variant (when one applies at the fitted (a, rho)) is
     reported. A Bayes estimate is appended when a prior is supplied.
     """
-    obs = ObservationPair(model.theta_hat_1, model.theta_hat_2)
-    s = select(obs)
-    cov = model.cov_hat
-    report = AnalysisReport(
+    s = select(ObservationPair(model.theta_hat_1, model.theta_hat_2))
+    return AnalysisReport(
         model=model,
         a=a.a,
         c=c,
         summary=s,
         selected_label=model.labels[s.selected - 1],
+        estimates=estimate_rows(s, a, model.cov_hat, c, prior),
     )
-    base_specs = [
-        ("N1", EstimatorSpec.n1()),
-        ("N2", EstimatorSpec.n2()),
-        ("N3", EstimatorSpec.n3()),
-        ("N4", EstimatorSpec.n4(c)),
-    ]
-    for kind, spec in base_specs:
-        report.estimates.append((kind, evaluate(spec, s, a, cov), ""))
-        case_id = applicable_case(kind, a.a, cov.rho)
-        if case_id is not None:
-            outcome = improve(EstimatorSpec.improved(spec), s, a, cov)
-            report.estimates.append((case_label(case_id), outcome.value, outcome.truncated))
-    if prior is not None:
-        report.estimates.append(("Bayes", est_bayes(s, prior, a, cov), ""))
-    return report

@@ -17,10 +17,9 @@ from pathlib import Path
 
 from . import __version__
 from .admissibility import bounds, classify
-from .analysis import DatasetError, analyze, bundled_dataset_path, fit, load_dataset
+from .analysis import DatasetError, analyze, bundled_dataset_path, estimate_rows, fit, load_dataset
 from .core import CovarianceSpec, InvalidParameterError, LinexError, LinexParams, ObservationPair
-from .estimators import EstimatorSpec, PriorSpec, est_bayes, est_shift, evaluate
-from .improvement import applicable_case, case_label, improve
+from .estimators import PriorSpec
 from .risksim import TABLE_SPECS, TableSpec, table_columns, risk_grid
 from .selection import select
 
@@ -45,12 +44,6 @@ def _cov_from_flag(text: str) -> CovarianceSpec:
         return CovarianceSpec(sigma_xx=sxx, sigma_yy=syy, sigma_xy=sxy)
     except InvalidParameterError as exc:
         raise UsageError(f"--cov: {exc}") from None
-
-
-def _a_from_flag(value: float) -> LinexParams:
-    if value == 0:
-        raise UsageError("a must be nonzero")
-    return LinexParams(value)
 
 
 def _prior_from_flag(text: str) -> PriorSpec:
@@ -84,29 +77,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     x1, x2 = _floats(args.x, 2, "--x")
     y1, y2 = _floats(args.y, 2, "--y")
     cov = _cov_from_flag(args.cov)
-    a = _a_from_flag(args.a)
+    a = LinexParams(args.a)
     prior = _prior_from_flag(args.prior) if args.prior else None
     if prior is not None and cov.is_singular:
         raise UsageError("Bayes estimation requires |rho| < 1 (covariance is singular)")
 
     s = select(ObservationPair((x1, y1), (x2, y2)))
-    rows: list[tuple[str, float, str]] = []
-    base_specs = [
-        ("N1", EstimatorSpec.n1()),
-        ("N2", EstimatorSpec.n2()),
-        ("N3", EstimatorSpec.n3()),
-        ("N4", EstimatorSpec.n4(args.c)),
-    ]
-    for kind, spec in base_specs:
-        rows.append((kind, evaluate(spec, s, a, cov), ""))
-        case_id = applicable_case(kind, a.a, cov.rho)
-        if case_id is not None:
-            out = improve(EstimatorSpec.improved(spec), s, a, cov)
-            rows.append((case_label(case_id), out.value, out.truncated))
-    if args.d is not None:
-        rows.append((f"Shift(d={args.d:g})", est_shift(s, args.d), ""))
-    if prior is not None:
-        rows.append(("Bayes", est_bayes(s, prior, a, cov), ""))
+    rows = estimate_rows(s, a, cov, args.c, prior, args.d)
 
     if args.format == "csv":
         lines = ["estimator,estimate,truncated"]
@@ -140,7 +117,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_admissibility(args: argparse.Namespace) -> int:
     cov = _cov_from_flag(args.cov)
-    a = _a_from_flag(args.a)
+    a = LinexParams(args.a)
     b = bounds(a, cov)
     verdict = classify(args.d, a, cov) if args.d is not None else None
     if args.format == "csv":
@@ -172,20 +149,26 @@ def cmd_admissibility(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
+    # --c and --improved default to None so that an explicit flag is visible here
+    c = 1.0 if args.c is None else args.c
+    improved = tuple(args.improved or ())
     if args.table is not None:
+        given = [f"--{n}" for n in ("cov", "a", "c", "improved") if getattr(args, n) is not None]
+        if given:
+            raise UsageError(f"{', '.join(given)}: custom-grid flags, not valid with --table")
         spec = TABLE_SPECS[args.table]
         name = f"table{args.table}.csv"
     else:
         if args.cov is None or args.a is None:
             raise UsageError("custom grids need --cov and --a (or use --table)")
         cov = _cov_from_flag(args.cov)
-        a = _a_from_flag(args.a)
+        a = LinexParams(args.a)
         spec = TableSpec(
             table_id=0,
             a=a,
             cov=cov,
-            columns=table_columns(a.a, cov.rho, args.improved, args.c),
-            c=args.c,
+            columns=table_columns(a.a, cov.rho, improved, c),
+            c=c,
         )
         name = "custom_grid.csv"
     result = risk_grid(spec, reps=args.reps, master_seed=args.seed, workers=args.workers)
@@ -200,8 +183,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"risk={mean:.6g} se={se:.6g} (se > 5% of mean)\n"
         )
     _write_manifest(outdir, "simulate", {
-        "table": args.table, "cov": args.cov, "a": args.a, "c": args.c,
-        "improved": list(args.improved), "reps": args.reps, "workers": args.workers,
+        "table": args.table, "cov": args.cov, "a": args.a, "c": c,
+        "improved": list(improved), "reps": args.reps, "workers": args.workers,
         "format": args.format,
     }, args.seed, [csv_path])
     sys.stdout.write(f"wrote {csv_path}\n")
@@ -210,7 +193,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     path = args.data if args.data else bundled_dataset_path()
-    a = _a_from_flag(args.a)
+    a = LinexParams(args.a)
     prior = _prior_from_flag(args.prior) if args.prior else None
     try:
         data = load_dataset(path, clean=args.clean)
@@ -277,11 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", type=int, choices=sorted(TABLE_SPECS), default=None)
     p.add_argument("--cov", default=None, help="custom grid: sigma_xx,sigma_xy,sigma_yy")
     p.add_argument("--a", type=float, default=None, help="custom grid: LINEX parameter")
-    p.add_argument("--c", type=float, default=1.0, help="hybrid threshold (default 1)")
+    p.add_argument("--c", type=float, default=None,
+                   help="custom grid: hybrid threshold (default 1)")
     p.add_argument(
         "--improved",
         nargs="*",
-        default=(),
+        default=None,
         choices=("N1", "N2", "N3", "N4"),
         help="custom grid: bases that also get their improved column",
     )

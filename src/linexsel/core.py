@@ -3,7 +3,7 @@
 Everything downstream builds on the pieces here: the known 2x2 covariance
 and its derived quantities, the LINEX loss, an erfc-backed standard normal
 cdf (the admissibility bounds and the hybrid log-estimator take logs of
-Phi, so the cdf needs to be accurate in the tails), stable log/exp helpers,
+Phi, so the cdf needs to be accurate in the tails), a stable log-sum-exp,
 and counter-based random streams for reproducible simulation.
 """
 
@@ -193,23 +193,8 @@ def std_normal_pdf(u: float) -> float:
 
 
 def std_normal_cdf(u: float) -> float:
-    """Phi(u) via the complementary error function (abs error ~1e-16)."""
-    if u == math.inf:
-        return 1.0
-    if u == -math.inf:
-        return 0.0
+    """Phi(u) via the complementary error function (abs error ~1e-16); exact at +-inf."""
     return 0.5 * math.erfc(-u / _SQRT2)
-
-
-def std_normal_logcdf(u: float) -> float:
-    """log Phi(u), stable far into the left tail."""
-    if u > -8.0:
-        return math.log(std_normal_cdf(u))
-    # asymptotic: Phi(u) ~ phi(u)/|u| * (1 - 1/u^2 + 3/u^4)
-    u2 = u * u
-    return -0.5 * u2 - 0.5 * math.log(2.0 * math.pi) - math.log(-u) + math.log1p(
-        -1.0 / u2 + 3.0 / (u2 * u2)
-    )
 
 
 def log_sum_exp(values: Iterable[float]) -> float:
@@ -221,11 +206,6 @@ def log_sum_exp(values: Iterable[float]) -> float:
     if m == math.inf:
         return math.inf
     return m + math.log(sum(math.exp(v - m) for v in vals))
-
-
-# re-exported so callers pick the stable forms up from one place
-log1p = math.log1p
-expm1 = math.expm1
 
 
 def linex_loss(delta: float, theta: float, params: LinexParams) -> float:
@@ -254,27 +234,16 @@ def rng_stream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_pair(
-    means: MeanVectorPair, cov: CovarianceSpec, rng: np.random.Generator
-) -> ObservationPair:
-    """Draw Z1, Z2 independently, each N2(theta_i, Sigma).
-
-    Uses the lower-triangular factor from CovarianceSpec.cholesky_factors();
-    at |rho| = 1 the second noise column is exactly zero.
-    """
-    l_xx, l_yx, l_yy = cov.cholesky_factors()
-    g = rng.standard_normal(4)
-    x1 = means.theta1[0] + l_xx * g[0]
-    y1 = means.theta1[1] + l_yx * g[0] + l_yy * g[1]
-    x2 = means.theta2[0] + l_xx * g[2]
-    y2 = means.theta2[1] + l_yx * g[2] + l_yy * g[3]
-    return ObservationPair((x1, y1), (x2, y2))
-
-
 def sample_batch(
     means: MeanVectorPair, cov: CovarianceSpec, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized sample_pair: n independent (x1, y1, x2, y2) draws."""
+    """Draw Z1, Z2 independently, each N2(theta_i, Sigma), n times over.
+
+    Returns the arrays (x1, y1, x2, y2). Uses the lower-triangular factor from
+    CovarianceSpec.cholesky_factors(); at |rho| = 1 the second noise column is
+    exactly zero. One draw of standard_normal((4, n)) read row-major feeds the
+    four components (stream layout v1).
+    """
     l_xx, l_yx, l_yy = cov.cholesky_factors()
     g = rng.standard_normal((4, n))
     x1 = means.theta1[0] + l_xx * g[0]

@@ -4,6 +4,11 @@ Four natural estimators (the plug-in concomitant, the minimum-risk
 equivariant shift, a log-transformed plug-in, and a hybrid that averages
 the concomitants when the X's are close), the conjugate-prior Bayes
 estimator, the constant-shift class, and a tagged-spec dispatcher.
+
+Each rule lives here once: N1..N4 are Y_[2] plus `base_phi`, the Bayes rule
+serves floats and arrays alike, and where a branch becomes a mask (N3's log
+switch, N4's window) the float form and its `_batch` array twin sit side by
+side. The float forms stay plain Python: size-1 arrays cost ~10x per call.
 """
 
 from __future__ import annotations
@@ -11,6 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
+from scipy.special import ndtr
 
 from .core import (
     CovarianceSpec,
@@ -21,7 +29,7 @@ from .core import (
 )
 from .selection import SelectionSummary
 
-N3_LOG_SWITCH = 30.0  # switch est_n3 to the log-domain rearrangement
+N3_LOG_SWITCH = 30.0  # switch the N3 component to the log-domain rearrangement
 
 
 @dataclass(frozen=True)
@@ -115,18 +123,8 @@ class EstimatorSpec:
         return self.kind
 
 
-def est_n1(s: SelectionSummary) -> float:
-    """Plug-in estimator: the selected concomitant Y_[2]."""
-    return s.y_sel
-
-
-def est_n2(s: SelectionSummary, a: LinexParams, cov: CovarianceSpec) -> float:
-    """Minimum risk equivariant estimator Y_[2] - a*sigma_yy/2."""
-    return s.y_sel - a.a * cov.sigma_yy / 2.0
-
-
 def n3_offset(t1: float, t2: float, a: LinexParams, cov: CovarianceSpec) -> float:
-    """The equivariant component of est_n3.
+    """The equivariant component of N3.
 
     (1/a) * ln[1 + (exp(a*t2) - 1) * Phi(t1 / sqrt(2*sigma_xx))], rearranged
     as t2 + (1/a) * ln[P + (1-P) * exp(-a*t2)] once a*t2 > 30 so the
@@ -139,31 +137,70 @@ def n3_offset(t1: float, t2: float, a: LinexParams, cov: CovarianceSpec) -> floa
     return math.log1p(math.expm1(z) * p) / a.a
 
 
-def est_n3(s: SelectionSummary, a: LinexParams, cov: CovarianceSpec) -> float:
-    """Log-transformed plug-in estimator; always between y_sel and y_sel + t2."""
-    return s.y_sel + n3_offset(s.t1, s.t2, a, cov)
+def n3_offset_batch(t1, t2, a: LinexParams, cov: CovarianceSpec) -> np.ndarray:
+    """`n3_offset` over arrays; the log switch becomes a mask."""
+    p = ndtr(t1 / math.sqrt(2.0 * cov.sigma_xx))
+    z = a.a * t2
+    out = np.empty_like(t2)
+    big = z > N3_LOG_SWITCH
+    small = ~big
+    out[small] = np.log1p(np.expm1(z[small]) * p[small]) / a.a
+    if big.any():
+        out[big] = t2[big] + np.log(p[big] + (1.0 - p[big]) * np.exp(-z[big])) / a.a
+    return out
 
 
-def est_n4(s: SelectionSummary, c: float, cov: CovarianceSpec) -> float:
-    """Hybrid estimator: concomitant average when the X's are within
-    c*sqrt(2*sigma_xx) of each other, else the selected concomitant.
+def _n4_cut(c: float, cov: CovarianceSpec) -> float:
+    # N4 averages the concomitants when t1 > -c*sqrt(2*sigma_xx); c = 0 never
+    # does, because t1 <= 0 always
+    return -c * math.sqrt(2.0 * cov.sigma_xx)
 
-    c = 0 degenerates to est_n1 because t1 <= 0 always.
+
+def base_phi(
+    spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec
+) -> float:
+    """Equivariant component (estimate - Y_[2]) of a base estimator N1..N4.
+
+    N1 is the plug-in Y_[2], N2 the minimum risk equivariant Y_[2] - a*sigma_yy/2,
+    N3 the log-transformed plug-in (always between y_sel and y_sel + t2), and
+    N4 the hybrid that moves to the concomitant average inside its window.
     """
-    if c < 0:
-        raise InvalidParameterError("hybrid threshold c must be >= 0")
-    if s.t1 > -c * math.sqrt(2.0 * cov.sigma_xx):
-        return (s.y_sel + s.y_other) / 2.0
-    return s.y_sel
+    if spec.kind == "N1":
+        return 0.0
+    if spec.kind == "N2":
+        return -a.a * cov.sigma_yy / 2.0
+    if spec.kind == "N3":
+        return n3_offset(s.t1, s.t2, a, cov)
+    if spec.kind == "N4":
+        return s.t2 / 2.0 if s.t1 > _n4_cut(spec.c, cov) else 0.0
+    raise InvalidParameterError(
+        f"no equivariant component for kind {spec.kind!r}; only N1..N4 have one"
+    )
 
 
-def bayes_posterior(
-    z: tuple[float, float], prior: PriorSpec, cov: CovarianceSpec
-) -> tuple[float, float]:
+def base_phi_batch(
+    spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec
+) -> np.ndarray:
+    """`base_phi` over a `select_batch` summary; N4's window becomes a mask."""
+    if spec.kind == "N1":
+        return np.zeros_like(s.t2)
+    if spec.kind == "N2":
+        return np.full_like(s.t2, -a.a * cov.sigma_yy / 2.0)
+    if spec.kind == "N3":
+        return n3_offset_batch(s.t1, s.t2, a, cov)
+    if spec.kind == "N4":
+        return np.where(s.t1 > _n4_cut(spec.c, cov), s.t2 / 2.0, 0.0)
+    raise InvalidParameterError(
+        f"no equivariant component for kind {spec.kind!r}; only N1..N4 have one"
+    )
+
+
+def bayes_posterior(z: tuple, prior: PriorSpec, cov: CovarianceSpec) -> tuple:
     """Posterior mean and variance (p*, q*) of theta_y given one observation.
 
     Closed form for the conjugate N2(mu, m*I) prior; q* is the (2,2) entry of
     the posterior covariance (Sigma^-1 + (m*I)^-1)^-1. Requires |Sigma| > 0.
+    z = (x, y) may hold floats or arrays of draws.
     """
     if cov.det <= 0:
         raise SingularCovarianceError("Bayes posterior needs a nonsingular covariance")
@@ -186,48 +223,44 @@ def est_bayes(
     """Bayes estimator under LINEX loss: p* - (a/2) q* at the selected observation.
 
     Equals -(1/a) * ln M(-a) for the normal posterior of theta_y, i.e. the
-    unique minimizer of the posterior risk.
+    unique minimizer of the posterior risk. Serves `select` and
+    `select_batch` summaries alike.
     """
     p_star, q_star = bayes_posterior((s.x_max, s.y_sel), prior, cov)
     return p_star - 0.5 * a.a * q_star
 
 
 def posterior_risk_constant(prior: PriorSpec, a: LinexParams, cov: CovarianceSpec) -> float:
-    """Posterior (= Bayes) risk of est_bayes; independent of the data."""
-    if cov.det <= 0:
-        raise SingularCovarianceError("posterior risk needs a nonsingular covariance")
-    m = prior.m
-    det = cov.det
-    num = m * m * cov.sigma_yy + det * m
-    denom = det + m * m + m * cov.sigma_yy + m * cov.sigma_xx
-    return 0.5 * a.a * a.a * num / denom
-
-
-def est_shift(s: SelectionSummary, d: float) -> float:
-    """Constant-shift estimator Y_[2] + d."""
-    if not math.isfinite(d):
-        raise InvalidParameterError("shift constant d must be finite")
-    return s.y_sel + d
+    """Posterior (= Bayes) risk a^2 q*/2 of est_bayes; independent of the data."""
+    _, q_star = bayes_posterior((0.0, 0.0), prior, cov)
+    return 0.5 * a.a * a.a * q_star
 
 
 def evaluate(
     spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec
 ) -> float:
     """Dispatch on the spec tag."""
-    if spec.kind == "N1":
-        return est_n1(s)
-    if spec.kind == "N2":
-        return est_n2(s, a, cov)
-    if spec.kind == "N3":
-        return est_n3(s, a, cov)
-    if spec.kind == "N4":
-        return est_n4(s, spec.c, cov)
+    if spec.kind in ("N1", "N2", "N3", "N4"):
+        return s.y_sel + base_phi(spec, s, a, cov)
+    if spec.kind == "Shift":
+        return s.y_sel + spec.d
     if spec.kind == "Bayes":
         return est_bayes(s, spec.prior, a, cov)
-    if spec.kind == "Shift":
-        return est_shift(s, spec.d)
-    if spec.kind == "Improved":
-        from . import improvement
+    from . import improvement
 
-        return improvement.improve(spec, s, a, cov).value
-    raise InvalidParameterError(f"unknown estimator kind {spec.kind!r}")
+    return improvement.improve(spec, s, a, cov).value
+
+
+def evaluate_batch(
+    spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec
+) -> np.ndarray:
+    """`evaluate` over a `select_batch` summary: one estimate per draw."""
+    if spec.kind in ("N1", "N2", "N3", "N4"):
+        return s.y_sel + base_phi_batch(spec, s, a, cov)
+    if spec.kind == "Shift":
+        return s.y_sel + spec.d
+    if spec.kind == "Bayes":
+        return est_bayes(s, spec.prior, a, cov)
+    from . import improvement
+
+    return improvement.improve_batch(spec, s, a, cov)

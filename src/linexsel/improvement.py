@@ -3,19 +3,20 @@
 Any estimator of the form Y_[2] + phi(T1, T2) whose component exits the
 band [phi_inf, phi_sup] with positive probability is dominated by the
 version clipped into the band. The generic clip below is the single source
-of truth; the fifteen named piecewise rules (one per base estimator and
-(a, rho) region) are transcriptions kept as verification fixtures and for
-report labeling.
+of truth, as a float form and an array form side by side (the weak
+inequalities become masks). The fifteen named (base, a, rho) regions label
+the improved rows in reports and tables.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import CovarianceSpec, InvalidParameterError, LinexParams
-from .estimators import EstimatorSpec, n3_offset
-from .oracles import phi_bounds
+from .estimators import EstimatorSpec, base_phi, base_phi_batch
+from .oracles import clip_band
 from .selection import SelectionSummary
 
 TRUNCATED_NONE = "none"
@@ -30,33 +31,10 @@ class ImprovementOutcome:
     base_phi: float
 
 
-class CaseRegionError(InvalidParameterError):
-    """A named improvement rule was applied outside its declared (a, rho) region."""
-
-
-def base_phi(
-    spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec
-) -> float:
-    """Equivariant component (estimate - Y_[2]) of a base estimator."""
-    if spec.kind == "N1":
-        return 0.0
-    if spec.kind == "N2":
-        return -a.a * cov.sigma_yy / 2.0
-    if spec.kind == "N3":
-        return n3_offset(s.t1, s.t2, a, cov)
-    if spec.kind == "N4":
-        if s.t1 > -spec.c * math.sqrt(2.0 * cov.sigma_xx):
-            return s.t2 / 2.0
-        return 0.0
-    raise InvalidParameterError(
-        f"improvement applies to equivariant bases N1..N4, not {spec.kind!r}"
-    )
-
-
 def improve(
     spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec
 ) -> ImprovementOutcome:
-    """Clip the base component into [phi_inf, phi_sup].
+    """Clip the base component into [phi_inf, phi_sup] (see oracles.phi_bounds).
 
     Boundary ties use weak inequalities (clip at phi <= phi_inf and
     phi >= phi_sup); a tie clips formally but leaves the value unchanged.
@@ -64,31 +42,43 @@ def improve(
     if spec.kind != "Improved":
         raise InvalidParameterError("improve() expects an Improved spec")
     phi = base_phi(spec.base, s, a, cov)
-    lo, hi = phi_bounds(s.t1, s.t2, a, cov)
-    if phi <= lo:
-        return ImprovementOutcome(value=s.y_sel + lo, truncated=TRUNCATED_LO, base_phi=phi)
-    if phi >= hi:
-        return ImprovementOutcome(value=s.y_sel + hi, truncated=TRUNCATED_HI, base_phi=phi)
+    value, lo_set, hi_set = clip_band(s.t1, s.t2, a, cov)
+    if lo_set and phi <= value:
+        return ImprovementOutcome(value=s.y_sel + value, truncated=TRUNCATED_LO, base_phi=phi)
+    if hi_set and phi >= value:
+        return ImprovementOutcome(value=s.y_sel + value, truncated=TRUNCATED_HI, base_phi=phi)
     return ImprovementOutcome(value=s.y_sel + phi, truncated=TRUNCATED_NONE, base_phi=phi)
 
 
-# (base kind, region predicate on (a, rho), label suffix used in reports)
-_CASES: dict[int, tuple[str, str]] = {
-    1: ("N1", "I1"),
-    2: ("N1", "I2"),
-    3: ("N1", "I3"),
-    4: ("N1", "I4"),
-    5: ("N2", "I1"),
-    6: ("N2", "I2"),
-    7: ("N3", "I1"),
-    8: ("N3", "I2"),
-    9: ("N3", "I3"),
-    10: ("N3", "I4"),
-    11: ("N4", "I1"),
-    12: ("N4", "I2"),
-    13: ("N4", "I3"),
-    14: ("N4", "I4"),
-    15: ("N4", "I5"),
+def improve_batch(
+    spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec
+) -> np.ndarray:
+    """`improve(...).value` over a `select_batch` summary, with the same weak clip."""
+    phi = base_phi_batch(spec.base, s, a, cov)
+    value, lo_set, hi_set = clip_band(s.t1, s.t2, a, cov)
+    clipped = np.where(lo_set & (phi <= value), value, phi)
+    clipped = np.where(hi_set & (phi >= value), value, clipped)
+    return s.y_sel + clipped
+
+
+# case id -> (base kind, label suffix used in reports, the (sign a, sign rho)
+# pairs of the case's declared applicability region)
+_CASES: dict[int, tuple[str, str, set[tuple[int, int]]]] = {
+    1: ("N1", "I1", {(1, 1)}),
+    2: ("N1", "I2", {(-1, -1)}),
+    3: ("N1", "I3", {(1, -1), (-1, 1)}),
+    4: ("N1", "I4", {(-1, 0)}),
+    5: ("N2", "I1", {(1, -1)}),
+    6: ("N2", "I2", {(1, 1), (-1, -1)}),
+    7: ("N3", "I1", {(1, 1)}),
+    8: ("N3", "I2", {(-1, 1)}),
+    9: ("N3", "I3", {(1, -1), (-1, -1)}),
+    10: ("N3", "I4", {(1, 0), (-1, 0)}),
+    11: ("N4", "I1", {(1, 1)}),
+    12: ("N4", "I2", {(1, -1)}),
+    13: ("N4", "I3", {(-1, 1)}),
+    14: ("N4", "I4", {(-1, -1)}),
+    15: ("N4", "I5", {(-1, 0)}),
 }
 
 
@@ -97,33 +87,16 @@ def case_base_kind(case_id: int) -> str:
 
 
 def case_label(case_id: int) -> str:
-    base, suffix = _CASES[case_id]
+    base, suffix, _ = _CASES[case_id]
     return f"{base}_{suffix}"
 
 
 def case_in_region(case_id: int, a: float, rho: float) -> bool:
     """Whether (a, rho) lies in the named case's declared applicability region."""
-    pos, neg, zero = 0 < rho <= 1, -1 <= rho < 0, rho == 0
-    regions = {
-        1: a > 0 and pos,
-        2: a < 0 and neg,
-        3: (a > 0 and neg) or (a < 0 and pos),
-        4: a < 0 and zero,
-        5: a > 0 and neg,
-        6: (a > 0 and pos) or (a < 0 and neg),
-        7: a > 0 and pos,
-        8: a < 0 and pos,
-        9: a != 0 and neg,
-        10: a != 0 and zero,
-        11: a > 0 and pos,
-        12: a > 0 and neg,
-        13: a < 0 and pos,
-        14: a < 0 and neg,
-        15: a < 0 and zero,
-    }
-    if case_id not in regions:
+    if case_id not in _CASES:
         raise InvalidParameterError(f"case_id must be 1..15, got {case_id}")
-    return regions[case_id]
+    signs = (int(a > 0) - int(a < 0), int(rho > 0) - int(rho < 0))
+    return -1 <= rho <= 1 and signs in _CASES[case_id][2]
 
 
 def applicable_case(base_kind: str, a: float, rho: float) -> int | None:
@@ -132,103 +105,7 @@ def applicable_case(base_kind: str, a: float, rho: float) -> int | None:
     None in the regions where the truncation argument provides no
     improvement (e.g. a > 0, rho = 0 for the plug-in estimator).
     """
-    for case_id, (kind, _) in _CASES.items():
+    for case_id, (kind, _, _) in _CASES.items():
         if kind == base_kind and case_in_region(case_id, a, rho):
             return case_id
     return None
-
-
-def named_case_rule(
-    case_id: int,
-    s: SelectionSummary,
-    a: LinexParams,
-    cov: CovarianceSpec,
-    c: float = 1.0,
-) -> float:
-    """Evaluate one of the fifteen transcribed piecewise rules.
-
-    The rules for the log-estimator base (cases 7-10) carry their stated
-    component-vs-bound condition as a pointwise guard; with it each rule
-    agrees with improve() everywhere off the boundary sets where weak and
-    strict inequalities differ.
-    """
-    if not case_in_region(case_id, a.a, cov.rho):
-        raise CaseRegionError(
-            f"case {case_id} does not apply at a={a.a:g}, rho={cov.rho:.6g}"
-        )
-    base_kind = case_base_kind(case_id)
-    t1, t2 = s.t1, s.t2
-    aa = a.a
-    rho, xi = cov.rho, cov.xi
-    syy = cov.sigma_yy
-    half = aa * syy / 2.0
-    gate = xi * rho * t1 - half * (1.0 - rho * rho)
-    cut = -c * math.sqrt(2.0 * cov.sigma_xx)
-    clipped_value = (s.y_sel + s.y_other) / 2.0 - aa * syy / 4.0
-
-    if base_kind == "N3":
-        phi3 = n3_offset(t1, t2, a, cov)
-        lo, hi = phi_bounds(t1, t2, a, cov)
-        guard = phi3 <= lo or phi3 >= hi
-    else:
-        guard = True
-
-    if case_id == 1:
-        fire = t1 > rho * t2 / xi and half >= t2 > gate
-    elif case_id == 2:
-        fire = t1 < rho * t2 / xi and half <= t2 < gate
-    elif case_id == 3:
-        fire = (t1 < rho * t2 / xi and half <= t2 < gate) or (
-            t1 > rho * t2 / xi and half >= t2 > gate
-        )
-    elif case_id == 4:
-        fire = half <= t2 < -half
-    elif case_id == 5:
-        fire = t1 < rho * t2 / xi and -half <= t2 < gate
-    elif case_id == 6:
-        fire = (t1 < rho * t2 / xi and -half <= t2 < gate) or (
-            t1 > rho * t2 / xi and -half >= t2 > gate
-        )
-    elif case_id == 7:
-        fire = (t1 < rho * t2 / xi and t2 < gate) or (t1 > rho * t2 / xi and t2 > gate)
-    elif case_id == 8:
-        fire = t1 < rho * t2 / xi and t2 < gate
-    elif case_id == 9:
-        fire = t2 < min(xi * t1 / rho, gate) or t2 > max(xi * t1 / rho, gate)
-    elif case_id == 10:
-        fire = t1 < 0 and t2 < -half
-    elif case_id == 11:
-        fire = (t1 > max(cut, rho * t2 / xi) and t2 > gate) or (
-            rho * t2 / xi < t1 <= cut and half >= t2 > gate
-        )
-    elif case_id == 12:
-        fire = (
-            (t1 > max(cut, rho * t2 / xi) and t2 > gate)
-            or (t1 < min(cut, rho * t2 / xi) and half <= t2 < gate)
-            or (rho * t2 / xi < t1 <= cut and half >= t2 > gate)
-        )
-    elif case_id == 13:
-        fire = (
-            (cut < t1 < rho * t2 / xi and t2 < gate)
-            or (t1 < min(cut, rho * t2 / xi) and half <= t2 < gate)
-            or (rho * t2 / xi < t1 <= cut and half >= t2 > gate)
-        )
-    elif case_id == 14:
-        fire = (cut < t1 < rho * t2 / xi and t2 < gate) or (
-            t1 < min(cut, rho * t2 / xi) and half <= t2 < gate
-        )
-    elif case_id == 15:
-        fire = (t1 > cut and t2 < -half) or (t1 <= cut and half <= t2 < -half)
-    else:
-        raise InvalidParameterError(f"case_id must be 1..15, got {case_id}")
-
-    if fire and guard:
-        return clipped_value
-
-    if base_kind == "N1":
-        return s.y_sel
-    if base_kind == "N2":
-        return s.y_sel - half
-    if base_kind == "N3":
-        return s.y_sel + phi3
-    return (s.y_sel + s.y_other) / 2.0 if t1 > cut else s.y_sel

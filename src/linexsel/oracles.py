@@ -4,8 +4,7 @@ These are the analytic counterparts of the simulator: the density of
 W = Y_[2] - theta_y^S, the conditional law of W given the observable
 differences (T1, T2), the optimal local shift varphi it induces, and the
 parameter-free band [phi_inf, phi_sup] that the improvement operator clips
-into. Shift-estimator risk by quadrature lives here too, as the analytic
-cross-check for the Monte Carlo engine.
+into. The exact shift-estimator risk lives with psi in `admissibility`.
 """
 
 from __future__ import annotations
@@ -13,23 +12,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
+from .admissibility import shift_risk
 from .core import (
     CovarianceSpec,
     InvalidParameterError,
     LinexParams,
     ThetaStar,
-    linex_loss,
     log_sum_exp,
     std_normal_cdf,
     std_normal_pdf,
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-QUAD_ABS_TOL = 1e-12
-QUAD_HALF_WIDTH = 12.0  # integration half-width in component standard deviations
 
 
 def _log_std_normal_pdf(u: float) -> float:
@@ -39,11 +33,6 @@ def _log_std_normal_pdf(u: float) -> float:
 def _check_t1(t1: float) -> None:
     if t1 > 0:
         raise InvalidParameterError(f"t1 must be <= 0, got {t1}")
-
-
-def _check_nonsingular(cov: CovarianceSpec, what: str) -> None:
-    if cov.is_singular:
-        raise InvalidParameterError(f"{what} requires |rho| < 1")
 
 
 def w_pdf(w: float, theta_star: ThetaStar, cov: CovarianceSpec) -> float:
@@ -73,17 +62,18 @@ def _log_weights(
     t1: float, t2: float, theta_star: ThetaStar, cov: CovarianceSpec
 ) -> tuple[float, float]:
     _check_t1(t1)
-    _check_nonsingular(cov, "conditional weights")
+    if cov.is_singular:
+        raise InvalidParameterError("conditional weights require |rho| < 1")
     rho = cov.rho
     sy = math.sqrt(cov.sigma_yy)
     sx = math.sqrt(cov.sigma_xx)
-    denom = math.sqrt(2.0 * (1.0 - rho * rho))
+    spread = math.sqrt(2.0 * (1.0 - rho * rho))
     ty, tx = theta_star.theta_y, theta_star.theta_x
     log_d1 = _log_std_normal_pdf((t2 - ty) / (math.sqrt(2.0) * sy)) + _log_std_normal_pdf(
-        (rho * (t2 - ty) / sy - (t1 - tx) / sx) / denom
+        (rho * (t2 - ty) / sy - (t1 - tx) / sx) / spread
     )
     log_d2 = _log_std_normal_pdf((t2 + ty) / (math.sqrt(2.0) * sy)) + _log_std_normal_pdf(
-        (rho * (t2 + ty) / sy - (t1 + tx) / sx) / denom
+        (rho * (t2 + ty) / sy - (t1 + tx) / sx) / spread
     )
     return log_d1, log_d2
 
@@ -151,6 +141,21 @@ def varphi(
     )
 
 
+def clip_band(t1, t2, a: LinexParams, cov: CovarianceSpec):
+    """The clip value t2/2 - a*sigma_yy/4 and the condition sets of the band.
+
+    Returns (value, lo_set, hi_set): phi_inf equals value on lo_set and
+    phi_sup equals value on hi_set. Serves floats and arrays alike; the two
+    sets are disjoint.
+    """
+    rho, xi = cov.rho, cov.xi
+    value = t2 / 2.0 - a.a * cov.sigma_yy / 4.0
+    margin = -a.a * cov.sigma_yy * (1.0 - rho * rho) / 2.0
+    side = t1 * xi - rho * t2
+    gap = t2 - xi * rho * t1
+    return value, (side < 0) & (gap < margin), (side > 0) & (gap > margin)
+
+
 def phi_bounds(
     t1: float, t2: float, a: LinexParams, cov: CovarianceSpec
 ) -> tuple[float, float]:
@@ -161,29 +166,9 @@ def phi_bounds(
     bound is finite for any (t1, t2).
     """
     _check_t1(t1)
-    rho, xi = cov.rho, cov.xi
-    value = t2 / 2.0 - a.a * cov.sigma_yy / 4.0
-    margin = -a.a * cov.sigma_yy * (1.0 - rho * rho) / 2.0
-    lo = value if (t1 * xi - rho * t2 < 0 and t2 - xi * rho * t1 < margin) else -math.inf
-    hi = value if (t1 * xi - rho * t2 > 0 and t2 - xi * rho * t1 > margin) else math.inf
-    return lo, hi
+    value, lo_set, hi_set = clip_band(t1, t2, a, cov)
+    return (value if lo_set else -math.inf), (value if hi_set else math.inf)
 
 
-def shift_risk_quadrature(
-    d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceSpec
-) -> float:
-    """Risk of the shift estimator Y_[2] + d by quadrature against w_pdf.
-
-    Integrates linex_loss(w + d, 0) * f_W(w) over a window wide enough to
-    cover both the density mass and the exp(a*w) tilt (whose product peaks
-    near w = a*sigma_yy).
-    """
-    s = math.sqrt(cov.sigma_yy)
-    lo = min(-QUAD_HALF_WIDTH * s, a.a * cov.sigma_yy - QUAD_HALF_WIDTH * s)
-    hi = max(QUAD_HALF_WIDTH * s, a.a * cov.sigma_yy + QUAD_HALF_WIDTH * s)
-
-    def integrand(w: float) -> float:
-        return linex_loss(w + d, 0.0, a) * w_pdf(w, theta_star, cov)
-
-    value, _ = quad(integrand, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200)
-    return value
+#: former name of admissibility.shift_risk, which replaced the quadrature
+shift_risk_quadrature = shift_risk

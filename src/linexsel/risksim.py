@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import (
     CovarianceSpec,
@@ -29,8 +28,9 @@ from .core import (
     rng_stream,
     sample_batch,
 )
-from .estimators import EstimatorSpec, N3_LOG_SWITCH
+from .estimators import EstimatorSpec, evaluate_batch
 from .improvement import applicable_case, case_label
+from .selection import select_batch
 
 #: the 11 mean-vector configurations used by every published table
 THETA_CONFIGS: tuple[MeanVectorPair, ...] = tuple(
@@ -84,75 +84,6 @@ class RiskEstimate:
     stream_key: tuple[int, ...] = ()
 
 
-def _batch_summaries(x1, y1, x2, y2):
-    sel1 = x1 > x2
-    y_sel = np.where(sel1, y1, y2)
-    y_other = np.where(sel1, y2, y1)
-    x_max = np.maximum(x1, x2)
-    t1 = np.minimum(x1, x2) - x_max
-    t2 = y_other - y_sel
-    return sel1, x_max, y_sel, y_other, t1, t2
-
-
-def _batch_n3_offset(t1, t2, a: float, cov: CovarianceSpec):
-    p = ndtr(t1 / math.sqrt(2.0 * cov.sigma_xx))
-    z = a * t2
-    out = np.empty_like(t2)
-    big = z > N3_LOG_SWITCH
-    small = ~big
-    out[small] = np.log1p(np.expm1(z[small]) * p[small]) / a
-    if big.any():
-        out[big] = t2[big] + np.log(p[big] + (1.0 - p[big]) * np.exp(-z[big])) / a
-    return out
-
-
-def _batch_base_phi(spec: EstimatorSpec, t1, t2, a: float, cov: CovarianceSpec):
-    if spec.kind == "N1":
-        return np.zeros_like(t2)
-    if spec.kind == "N2":
-        return np.full_like(t2, -a * cov.sigma_yy / 2.0)
-    if spec.kind == "N3":
-        return _batch_n3_offset(t1, t2, a, cov)
-    if spec.kind == "N4":
-        inside = t1 > -spec.c * math.sqrt(2.0 * cov.sigma_xx)
-        return np.where(inside, t2 / 2.0, 0.0)
-    raise InvalidParameterError(f"no equivariant component for kind {spec.kind!r}")
-
-
-def _batch_estimates(
-    spec: EstimatorSpec, x_max, y_sel, y_other, t1, t2, a: float, cov: CovarianceSpec
-):
-    if spec.kind in ("N1", "N2", "N3", "N4"):
-        return y_sel + _batch_base_phi(spec, t1, t2, a, cov)
-    if spec.kind == "Shift":
-        return y_sel + spec.d
-    if spec.kind == "Bayes":
-        prior = spec.prior
-        det = cov.det
-        if det <= 0:
-            raise InvalidParameterError("Bayes estimator requires |rho| < 1")
-        m = prior.m
-        denom = m * m + m * cov.sigma_xx + m * cov.sigma_yy + det
-        p_star = (
-            prior.mu2 * (det + m * cov.sigma_yy)
-            + m * y_sel * (m + cov.sigma_xx)
-            + m * cov.sigma_xy * (prior.mu1 - x_max)
-        ) / denom
-        q_star = (m * m * cov.sigma_yy + m * det) / denom
-        return p_star - 0.5 * a * q_star
-    if spec.kind == "Improved":
-        phi = _batch_base_phi(spec.base, t1, t2, a, cov)
-        rho, xi = cov.rho, cov.xi
-        value = t2 / 2.0 - a * cov.sigma_yy / 4.0
-        margin = -a * cov.sigma_yy * (1.0 - rho * rho) / 2.0
-        fin_lo = (t1 * xi - rho * t2 < 0) & (t2 - xi * rho * t1 < margin)
-        fin_hi = (t1 * xi - rho * t2 > 0) & (t2 - xi * rho * t1 > margin)
-        clipped = np.where(fin_lo & (phi <= value), value, phi)
-        clipped = np.where(fin_hi & (phi >= value), value, clipped)
-        return y_sel + clipped
-    raise InvalidParameterError(f"unknown estimator kind {spec.kind!r}")
-
-
 def _batch_losses(estimates, theta_sel, a: float, context: str):
     z = a * (estimates - theta_sel)
     zmax = float(z.max())
@@ -166,14 +97,13 @@ def _simulate_losses(
     config: SimConfig, specs: Sequence[EstimatorSpec], stream_key: tuple[int, ...]
 ) -> list[np.ndarray]:
     rng = rng_stream(config.master_seed, *stream_key)
-    x1, y1, x2, y2 = sample_batch(config.means, config.cov, rng, config.reps)
-    sel1, x_max, y_sel, y_other, t1, t2 = _batch_summaries(x1, y1, x2, y2)
-    theta_sel = np.where(sel1, config.means.theta1[1], config.means.theta2[1])
-    out = []
-    for spec in specs:
-        est = _batch_estimates(spec, x_max, y_sel, y_other, t1, t2, config.a.a, config.cov)
-        out.append(_batch_losses(est, theta_sel, config.a.a, spec.label))
-    return out
+    s = select_batch(*sample_batch(config.means, config.cov, rng, config.reps))
+    theta_sel = np.where(s.selected == 1, config.means.theta1[1], config.means.theta2[1])
+    a, cov = config.a, config.cov
+    return [
+        _batch_losses(evaluate_batch(spec, s, a, cov), theta_sel, a.a, spec.label)
+        for spec in specs
+    ]
 
 
 def _estimate_from_losses(
@@ -199,8 +129,6 @@ def simulate_risk(
     the estimator, and scores it against the realized theta_y^S. Deterministic
     for a fixed (master_seed, stream_key).
     """
-    if spec.kind == "Bayes" and config.cov.det <= 0:
-        raise InvalidParameterError("Bayes estimator requires |rho| < 1")
     (losses,) = _simulate_losses(config, [spec], stream_key)
     return _estimate_from_losses(losses, config, stream_key)
 
@@ -246,21 +174,15 @@ def table_columns(
     a: float, rho: float, improved_bases: Sequence[str], c: float
 ) -> tuple[tuple[str, EstimatorSpec], ...]:
     cols: list[tuple[str, EstimatorSpec]] = []
-    base_specs = {
-        "N1": EstimatorSpec.n1(),
-        "N2": EstimatorSpec.n2(),
-        "N3": EstimatorSpec.n3(),
-        "N4": EstimatorSpec.n4(c),
-    }
-    for kind in ("N1", "N2", "N3", "N4"):
-        cols.append((kind, base_specs[kind]))
-        if kind in improved_bases:
-            case_id = applicable_case(kind, a, rho)
+    for spec in (EstimatorSpec.n1(), EstimatorSpec.n2(), EstimatorSpec.n3(), EstimatorSpec.n4(c)):
+        cols.append((spec.kind, spec))
+        if spec.kind in improved_bases:
+            case_id = applicable_case(spec.kind, a, rho)
             if case_id is None:
                 raise InvalidParameterError(
-                    f"no improvement case covers base {kind} at a={a}, rho={rho}"
+                    f"no improvement case covers base {spec.kind} at a={a}, rho={rho}"
                 )
-            cols.append((case_label(case_id), EstimatorSpec.improved(base_specs[kind])))
+            cols.append((case_label(case_id), EstimatorSpec.improved(spec)))
     return tuple(cols)
 
 

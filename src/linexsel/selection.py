@@ -2,14 +2,18 @@
 
 The rule picks the population with the larger observed X; ties go to
 population 2 (the weak inequality branch of the rule). Every estimator
-downstream consumes the summary produced here.
+downstream consumes the summary produced here, either for one observation
+pair (`select`) or for arrays of draws (`select_batch`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .core import MeanVectorPair, ObservationPair
+import numpy as np
+
+from .core import InvalidParameterError, MeanVectorPair, ObservationPair
 
 
 @dataclass(frozen=True)
@@ -17,7 +21,8 @@ class SelectionSummary:
     """Order statistics of X, their Y concomitants, and the differences.
 
     t1 = X_(1) - X_(2) <= 0 and t2 = Y_[1] - Y_[2]; y_sel is the concomitant
-    of the larger X (the selected population's Y).
+    of the larger X (the selected population's Y). From `select_batch` every
+    field is an array with one entry per draw.
     """
 
     selected: int
@@ -29,33 +34,36 @@ class SelectionSummary:
     t2: float
 
 
-@dataclass(frozen=True)
-class SelectedParameter:
-    """theta_y of the population the rule picked (known only in simulation)."""
-
-    value: float
-
-
 def select(obs: ObservationPair) -> SelectionSummary:
-    """Apply the natural rule: population 1 iff x1 > x2, ties to population 2."""
+    """Apply the natural rule: population 1 iff x1 > x2, ties to population 2.
+
+    Finite observations can still give an infinite difference (e.g. y values
+    of +-1e308); such a summary is rejected rather than passed on.
+    """
     (x1, y1), (x2, y2) = obs.z1, obs.z2
     if x1 > x2:
         selected, x_max, x_min, y_sel, y_other = 1, x1, x2, y1, y2
     else:
         selected, x_max, x_min, y_sel, y_other = 2, x2, x1, y2, y1
+    t1 = x_min - x_max
+    t2 = y_other - y_sel
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise InvalidParameterError(f"differences overflowed: t1 = {t1}, t2 = {t2}")
+    return SelectionSummary(selected, x_max, x_min, y_sel, y_other, t1, t2)
+
+
+def select_batch(x1, y1, x2, y2) -> SelectionSummary:
+    """`select` over arrays of draws; the tie rule becomes the mask x1 > x2."""
+    sel1 = x1 > x2
+    x_max, x_min = np.maximum(x1, x2), np.minimum(x1, x2)
+    y_sel, y_other = np.where(sel1, y1, y2), np.where(sel1, y2, y1)
     return SelectionSummary(
-        selected=selected,
-        x_max=x_max,
-        x_min=x_min,
-        y_sel=y_sel,
-        y_other=y_other,
-        t1=x_min - x_max,
-        t2=y_other - y_sel,
+        np.where(sel1, 1, 2), x_max, x_min, y_sel, y_other, x_min - x_max, y_other - y_sel
     )
 
 
-def realized_parameter(obs: ObservationPair, means: MeanVectorPair) -> SelectedParameter:
+def realized_parameter(obs: ObservationPair, means: MeanVectorPair) -> float:
     """The random target theta_y^S realized by this observation pair."""
     if obs.z1[0] > obs.z2[0]:
-        return SelectedParameter(means.theta1[1])
-    return SelectedParameter(means.theta2[1])
+        return means.theta1[1]
+    return means.theta2[1]

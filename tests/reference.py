@@ -11,10 +11,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 from scipy.stats import norm
 
-from linexsel import CovarianceSpec, LinexParams, MeanVectorPair, PriorSpec
+from linexsel import (
+    CovarianceSpec,
+    LinexParams,
+    MeanVectorPair,
+    PriorSpec,
+    ThetaStar,
+    linex_loss,
+    w_pdf,
+)
+
+QUAD_ABS_TOL = 1e-12
+QUAD_HALF_WIDTH = 12.0  # integration half-width in component standard deviations
 
 
 def branch_density(t1: float, t2: float, means: MeanVectorPair, cov: CovarianceSpec, branch: int) -> float:
@@ -97,3 +108,25 @@ def posterior_numeric(z: tuple[float, float], prior: PriorSpec, cov: CovarianceS
     m1 = simpson(simpson(w * TY, x=ty, axis=1), x=tx) / z0
     m2 = simpson(simpson(w * TY * TY, x=ty, axis=1), x=tx) / z0
     return float(m1), float(m2 - m1 * m1)
+
+
+def shift_risk_quadrature(
+    d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceSpec
+) -> float:
+    """Risk of the shift estimator Y_[2] + d by quadrature against w_pdf.
+
+    Integrates linex_loss(w + d, 0) * f_W(w) over a window wide enough to
+    cover both the density mass and the exp(a*w) tilt (whose product peaks
+    near w = a*sigma_yy). The independent check of the closed-form
+    `linexsel.shift_risk`; the density w_pdf it integrates is checked on its
+    own in tests/test_oracles.py.
+    """
+    s = math.sqrt(cov.sigma_yy)
+    lo = min(-QUAD_HALF_WIDTH * s, a.a * cov.sigma_yy - QUAD_HALF_WIDTH * s)
+    hi = max(QUAD_HALF_WIDTH * s, a.a * cov.sigma_yy + QUAD_HALF_WIDTH * s)
+
+    def integrand(w: float) -> float:
+        return linex_loss(w + d, 0.0, a) * w_pdf(w, theta_star, cov)
+
+    value, _ = quad(integrand, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200)
+    return value

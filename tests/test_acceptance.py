@@ -32,26 +32,26 @@ from linexsel import (
     cond_t3_mgf,
     cond_t3_pdf,
     est_bayes,
-    est_n2,
+    evaluate,
     fit,
     improve,
     load_dataset,
-    named_case_rule,
     paired_risk_difference,
     phi_bounds,
     posterior_risk_constant,
     psi,
     risk_grid,
     select,
-    shift_risk_quadrature,
     simulate_risk,
     varphi,
     w_pdf,
 )
 from linexsel.core import ObservationPair, rng_stream
-from linexsel.improvement import base_phi, case_base_kind, case_in_region
+from linexsel.estimators import base_phi
+from linexsel.improvement import case_base_kind, case_in_region
 from linexsel.risksim import TABLE_SPECS, THETA_CONFIGS
 
+from ._cases import named_case_rule
 from ._tables import (
     ACCEPTANCE_SEED,
     KNIFE_EDGE_COLUMNS,
@@ -59,6 +59,7 @@ from ._tables import (
     REFERENCE,
     UNREPRODUCIBLE_AT_SEED,
 )
+from .reference import shift_risk_quadrature
 
 REPS = 20000
 
@@ -438,7 +439,8 @@ def test_criterion6_large_prior_variance_approaches_mree():
         y = gen.normal(0, 2, 2)
         a = LinexParams(float(gen.uniform(0.3, 2.0) * gen.choice([-1.0, 1.0])))
         s = select(ObservationPair((x[0], y[0]), (x[1], y[1])))
-        assert est_bayes(s, prior, a, cov) == pytest.approx(est_n2(s, a, cov), abs=1e-3)
+        mree = evaluate(EstimatorSpec.n2(), s, a, cov)
+        assert est_bayes(s, prior, a, cov) == pytest.approx(mree, abs=1e-3)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,27 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import linexsel
 from linexsel.cli import main
 
 COV = "8.1645,40.0655,952.9425"
+
+#: SHA-256 of the CSV from `simulate --table N --seed 42 --reps 2000`; any change
+#: to the streams, the kernels or the CSV format shows up here
+GOLDEN_TABLE_SHA256 = {
+    5: "e454290194b800f08e0abae6ef760c45861ecf2d49404c30da39cc90f9d64b82",
+    6: "ac01c05ea0b3c81536719b465c06d75cbefce9c62e1d3ac97091a115ec079af4",
+    7: "145404b2f86394f42a41b9d644f37ff5d12e1c2c3fbaf82bc8348d1aa0908a10",
+    8: "1ba3f44bdc7c2db7c31fb93f78da6ecaedc3c99dd6a5e88aa766de85cd911868",
+    9: "2cc0a9ba4dc7f8fcb61ad341d1474c0bcc2c9561d4f67d731bfe566dd94190f5",
+    10: "a489de3f515fc7515beaf98fb748d5bb5f934a6d14029628f2db3667daa722f9",
+}
 
 
 def run(capsys, *argv):
@@ -63,6 +82,17 @@ class TestEstimate:
         assert "N1_I3,401.8278,clipped_to_phi_inf" in out
         assert (tmp_path / "estimate_report.csv").read_text() == out
 
+    def test_non_finite_difference_rejected(self, capsys, tmp_path):
+        # finite observations whose concomitant difference overflows to inf
+        code, out, err = run(
+            capsys, "estimate", "--x", "0,0.1", "--y", "1e308,-1e308",
+            "--cov", "1,0.5,1", "--a", "1", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "t2" in err and "inf" in err
+        assert out == ""
+        assert not (tmp_path / "estimate_report.txt").exists()
+
 
 class TestAdmissibility:
     def test_collapsed_interval(self, capsys, tmp_path):
@@ -115,6 +145,31 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
         assert manifest["master_seed"] == 42
         assert manifest["outputs"] == ["table7.csv"]
+        params = manifest["parameters"]
+        recorded = (params["a"], params["cov"], params["c"], params["improved"])
+        assert recorded == (None, None, 1.0, [])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--cov", "1,0,1"), ("--a", "2"), ("--c", "1"), ("--improved", "N1"), ("--improved",)],
+    )
+    def test_custom_grid_flags_rejected_with_table(self, capsys, tmp_path, flags):
+        code, _, err = run(
+            capsys, "simulate", "--table", "5", "--reps", "10", *flags, "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert flags[0] in err
+        assert not (tmp_path / "simulate_manifest.json").exists()
+
+    @pytest.mark.parametrize("table", sorted(GOLDEN_TABLE_SHA256))
+    def test_table_csv_golden_digest(self, capsys, tmp_path, table):
+        code, _, _ = run(
+            capsys, "simulate", "--table", str(table), "--seed", "42", "--reps", "2000",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / f"table{table}.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN_TABLE_SHA256[table]
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
@@ -200,3 +255,14 @@ def test_numerical_overflow_exits_one(capsys, tmp_path):
     )
     assert code == 1
     assert "exceeds exp() range" in err
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    src = str(Path(linexsel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, linexsel.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

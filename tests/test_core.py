@@ -2,22 +2,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linexsel import (
     CovarianceSpec,
+    EstimatorSpec,
     InvalidParameterError,
     LinexOverflowError,
     LinexParams,
     MeanVectorPair,
+    ObservationPair,
+    PriorSpec,
     ThetaStar,
+    evaluate,
+    evaluate_batch,
     linex_loss,
     log_sum_exp,
     rng_stream,
-    sample_pair,
+    sample_batch,
+    select,
+    select_batch,
     std_normal_cdf,
     std_normal_pdf,
 )
-from linexsel.core import sample_batch
+
+_MEAN = st.floats(-20.0, 20.0)
+_SCALE = st.floats(0.1, 10.0)
 
 
 class TestStdNormal:
@@ -126,9 +137,9 @@ class TestSampling:
         means = MeanVectorPair((0.0, 0.0), (0.0, 0.0))
         gen = rng_stream(7)
         for _ in range(200):
-            obs = sample_pair(means, cov, gen)
-            assert obs.z1[1] == obs.z1[0]
-            assert obs.z2[1] == obs.z2[0]
+            x1, y1, x2, y2 = sample_batch(means, cov, gen, 1)
+            assert y1[0] == x1[0]
+            assert y2[0] == x2[0]
 
     def test_independent_case_correlation(self):
         cov = CovarianceSpec.from_correlation(2.0, 3.0, 0.0)
@@ -154,30 +165,48 @@ class TestSampling:
     def test_streams_reproducible_and_independent(self):
         cov = CovarianceSpec(sigma_xx=1.0, sigma_yy=1.0, sigma_xy=0.5)
         means = MeanVectorPair((0.0, 0.0), (0.0, 0.0))
-        seq1 = [sample_pair(means, cov, rng_stream(42, 1, 2)) for _ in range(5)]
-        seq2 = [sample_pair(means, cov, rng_stream(42, 1, 2)) for _ in range(5)]
+
+        def pairs(*key):
+            return [np.ravel(sample_batch(means, cov, rng_stream(42, *key), 1)).tolist()
+                    for _ in range(5)]
+
+        seq1 = pairs(1, 2)
+        seq2 = pairs(1, 2)
         assert seq1 == seq2
-        other = [sample_pair(means, cov, rng_stream(42, 1, 3)) for _ in range(5)]
+        other = pairs(1, 3)
         assert other != seq1
 
-    def test_batch_estimates_match_scalar_evaluate(self):
-        from linexsel import EstimatorSpec, LinexParams, ObservationPair, PriorSpec, evaluate, select
-        from linexsel.risksim import _batch_estimates, _batch_summaries
-
-        cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=3.0, sigma_xy=1.0)
-        means = MeanVectorPair((1.0, -1.0), (0.5, 0.5))
-        a = LinexParams(-0.9)
-        x1, y1, x2, y2 = sample_batch(means, cov, rng_stream(5), 64)
-        _, x_max, y_sel, y_other, t1, t2 = _batch_summaries(x1, y1, x2, y2)
-        specs = [
-            EstimatorSpec.n1(), EstimatorSpec.n2(), EstimatorSpec.n3(),
-            EstimatorSpec.n4(0.8), EstimatorSpec.shift(1.1),
-            EstimatorSpec.bayes(PriorSpec(0.0, 0.0, 2.0)),
-            EstimatorSpec.improved(EstimatorSpec.n3()),
-        ]
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        a=st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0)),
+        sxx=_SCALE,
+        syy=_SCALE,
+        rho=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+        means=st.tuples(_MEAN, _MEAN, _MEAN, _MEAN),
+        c=st.floats(0.0, 3.0),
+        d=_MEAN,
+        prior=st.tuples(_MEAN, _MEAN, _SCALE),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_estimates_match_scalar_evaluate(
+        self, a, sxx, syy, rho, means, c, d, prior, seed
+    ):
+        """Every array kernel agrees with its float form, |rho| = 1 included."""
+        cov = CovarianceSpec.from_correlation(sxx, syy, rho)
+        a = LinexParams(a)
+        n = 32
+        pair = MeanVectorPair(means[:2], means[2:])
+        x1, y1, x2, y2 = sample_batch(pair, cov, rng_stream(seed), n)
+        batch = select_batch(x1, y1, x2, y2)
+        summaries = [select(ObservationPair((x1[k], y1[k]), (x2[k], y2[k]))) for k in range(n)]
+        for field in ("selected", "x_max", "x_min", "y_sel", "y_other", "t1", "t2"):
+            assert getattr(batch, field).tolist() == [getattr(s, field) for s in summaries]
+        bases = [EstimatorSpec.n1(), EstimatorSpec.n2(), EstimatorSpec.n3(), EstimatorSpec.n4(c)]
+        specs = bases + [EstimatorSpec.improved(b) for b in bases] + [EstimatorSpec.shift(d)]
+        if not cov.is_singular:  # the Bayes estimator needs |rho| < 1
+            specs.append(EstimatorSpec.bayes(PriorSpec(*prior)))
         for spec in specs:
-            batch = _batch_estimates(spec, x_max, y_sel, y_other, t1, t2, a.a, cov)
-            for k in range(64):
-                s = select(ObservationPair((x1[k], y1[k]), (x2[k], y2[k])))
+            values = evaluate_batch(spec, batch, a, cov)
+            for k, s in enumerate(summaries):
                 scalar = evaluate(spec, s, a, cov)
-                assert batch[k] == pytest.approx(scalar, rel=1e-12, abs=1e-12), spec.label
+                assert values[k] == pytest.approx(scalar, rel=1e-12, abs=1e-12), spec.label

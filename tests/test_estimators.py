@@ -12,11 +12,6 @@ from linexsel import (
     SingularCovarianceError,
     bayes_posterior,
     est_bayes,
-    est_n1,
-    est_n2,
-    est_n3,
-    est_n4,
-    est_shift,
     evaluate,
     posterior_risk_constant,
     select,
@@ -27,6 +22,7 @@ from .reference import posterior_numeric
 
 A1 = LinexParams(1.0)
 AM1 = LinexParams(-1.0)
+N1, N2, N3 = EstimatorSpec.n1(), EstimatorSpec.n2(), EstimatorSpec.n3()
 
 
 def random_summary(rng, sx=2.0, sy=2.0):
@@ -38,27 +34,28 @@ def random_summary(rng, sx=2.0, sy=2.0):
 class TestWorkedExample:
     """Estimates at the fitted poultry parameters."""
 
-    def test_n1(self, poultry_summary):
-        assert est_n1(poultry_summary) == pytest.approx(131.4569, abs=5e-5)
+    def test_n1(self, poultry_summary, poultry_model):
+        assert evaluate(N1, poultry_summary, A1, poultry_model.cov_hat) == pytest.approx(
+            131.4569, abs=5e-5
+        )
 
     def test_n2_both_signs(self, poultry_summary, poultry_model):
         cov = poultry_model.cov_hat
-        assert est_n2(poultry_summary, A1, cov) == pytest.approx(-345.0144, abs=5e-5)
-        assert est_n2(poultry_summary, AM1, cov) == pytest.approx(607.9281, abs=5e-5)
+        assert evaluate(N2, poultry_summary, A1, cov) == pytest.approx(-345.0144, abs=5e-5)
+        assert evaluate(N2, poultry_summary, AM1, cov) == pytest.approx(607.9281, abs=5e-5)
 
     def test_n3_within_published_band(self, poultry_summary, poultry_model):
         # published 194.9654 / 132.0856; recomputation from the rounded table
         # parameters gives 194.8755 / 132.0130, inside the documented 0.1 band
         cov = poultry_model.cov_hat
-        assert est_n3(poultry_summary, A1, cov) == pytest.approx(194.9654, abs=0.1)
-        assert est_n3(poultry_summary, A1, cov) == pytest.approx(194.8755, abs=5e-4)
-        assert est_n3(poultry_summary, AM1, cov) == pytest.approx(132.0856, abs=0.1)
-        assert est_n3(poultry_summary, AM1, cov) == pytest.approx(132.0130, abs=5e-4)
+        assert evaluate(N3, poultry_summary, A1, cov) == pytest.approx(194.9654, abs=0.1)
+        assert evaluate(N3, poultry_summary, A1, cov) == pytest.approx(194.8755, abs=5e-4)
+        assert evaluate(N3, poultry_summary, AM1, cov) == pytest.approx(132.0856, abs=0.1)
+        assert evaluate(N3, poultry_summary, AM1, cov) == pytest.approx(132.0130, abs=5e-4)
 
     def test_n4(self, poultry_summary, poultry_model):
-        assert est_n4(poultry_summary, 1.0, poultry_model.cov_hat) == pytest.approx(
-            163.5922, abs=5e-5
-        )
+        n4 = evaluate(EstimatorSpec.n4(1.0), poultry_summary, A1, poultry_model.cov_hat)
+        assert n4 == pytest.approx(163.5922, abs=5e-5)
 
 
 class TestN3:
@@ -67,12 +64,12 @@ class TestN3:
         for _ in range(20):
             s = random_summary(rng)
             s = type(s)(**{**s.__dict__, "t2": 0.0})
-            assert est_n3(s, A1, cov) == pytest.approx(s.y_sel, abs=1e-12)
+            assert evaluate(N3, s, A1, cov) == pytest.approx(s.y_sel, abs=1e-12)
 
     def test_distant_x_returns_y_sel(self):
         cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=0.0)
         s = select(ObservationPair((100.0, 1.0), (0.0, 5.0)))
-        assert est_n3(s, A1, cov) == pytest.approx(s.y_sel, abs=1e-12)
+        assert evaluate(N3, s, A1, cov) == pytest.approx(s.y_sel, abs=1e-12)
 
     def test_stable_form_matches_direct_near_switch(self, rng):
         cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=1.0)
@@ -87,7 +84,7 @@ class TestN3:
     def test_no_overflow_at_large_positive_exponent(self):
         cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=0.0)
         s = select(ObservationPair((1.0, 0.0), (0.0, 900.0)))
-        assert math.isfinite(est_n3(s, A1, cov))
+        assert math.isfinite(evaluate(N3, s, A1, cov))
 
     def test_monotone_in_t2(self, rng):
         cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=1.0)
@@ -101,7 +98,7 @@ class TestN3:
         for _ in range(200):
             s = random_summary(rng)
             a = LinexParams(rng.uniform(0.2, 3) * rng.choice([-1, 1]))
-            est = est_n3(s, a, cov)
+            est = evaluate(N3, s, a, cov)
             lo, hi = sorted((s.y_sel, s.y_sel + s.t2))
             assert lo - 1e-9 <= est <= hi + 1e-9
 
@@ -111,12 +108,12 @@ class TestN4:
         cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=0.0)
         for _ in range(100):
             s = random_summary(rng)
-            assert est_n4(s, 0.0, cov) == est_n1(s)
+            assert evaluate(EstimatorSpec.n4(0.0), s, A1, cov) == evaluate(N1, s, A1, cov)
 
     def test_threshold_branch(self):
         cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=0.0)
         s = select(ObservationPair((10.0, 3.0), (0.0, 5.0)))  # t1 = -10
-        assert est_n4(s, 1.0, cov) == s.y_sel
+        assert evaluate(EstimatorSpec.n4(1.0), s, A1, cov) == s.y_sel
 
 
 class TestBayes:
@@ -173,7 +170,7 @@ class TestBayes:
             worst = 0.0
             for _ in range(50):
                 s = random_summary(rng)
-                worst = max(worst, abs(est_bayes(s, prior, A1, cov) - est_n2(s, A1, cov)))
+                worst = max(worst, abs(est_bayes(s, prior, A1, cov) - evaluate(N2, s, A1, cov)))
             gaps.append(worst)
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-3
@@ -195,10 +192,11 @@ class TestShiftAndDispatch:
         cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=0.0)
         for _ in range(50):
             s = random_summary(rng)
-            assert est_shift(s, 0.0) == est_n1(s)
-            assert est_shift(s, -A1.a * cov.sigma_yy / 2) == est_n2(s, A1, cov)
+            mree_shift = EstimatorSpec.shift(-A1.a * cov.sigma_yy / 2)
+            assert evaluate(EstimatorSpec.shift(0.0), s, A1, cov) == evaluate(N1, s, A1, cov)
+            assert evaluate(mree_shift, s, A1, cov) == evaluate(N2, s, A1, cov)
         s = select(ObservationPair((1.0, 131.4569), (0.0, 0.0)))
-        assert est_shift(s, 5.0) == pytest.approx(136.4569)
+        assert evaluate(EstimatorSpec.shift(5.0), s, A1, cov) == pytest.approx(136.4569)
 
     def test_dispatch_matches_direct(self, rng, poultry_model, poultry_summary):
         cov = poultry_model.cov_hat

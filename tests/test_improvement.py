@@ -10,19 +10,17 @@ from linexsel import (
     MeanVectorPair,
     ObservationPair,
     base_phi,
+    base_phi_batch,
+    clip_band,
     improve,
-    named_case_rule,
     phi_bounds,
     select,
+    select_batch,
 )
 from linexsel.core import rng_stream, sample_batch
-from linexsel.improvement import (
-    CaseRegionError,
-    applicable_case,
-    case_base_kind,
-    case_in_region,
-    case_label,
-)
+from linexsel.improvement import applicable_case, case_base_kind, case_in_region, case_label
+
+from ._cases import CaseRegionError, named_case_rule
 
 A1 = LinexParams(1.0)
 AM1 = LinexParams(-1.0)
@@ -131,23 +129,10 @@ class TestNoImprovementRegions:
         spec = {"N1": EstimatorSpec.n1(), "N2": EstimatorSpec.n2(),
                 "N4": EstimatorSpec.n4(1.0)}[base]
         a_p = LinexParams(a)
-        fired = 0
-        import numpy as np
-
-        sel1 = x1 > x2
-        y_sel = np.where(sel1, y1, y2)
-        y_oth = np.where(sel1, y2, y1)
-        t1 = np.minimum(x1, x2) - np.maximum(x1, x2)
-        t2 = y_oth - y_sel
         # vectorized equivalent of improve(); keep the loop for a scalar spot check
-        from linexsel.risksim import _batch_base_phi
-
-        phi = _batch_base_phi(spec, t1, t2, a, cov)
-        value = t2 / 2 - a * cov.sigma_yy / 4
-        margin = -a * cov.sigma_yy * (1 - rho * rho) / 2
-        xi = cov.xi
-        fin_lo = (t1 * xi - rho * t2 < 0) & (t2 - xi * rho * t1 < margin)
-        fin_hi = (t1 * xi - rho * t2 > 0) & (t2 - xi * rho * t1 > margin)
+        batch = select_batch(x1, y1, x2, y2)
+        phi = base_phi_batch(spec, batch, a_p, cov)
+        value, fin_lo, fin_hi = clip_band(batch.t1, batch.t2, a_p, cov)
         fired = int((fin_lo & (phi <= value)).sum() + (fin_hi & (phi >= value)).sum())
         assert fired == 0
         for k in range(0, 100_000, 9973):

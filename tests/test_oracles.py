@@ -14,13 +14,13 @@ from linexsel import (
     cond_t3_pdf,
     conditional_weights,
     phi_bounds,
-    shift_risk_quadrature,
+    shift_risk,
     varphi,
     w_pdf,
 )
 from linexsel.core import sample_batch, rng_stream, std_normal_cdf, std_normal_pdf
 
-from .reference import branch_density
+from .reference import branch_density, shift_risk_quadrature
 
 A1 = LinexParams(1.0)
 
@@ -273,3 +273,16 @@ class TestShiftRiskQuadrature:
             e_w = cov.rho * math.sqrt(2 * cov.sigma_yy) * std_normal_pdf(ts.theta_x / s2x)
             closed = math.exp(a.a * d) * e_exp - a.a * (e_w + d) - 1
             assert shift_risk_quadrature(d, ts, a, cov) == pytest.approx(closed, rel=1e-9)
+            assert shift_risk(d, ts, a, cov) == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [-1.0, -0.6, 0.0, 0.6, 1.0])
+    def test_closed_form_matches_quadrature(self, rho):
+        """The library's closed form against the quadrature oracle, |rho| = 1 included."""
+        gen = np.random.default_rng(int(100 * (rho + 2)))
+        for _ in range(12):
+            cov = CovarianceSpec.from_correlation(gen.uniform(0.4, 4), gen.uniform(0.4, 4), rho)
+            ts = ThetaStar(gen.uniform(0, 3), 0.0)
+            a = LinexParams(gen.uniform(0.2, 2.5) * gen.choice([-1, 1]))
+            d = gen.normal(0, 1.5)
+            ref = shift_risk_quadrature(d, ts, a, cov)
+            assert shift_risk(d, ts, a, cov) == pytest.approx(ref, rel=1e-9, abs=1e-12)

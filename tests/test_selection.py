@@ -53,12 +53,12 @@ class TestRealizedParameter:
     means = MeanVectorPair((0.0, 7.0), (0.0, -3.0))
 
     def test_direct_branch(self):
-        assert realized_parameter(ObservationPair((1.0, 0.0), (0.0, 0.0)), self.means).value == 7.0
+        assert realized_parameter(ObservationPair((1.0, 0.0), (0.0, 0.0)), self.means) == 7.0
 
     def test_tie_branch(self):
-        assert realized_parameter(ObservationPair((0.0, 0.0), (0.0, 0.0)), self.means).value == -3.0
+        assert realized_parameter(ObservationPair((0.0, 0.0), (0.0, 0.0)), self.means) == -3.0
 
     def test_codomain(self, rng):
         for _ in range(200):
             obs = ObservationPair(tuple(rng.normal(0, 2, 2)), tuple(rng.normal(0, 2, 2)))
-            assert realized_parameter(obs, self.means).value in (7.0, -3.0)
+            assert realized_parameter(obs, self.means) in (7.0, -3.0)
