@@ -29,6 +29,7 @@ from .analysis import (
     analyze,
     bundled_dataset_path,
     estimate_rows,
+    estimates_csv,
     fit,
     load_dataset,
 )

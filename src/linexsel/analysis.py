@@ -9,7 +9,6 @@ reproducing the worked example's parameter and estimate tables.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -19,12 +18,16 @@ import numpy as np
 
 from .core import CovarianceSpec, LinexParams, ObservationPair
 from .estimators import EstimatorSpec, PriorSpec, evaluate
-from .improvement import applicable_case, case_label, improve
+from .improvement import TRUNCATED_NONE, applicable_case, improve
+from .risksim import table_columns
 from .selection import SelectionSummary, select
 
 #: the one corrupt cholesterol value in the published data and its repair
 OUTLIER_VALUE = 1745.46
 OUTLIER_REPLACEMENT = 145.46
+
+#: how `fit` pools the two groups' covariances
+POOLING = "mean of per-group sample covariances, n-1 denominators"
 
 
 class DatasetError(ValueError):
@@ -47,7 +50,6 @@ class FittedModel:
     labels: tuple[str, str]
     n_per_group: int
     cleaned: bool
-    pooling: str = "mean of per-group sample covariances, n-1 denominators"
 
     def parameter_rows(self) -> list[tuple[str, str, float, float, float]]:
         """Fitted-parameter table: one row per (population, measure)."""
@@ -60,11 +62,10 @@ class FittedModel:
         ]
 
     def parameters_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("population,measure,mean,variance,covariance\n")
+        lines = ["population,measure,mean,variance,covariance"]
         for pop, meas, mean, var, covv in self.parameter_rows():
-            buf.write(f"{pop},{meas},{mean:.4f},{var:.4f},{covv:.4f}\n")
-        return buf.getvalue()
+            lines.append(f"{pop},{meas},{mean:.4f},{var:.4f},{covv:.4f}")
+        return "\n".join(lines) + "\n"
 
 
 def bundled_dataset_path() -> str:
@@ -158,26 +159,13 @@ class AnalysisReport:
     selected_label: str
     estimates: list[tuple[str, float, str]] = field(default_factory=list)  # label, value, note
 
-    def parameter_rows(self):
-        return self.model.parameter_rows()
-
-    def parameters_csv(self) -> str:
-        return self.model.parameters_csv()
-
-    def estimates_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("estimator,estimate,truncated\n")
-        for label, value, note in self.estimates:
-            buf.write(f"{label},{value:.4f},{note}\n")
-        return buf.getvalue()
-
     def to_text(self) -> str:
         m = self.model
         lines = [
             f"fitted parameters (n = {m.n_per_group} per group, "
-            f"{'cleaned' if m.cleaned else 'raw'} data; pooled = {m.pooling})",
+            f"{'cleaned' if m.cleaned else 'raw'} data; pooled = {POOLING})",
         ]
-        for pop, meas, mean, var, covv in self.parameter_rows():
+        for pop, meas, mean, var, covv in m.parameter_rows():
             lines.append(f"  {pop:<12} {meas:<12} mean={mean:10.4f}  var={var:10.4f}  cov={covv:9.4f}")
         cov = m.cov_hat
         lines.append(f"  rho = {cov.rho:.4f}, xi = {cov.xi:.4f}")
@@ -188,7 +176,7 @@ class AnalysisReport:
         )
         lines.append(f"estimates of the selected Y-mean (a = {self.a:g}, c = {self.c:g}):")
         for label, value, note in self.estimates:
-            flag = "" if note in ("", "none") else f"  [{note}]"
+            flag = f"  [{note}]" if note else ""
             lines.append(f"  {label:<8} {value:12.4f}{flag}")
         return "\n".join(lines) + "\n"
 
@@ -203,23 +191,33 @@ def estimate_rows(
 ) -> list[tuple[str, float, str]]:
     """(label, value, truncation note) rows of an estimate report.
 
-    Each natural estimator is followed by its improvement-region variant when
-    one applies at (a, rho); the shift Y_[2] + d and the Bayes estimate come
-    last when d or a prior is given.
+    The columns of a risk table (`risksim.table_columns`) with every improved
+    column that applies at (a, rho); the note is empty unless the clip fired.
+    The shift Y_[2] + d and the Bayes estimate come last when d or a prior is
+    given.
     """
+    bases = [k for k in ("N1", "N2", "N3", "N4") if applicable_case(k, a.a, cov.rho) is not None]
     rows = []
-    for spec in (EstimatorSpec.n1(), EstimatorSpec.n2(), EstimatorSpec.n3(), EstimatorSpec.n4(c)):
-        rows.append((spec.kind, evaluate(spec, s, a, cov), ""))
-        case_id = applicable_case(spec.kind, a.a, cov.rho)
-        if case_id is not None:
-            outcome = improve(EstimatorSpec.improved(spec), s, a, cov)
-            rows.append((case_label(case_id), outcome.value, outcome.truncated))
+    for label, spec in table_columns(a.a, cov.rho, bases, c):
+        if spec.kind == "Improved":
+            outcome = improve(spec, s, a, cov)
+            note = "" if outcome.truncated == TRUNCATED_NONE else outcome.truncated
+            rows.append((label, outcome.value, note))
+        else:
+            rows.append((label, evaluate(spec, s, a, cov), ""))
     if d is not None:
         shift = EstimatorSpec.shift(d)
         rows.append((shift.label, evaluate(shift, s, a, cov), ""))
     if prior is not None:
         rows.append(("Bayes", evaluate(EstimatorSpec.bayes(prior), s, a, cov), ""))
     return rows
+
+
+def estimates_csv(rows: list[tuple[str, float, str]]) -> str:
+    """The `estimator,estimate,truncated` CSV of `estimate_rows` output."""
+    lines = ["estimator,estimate,truncated"]
+    lines += [f"{label},{value:.4f},{note}" for label, value, note in rows]
+    return "\n".join(lines) + "\n"
 
 
 def analyze(
@@ -231,9 +229,8 @@ def analyze(
     """Plug the fitted means in as the observed pair and evaluate everything.
 
     Mirrors the worked example: the fitted mean vectors are used directly as
-    (X_i, Y_i), selection runs on them, and each natural estimator plus its
-    improvement-region variant (when one applies at the fitted (a, rho)) is
-    reported. A Bayes estimate is appended when a prior is supplied.
+    (X_i, Y_i), selection runs on them, and the report holds the
+    `estimate_rows` at the fitted covariance (with Bayes when a prior is given).
     """
     s = select(ObservationPair(model.theta_hat_1, model.theta_hat_2))
     return AnalysisReport(

@@ -17,7 +17,8 @@ from pathlib import Path
 
 from . import __version__
 from .admissibility import bounds, classify
-from .analysis import DatasetError, analyze, bundled_dataset_path, estimate_rows, fit, load_dataset
+from .analysis import DatasetError, analyze, bundled_dataset_path, fit, load_dataset
+from .analysis import estimate_rows, estimates_csv
 from .core import CovarianceSpec, InvalidParameterError, LinexError, LinexParams, ObservationPair
 from .estimators import PriorSpec
 from .risksim import TABLE_SPECS, TableSpec, table_columns, risk_grid
@@ -54,23 +55,22 @@ def _prior_from_flag(text: str) -> PriorSpec:
         raise UsageError(f"--prior: {exc}") from None
 
 
-def _write_manifest(outdir: Path, subcommand: str, params: dict, seed: int, outputs: list[Path]) -> Path:
+def _write_outputs(args: argparse.Namespace, params: dict, files: dict[str, str]) -> Path:
+    """Write each named file and the run's manifest into --out; returns that directory."""
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        (outdir / name).write_text(content)
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "parameters": params,
-        "master_seed": seed,
+        "master_seed": args.seed,
         "version": __version__,
-        "outputs": [p.name for p in outputs],
+        "outputs": list(files),
     }
-    path = outdir / f"{subcommand}_manifest.json"
+    path = outdir / f"{args.command}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _emit(outdir: Path, name: str, content: str) -> Path:
-    path = outdir / name
-    path.write_text(content)
-    return path
+    return outdir
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -79,16 +79,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     cov = _cov_from_flag(args.cov)
     a = LinexParams(args.a)
     prior = _prior_from_flag(args.prior) if args.prior else None
-    if prior is not None and cov.is_singular:
-        raise UsageError("Bayes estimation requires |rho| < 1 (covariance is singular)")
 
     s = select(ObservationPair((x1, y1), (x2, y2)))
     rows = estimate_rows(s, a, cov, args.c, prior, args.d)
 
     if args.format == "csv":
-        lines = ["estimator,estimate,truncated"]
-        lines += [f"{label},{value:.4f},{'' if note == 'none' else note}"
-                  for label, value, note in rows]
+        report = estimates_csv(rows)
     else:
         lines = [
             f"selected population: {s.selected}",
@@ -96,22 +92,19 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             f"t1 = {s.t1:.6g}, t2 = {s.t2:.6g} (rho = {cov.rho:.4f})",
         ]
         for label, value, note in rows:
-            flag = "" if note in ("", "none") else f"  [{note}]"
+            flag = f"  [{note}]" if note else ""
             lines.append(f"{label:<12} {value:14.4f}{flag}")
-    report = "\n".join(lines) + "\n"
+        report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     name = "estimate_report.csv" if args.format == "csv" else "estimate_report.txt"
-    outputs = [_emit(outdir, name, report)]
-    _write_manifest(outdir, "estimate", {
+    _write_outputs(args, {
         "x": [x1, x2],
         "y": [y1, y2],
         "cov": [cov.sigma_xx, cov.sigma_xy, cov.sigma_yy],
         "a": args.a, "c": args.c, "d": args.d, "prior": args.prior,
         "format": args.format,
-    }, args.seed, outputs)
+    }, {name: report})
     return 0
 
 
@@ -135,20 +128,15 @@ def cmd_admissibility(args: argparse.Namespace) -> int:
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     name = "admissibility_report.csv" if args.format == "csv" else "admissibility_report.txt"
-    outputs = [_emit(outdir, name, report)]
-    _write_manifest(outdir, "admissibility", {
-        "cov": list(_floats(args.cov, 3, "--cov")),
+    _write_outputs(args, {
+        "cov": [cov.sigma_xx, cov.sigma_xy, cov.sigma_yy],
         "a": args.a, "d": args.d, "format": args.format,
-    }, args.seed, outputs)
+    }, {name: report})
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.reps < 1:
-        raise UsageError("--reps must be >= 1")
     # --c and --improved default to None so that an explicit flag is visible here
     c = 1.0 if args.c is None else args.c
     improved = tuple(args.improved or ())
@@ -173,21 +161,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         name = "custom_grid.csv"
     result = risk_grid(spec, reps=args.reps, master_seed=args.seed, workers=args.workers)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / name
-    result.write_csv(csv_path)
+    outdir = _write_outputs(args, {
+        "table": args.table, "cov": args.cov, "a": args.a, "c": c,
+        "improved": list(improved), "reps": args.reps, "workers": args.workers,
+        "format": args.format,
+    }, {name: result.to_csv()})
     for row, label, mean, se in result.flagged:
         sys.stderr.write(
             f"warning: high-variance cell row={row} estimator={label}: "
             f"risk={mean:.6g} se={se:.6g} (se > 5% of mean)\n"
         )
-    _write_manifest(outdir, "simulate", {
-        "table": args.table, "cov": args.cov, "a": args.a, "c": c,
-        "improved": list(improved), "reps": args.reps, "workers": args.workers,
-        "format": args.format,
-    }, args.seed, [csv_path])
-    sys.stdout.write(f"wrote {csv_path}\n")
+    sys.stdout.write(f"wrote {outdir / name}\n")
     return 0
 
 
@@ -200,27 +184,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         raise UsageError(f"{path}: no such file") from None
     model = fit(data)
-    if prior is not None and model.cov_hat.is_singular:
-        raise UsageError("Bayes estimation requires |rho| < 1 (fitted covariance is singular)")
     report = analyze(model, a, c=args.c, prior=prior)
 
+    files = {
+        "analysis_parameters.csv": model.parameters_csv(),
+        "analysis_estimates.csv": estimates_csv(report.estimates),
+        "analysis_report.txt": report.to_text(),
+    }
     if args.format == "csv":
-        sys.stdout.write(report.parameters_csv())
-        sys.stdout.write(report.estimates_csv())
+        sys.stdout.write(files["analysis_parameters.csv"] + files["analysis_estimates.csv"])
     else:
-        sys.stdout.write(report.to_text())
+        sys.stdout.write(files["analysis_report.txt"])
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    outputs = [
-        _emit(outdir, "analysis_parameters.csv", report.parameters_csv()),
-        _emit(outdir, "analysis_estimates.csv", report.estimates_csv()),
-        _emit(outdir, "analysis_report.txt", report.to_text()),
-    ]
-    _write_manifest(outdir, "analyze", {
-        "data": path, "clean": args.clean, "a": args.a, "c": args.c,
+    # the bundled dataset is recorded as null, not as its install path
+    _write_outputs(args, {
+        "data": args.data, "clean": args.clean, "a": args.a, "c": args.c,
         "prior": args.prior, "format": args.format,
-    }, args.seed, outputs)
+    }, files)
     return 0
 
 

@@ -208,17 +208,23 @@ def log_sum_exp(values: Iterable[float]) -> float:
     return m + math.log(sum(math.exp(v - m) for v in vals))
 
 
-def linex_loss(delta: float, theta: float, params: LinexParams) -> float:
-    """LINEX loss exp(a*(delta-theta)) - a*(delta-theta) - 1.
+def linex_loss(delta, theta, params: LinexParams, context: str = ""):
+    """LINEX loss exp(a*(delta-theta)) - a*(delta-theta) - 1, over floats or arrays.
 
-    Nonnegative, zero only at delta == theta. Raises LinexOverflowError when
-    the exponential would overflow rather than returning inf silently.
+    Nonnegative, zero only at delta == theta. Rather than returning inf or nan
+    silently it raises LinexOverflowError when the largest exponent would
+    overflow exp() or is NaN, and InvalidParameterError when an exponent is
+    -inf; both name the offending rep. `context` only labels the message.
     """
-    _require_finite("loss arguments", delta, theta)
     z = params.a * (delta - theta)
-    if z > EXP_OVERFLOW_LIMIT:
-        raise LinexOverflowError(z, f"delta={delta:.6g} theta={theta:.6g} a={params.a:.6g}")
-    return math.expm1(z) - z
+    zmax = np.max(z)
+    if not zmax <= EXP_OVERFLOW_LIMIT:
+        raise LinexOverflowError(float(zmax), f"{context} rep={np.argmax(z)}".lstrip())
+    if np.min(z) == -math.inf:
+        raise InvalidParameterError(
+            f"loss arguments must be finite, exponent -inf at rep={np.argmin(z)} {context}".rstrip()
+        )
+    return np.expm1(z) - z
 
 
 def rng_stream(master_seed: int, *key: int) -> np.random.Generator:

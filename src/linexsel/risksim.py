@@ -21,10 +21,9 @@ import numpy as np
 from .core import (
     CovarianceSpec,
     InvalidParameterError,
-    LinexOverflowError,
     LinexParams,
     MeanVectorPair,
-    EXP_OVERFLOW_LIMIT,
+    linex_loss,
     rng_stream,
     sample_batch,
 )
@@ -84,15 +83,6 @@ class RiskEstimate:
     stream_key: tuple[int, ...] = ()
 
 
-def _batch_losses(estimates, theta_sel, a: float, context: str):
-    z = a * (estimates - theta_sel)
-    zmax = float(z.max())
-    if zmax > EXP_OVERFLOW_LIMIT:
-        rep = int(z.argmax())
-        raise LinexOverflowError(zmax, f"{context} rep={rep}")
-    return np.expm1(z) - z
-
-
 def _simulate_losses(
     config: SimConfig, specs: Sequence[EstimatorSpec], stream_key: tuple[int, ...]
 ) -> list[np.ndarray]:
@@ -101,7 +91,7 @@ def _simulate_losses(
     theta_sel = np.where(s.selected == 1, config.means.theta1[1], config.means.theta2[1])
     a, cov = config.a, config.cov
     return [
-        _batch_losses(evaluate_batch(spec, s, a, cov), theta_sel, a.a, spec.label)
+        linex_loss(evaluate_batch(spec, s, a, cov), theta_sel, a, spec.label)
         for spec in specs
     ]
 
@@ -150,12 +140,10 @@ def paired_risk_difference(
     spec_b: EstimatorSpec,
     stream_key: tuple[int, ...] = (),
 ) -> tuple[float, float]:
-    """mean(loss_a - loss_b) over identical draws, with the paired standard error."""
+    """mean(loss_a - loss_b) over identical draws, with the paired standard error (0 at one rep)."""
     loss_a, loss_b = _simulate_losses(config, [spec_a, spec_b], stream_key)
-    diff = loss_a - loss_b
-    mean = float(diff.mean())
-    se = float(diff.std(ddof=1) / math.sqrt(config.reps)) if config.reps > 1 else 0.0
-    return mean, se
+    est = _estimate_from_losses(loss_a - loss_b, config, stream_key)
+    return est.mean_risk, est.std_error or 0.0
 
 
 @dataclass(frozen=True)
@@ -241,10 +229,6 @@ class RiskTable:
                     f"{label},{est.mean_risk:.6g},{se},{est.reps},{est.master_seed}\n"
                 )
         return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
 
 
 def risk_grid(

@@ -8,7 +8,7 @@ from linexsel import (
     fit,
     load_dataset,
 )
-from linexsel.analysis import GroupedDataset, OUTLIER_VALUE
+from linexsel.analysis import GroupedDataset, OUTLIER_VALUE, estimates_csv
 
 A1 = LinexParams(1.0)
 AM1 = LinexParams(-1.0)
@@ -137,10 +137,10 @@ class TestAnalyze:
         text = report.to_text()
         assert "organic" in text
         assert "131.4569" in text
-        params = report.parameters_csv()
+        params = report.model.parameters_csv()
         assert params.splitlines()[0] == "population,measure,mean,variance,covariance"
         assert "952.9425" in params
-        est = report.estimates_csv()
+        est = estimates_csv(report.estimates)
         assert est.splitlines()[0] == "estimator,estimate,truncated"
         assert any(line.startswith("N2,-345.0144") for line in est.splitlines())
 

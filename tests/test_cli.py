@@ -23,6 +23,50 @@ GOLDEN_TABLE_SHA256 = {
     10: "a489de3f515fc7515beaf98fb748d5bb5f934a6d14029628f2db3667daa722f9",
 }
 
+#: the worked example's observed pair and fitted covariance, plus a shift and a prior
+WORKED = ("--x", "59.0997,58.3516", "--y", "131.4569,195.7275", "--cov", COV,
+          "--d", "2", "--prior", "59,131,100")
+
+#: subcommand arguments (before --a) of each pinned report
+REPORT_ARGS = {
+    "estimate": ("estimate", *WORKED),
+    "analyze": ("analyze", "--clean"),
+    "admissibility": ("admissibility", "--cov", "2,1,2", "--d", "0"),
+}
+
+#: SHA-256 of each report file, keyed (subcommand, a, --format, file); any change
+#: to the estimates, the note rule or the layouts shows up here
+GOLDEN_REPORT_SHA256 = {
+    ("estimate", "1", "text", "estimate_report.txt"):
+        "9f1aa24a15d74ea3ac742df0832dc7ab2458b08f9a69f7bebe1d082d0fe8a1bf",
+    ("estimate", "1", "csv", "estimate_report.csv"):
+        "50ce432fa0ac947ee55e8c1e0d78677f907b41d25bdd3681d93775f32e852d4d",
+    ("estimate", "-1", "text", "estimate_report.txt"):
+        "0f3da285755f2e69664f9606682625778d612725a0b1b778fae54d63f65eef0c",
+    ("estimate", "-1", "csv", "estimate_report.csv"):
+        "078ecbecba776d77fa8997d2640efdc71cb714af5a2af8e7ce38f74d1790fa5f",
+    ("analyze", "1", "text", "analysis_report.txt"):
+        "f4281e54e9ac5c0e393dbe0b1a22f8cebe442ba2f775cb4bc6be8a68ce57c924",
+    ("analyze", "1", "text", "analysis_estimates.csv"):
+        "9049a5f66c147a4ab96a2d14aa9a1248b07e16dc7613d91db3bccc3841b7b029",
+    ("analyze", "1", "text", "analysis_parameters.csv"):
+        "77b3f633c36d3edb78151f8a81fc2283c423d49fe7c7dc3166f23bcd5ad46267",
+    ("analyze", "-1", "text", "analysis_report.txt"):
+        "51bc028f2da354cf50a9660b59fd1eed6040377536585340faba4abc8abc1bc0",
+    ("analyze", "-1", "text", "analysis_estimates.csv"):
+        "2262c86c7edfdaa9280c5a30f71c053b34d95119f1a06cfd46570b1feb09df0e",
+    ("analyze", "-1", "text", "analysis_parameters.csv"):
+        "77b3f633c36d3edb78151f8a81fc2283c423d49fe7c7dc3166f23bcd5ad46267",
+    ("admissibility", "1", "text", "admissibility_report.txt"):
+        "03c59a76356d4910f77b69e2bdaf751f7560291f330f0ad0a708587d5b558483",
+    ("admissibility", "1", "csv", "admissibility_report.csv"):
+        "387cc17276cd47123245fc4b70996cecdf5be2a6e85f599480832cde3a18bb36",
+    ("admissibility", "-1", "text", "admissibility_report.txt"):
+        "1955454ae7263483340428d89b9a56482f5b003e46c9e75ea6e34b65ccaed958",
+    ("admissibility", "-1", "csv", "admissibility_report.csv"):
+        "0a4bc9d91e7c18e06df1018bb95e818108516d7dbb944d4ef73eb472c5b93cfd",
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -82,6 +126,16 @@ class TestEstimate:
         assert "N1_I3,401.8278,clipped_to_phi_inf" in out
         assert (tmp_path / "estimate_report.csv").read_text() == out
 
+    def test_bayes_with_singular_covariance_rejected(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "estimate", "--x", "0,1", "--y", "0,1", "--cov", "2,2,2", "--a", "1",
+            "--prior", "0,0,1", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "singular" in err
+        assert out == ""
+        assert not (tmp_path / "estimate_report.txt").exists()
+
     def test_non_finite_difference_rejected(self, capsys, tmp_path):
         # finite observations whose concomitant difference overflows to inf
         code, out, err = run(
@@ -92,6 +146,31 @@ class TestEstimate:
         assert "t2" in err and "inf" in err
         assert out == ""
         assert not (tmp_path / "estimate_report.txt").exists()
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_REPORT_SHA256), ids="-".join)
+def test_report_golden_digest(capsys, tmp_path, key):
+    sub, a, fmt, name = key
+    code, _, _ = run(capsys, *REPORT_ARGS[sub], "--a", a, "--format", fmt, "--out", str(tmp_path))
+    assert code == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256[key]
+
+
+@pytest.mark.parametrize("a", ["1", "-1"])
+def test_estimate_and_analyze_csvs_agree(capsys, tmp_path, a):
+    # both CSVs come from the same rows; only the estimates' last digits may
+    # differ, because `estimate` gets the fitted values rounded to 4 places
+    code_e, estimate_csv, _ = run(
+        capsys, "estimate", *WORKED[:6], "--a", a, "--format", "csv", "--out", str(tmp_path / "e")
+    )
+    code_a, _, _ = run(capsys, "analyze", "--clean", "--a", a, "--out", str(tmp_path / "a"))
+    assert code_e == code_a == 0
+    analyze_csv = (tmp_path / "a" / "analysis_estimates.csv").read_text()
+
+    def label_and_note(text):
+        return [(row[0], row[2]) for row in (line.split(",") for line in text.splitlines())]
+
+    assert label_and_note(estimate_csv) == label_and_note(analyze_csv)
 
 
 class TestAdmissibility:
@@ -223,6 +302,20 @@ class TestAnalyze:
         )
         assert code == 0
         assert out.startswith("population,measure,mean,variance,covariance")
+
+    def test_manifest_records_data_flag_as_given(self, capsys, tmp_path):
+        run(capsys, "analyze", "--clean", "--a", "1", "--out", str(tmp_path / "bundled"))
+        manifest = json.loads((tmp_path / "bundled" / "analyze_manifest.json").read_text())
+        assert manifest["parameters"]["data"] is None
+
+        data = tmp_path / "poultry.csv"
+        data.write_bytes(Path(linexsel.bundled_dataset_path()).read_bytes())
+        code, _, _ = run(
+            capsys, "analyze", "--data", str(data), "--a", "1", "--out", str(tmp_path / "given")
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "given" / "analyze_manifest.json").read_text())
+        assert manifest["parameters"]["data"] == str(data)
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(

@@ -9,6 +9,7 @@ from linexsel import (
     CovarianceSpec,
     EstimatorSpec,
     InvalidParameterError,
+    LinexError,
     LinexOverflowError,
     LinexParams,
     MeanVectorPair,
@@ -91,6 +92,23 @@ class TestLinexLoss:
         with pytest.raises(LinexOverflowError) as exc:
             linex_loss(800.0, 0.0, LinexParams(1.0))
         assert exc.value.exponent == pytest.approx(800.0)
+
+    def test_nan_exponent_is_refused(self):
+        with pytest.raises(LinexError, match=r"rep=1\b"):
+            linex_loss(np.array([0.0, np.nan]), 0.0, LinexParams(1.0), "N1")
+
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf])
+    @pytest.mark.parametrize("a", [1.0, -1.0])
+    def test_infinite_argument_is_refused(self, delta, a):
+        with pytest.raises(LinexError):
+            linex_loss(delta, 0.0, LinexParams(a))
+
+    def test_array_form_matches_float_form(self, rng):
+        a = LinexParams(-1.5)
+        delta, theta = rng.normal(0, 3, 50), rng.normal(0, 3, 50)
+        losses = linex_loss(delta, theta, a)
+        expected = [linex_loss(float(d), float(t), a) for d, t in zip(delta, theta)]
+        assert losses.tolist() == pytest.approx(expected, rel=1e-14)
 
     def test_zero_a_rejected(self):
         with pytest.raises(InvalidParameterError):

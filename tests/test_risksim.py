@@ -171,7 +171,7 @@ class TestRiskGrid:
         for tid, cols in expected.items():
             assert [lab for lab, _ in TABLE_SPECS[tid].columns] == cols
 
-    def test_csv_format(self, tmp_path):
+    def test_csv_format(self):
         table = risk_grid(7, reps=60, master_seed=4)
         text = table.to_csv()
         lines = text.strip().split("\n")
@@ -180,9 +180,17 @@ class TestRiskGrid:
         first = lines[1].split(",")
         assert first[:5] == ["0.2", "2", "2", "0.2", "N1"]
         assert first[7:] == ["60", "4"]
-        path = tmp_path / "t.csv"
-        table.write_csv(path)
-        assert path.read_text() == text
+
+    def test_truncation_never_fires_at_rho_plus_one(self):
+        # at rho = +1 the sampled (T1, T2) never leave the band, so table 5's
+        # improved columns equal their bases exactly (unlike rho = -1, see
+        # KNIFE_EDGE_COLUMNS in tests/_tables.py)
+        table = risk_grid(5, reps=500, master_seed=42)
+        col = {lab: j for j, (lab, _) in enumerate(table.spec.columns)}
+        for i in range(len(table.spec.rows)):
+            for base, improved in (("N1", "N1_I1"), ("N2", "N2_I2")):
+                got, want = table.cell(i, col[improved]), table.cell(i, col[base])
+                assert (got.mean_risk, got.std_error) == (want.mean_risk, want.std_error)
 
     def test_workers_do_not_change_bytes(self):
         a = risk_grid(7, reps=500, master_seed=42, workers=1).to_csv()
