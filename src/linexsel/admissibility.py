@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy.special import log_ndtr
+
 from .core import (
     CovarianceSpec,
     InvalidParameterError,
@@ -69,9 +71,10 @@ def shift_risk(d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceS
 
 
 def _end_correction(a: LinexParams, cov: CovarianceSpec) -> float:
-    # -a*syy/2 - [ln 2 + ln Phi(a*sxy/sqrt(2*sxx))]/a, the theta_x -> 0 limit
+    # -a*syy/2 - [ln 2 + ln Phi(a*sxy/sqrt(2*sxx))]/a, the theta_x -> 0 limit;
+    # log_ndtr stays finite where Phi underflows to 0 (arg below about -38.5)
     arg = a.a * cov.sigma_xy / math.sqrt(2.0 * cov.sigma_xx)
-    return -a.a * cov.sigma_yy / 2.0 - (math.log(2.0) + math.log(std_normal_cdf(arg))) / a.a
+    return -a.a * cov.sigma_yy / 2.0 - (math.log(2.0) + float(log_ndtr(arg))) / a.a
 
 
 def bounds(a: LinexParams, cov: CovarianceSpec) -> AdmissibilityBounds:

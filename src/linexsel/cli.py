@@ -159,12 +159,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             c=c,
         )
         name = "custom_grid.csv"
-    result = risk_grid(spec, reps=args.reps, master_seed=args.seed, workers=args.workers)
+    result = risk_grid(spec, reps=args.reps, master_seed=args.seed)
 
+    # only what determines the CSV: equal manifests mean equal outputs on any machine
     outdir = _write_outputs(args, {
         "table": args.table, "cov": args.cov, "a": args.a, "c": c,
-        "improved": list(improved), "reps": args.reps, "workers": args.workers,
-        "format": args.format,
+        "improved": list(improved), "reps": args.reps,
     }, {name: result.to_csv()})
     for row, label, mean, se in result.flagged:
         sys.stderr.write(
@@ -213,10 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, formats: bool = True) -> None:
         p.add_argument("--seed", type=int, default=0, help="master seed (u64)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "text"), default="text")
+        if formats:
+            p.add_argument("--format", choices=("csv", "text"), default="text")
 
     p = sub.add_parser("estimate", help="evaluate all estimators on one observation pair")
     p.add_argument("--x", required=True, help="x1,x2")
@@ -250,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="custom grid: bases that also get their improved column",
     )
     p.add_argument("--reps", type=int, default=20000)
-    p.add_argument("--workers", type=int, default=1)
-    common(p)
+    common(p, formats=False)  # always CSV, swept on every CPU available to the process
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="fit the two-group dataset and reproduce the reports")

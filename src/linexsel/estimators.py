@@ -75,8 +75,8 @@ class EstimatorSpec:
                     raise InvalidParameterError(f"{self.kind} spec requires {field_name}")
             elif wants.get(self.kind) != field_name:
                 raise InvalidParameterError(f"{self.kind} spec must not set {field_name}")
-        if self.kind == "N4" and self.c < 0:
-            raise InvalidParameterError("hybrid threshold c must be >= 0")
+        if self.kind == "N4" and not (math.isfinite(self.c) and self.c >= 0):
+            raise InvalidParameterError(f"hybrid threshold c must be finite and >= 0, got {self.c}")
         if self.kind == "Shift" and not math.isfinite(self.d):
             raise InvalidParameterError("shift constant d must be finite")
         if self.kind == "Improved" and self.base.kind not in ("N1", "N2", "N3", "N4"):

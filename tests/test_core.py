@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from linexsel import (
@@ -28,8 +28,7 @@ from linexsel import (
     std_normal_pdf,
 )
 
-_MEAN = st.floats(-20.0, 20.0)
-_SCALE = st.floats(0.1, 10.0)
+from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
 
 
 class TestStdNormal:
@@ -194,17 +193,17 @@ class TestSampling:
         other = pairs(1, 3)
         assert other != seq1
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @PROPERTY
     @given(
-        a=st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0)),
-        sxx=_SCALE,
-        syy=_SCALE,
-        rho=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
-        means=st.tuples(_MEAN, _MEAN, _MEAN, _MEAN),
+        a=A,
+        sxx=SCALE,
+        syy=SCALE,
+        rho=RHO,
+        means=st.tuples(MEAN, MEAN, MEAN, MEAN),
         c=st.floats(0.0, 3.0),
-        d=_MEAN,
-        prior=st.tuples(_MEAN, _MEAN, _SCALE),
-        seed=st.integers(0, 2**32 - 1),
+        d=MEAN,
+        prior=st.tuples(MEAN, MEAN, SCALE),
+        seed=SEED,
     )
     def test_batch_estimates_match_scalar_evaluate(
         self, a, sxx, syy, rho, means, c, d, prior, seed
