@@ -44,6 +44,7 @@ from .core import (
     SingularCovarianceError,
     ThetaStar,
     linex_loss,
+    log_std_normal_cdf,
     log_sum_exp,
     rng_stream,
     sample_batch,

@@ -10,15 +10,16 @@ Shifts outside are dominated by the nearer endpoint.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-from scipy.special import log_ndtr
 
 from .core import (
     CovarianceSpec,
     InvalidParameterError,
     LinexParams,
     ThetaStar,
+    log_std_normal_cdf,
+    log_sum_exp,
     std_normal_cdf,
     std_normal_pdf,
 )
@@ -51,9 +52,20 @@ def h_a(theta_x: float, a: LinexParams, cov: CovarianceSpec) -> float:
 def psi(theta_star: ThetaStar, a: LinexParams, cov: CovarianceSpec) -> float:
     """The risk-minimizing shift at a fixed gap: -a*syy/2 - ln(h_a)/a.
 
-    Depends on theta* only through theta_x.
+    Depends on theta* only through theta_x. Where h_a is subnormal or 0 in
+    doubles, ln(h_a) is the log-sum-exp of the two log Phi terms instead.
     """
-    return -a.a * cov.sigma_yy / 2.0 - math.log(h_a(theta_star.theta_x, a, cov)) / a.a
+    tx = theta_star.theta_x
+    h = h_a(tx, a, cov)
+    if h >= sys.float_info.min:
+        log_h = math.log(h)
+    else:
+        s = math.sqrt(2.0 * cov.sigma_xx)
+        log_h = log_sum_exp((
+            log_std_normal_cdf((a.a * cov.sigma_xy + tx) / s),
+            log_std_normal_cdf((a.a * cov.sigma_xy - tx) / s),
+        ))
+    return -a.a * cov.sigma_yy / 2.0 - log_h / a.a
 
 
 def shift_risk(d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceSpec) -> float:
@@ -72,9 +84,9 @@ def shift_risk(d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceS
 
 def _end_correction(a: LinexParams, cov: CovarianceSpec) -> float:
     # -a*syy/2 - [ln 2 + ln Phi(a*sxy/sqrt(2*sxx))]/a, the theta_x -> 0 limit;
-    # log_ndtr stays finite where Phi underflows to 0 (arg below about -38.5)
+    # log Phi stays finite where Phi underflows to 0 (arg below about -38.5)
     arg = a.a * cov.sigma_xy / math.sqrt(2.0 * cov.sigma_xx)
-    return -a.a * cov.sigma_yy / 2.0 - (math.log(2.0) + float(log_ndtr(arg))) / a.a
+    return -a.a * cov.sigma_yy / 2.0 - (math.log(2.0) + log_std_normal_cdf(arg)) / a.a
 
 
 def bounds(a: LinexParams, cov: CovarianceSpec) -> AdmissibilityBounds:

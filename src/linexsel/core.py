@@ -2,14 +2,15 @@
 
 Everything downstream builds on the pieces here: the known 2x2 covariance
 and its derived quantities, the LINEX loss, an erfc-backed standard normal
-cdf (the admissibility bounds and the hybrid log-estimator take logs of
-Phi, so the cdf needs to be accurate in the tails), a stable log-sum-exp,
+cdf and its log (the admissibility bounds and the hybrid log-estimator take
+logs of Phi, so both need to be accurate in the tails), a stable log-sum-exp,
 and counter-based random streams for reproducible simulation.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -195,6 +196,24 @@ def std_normal_pdf(u: float) -> float:
 def std_normal_cdf(u: float) -> float:
     """Phi(u) via the complementary error function (abs error ~1e-16); exact at +-inf."""
     return 0.5 * math.erfc(-u / _SQRT2)
+
+
+def log_std_normal_cdf(u: float) -> float:
+    """log Phi(u) to a few 1e-14 relative error over the whole real line.
+
+    Equals math.log(std_normal_cdf(u)) wherever u <= 0 and Phi(u) is a normal
+    double; above 0 it takes log1p(-Phi(-u)), because Phi(u) rounds towards 1
+    and its log loses the relative accuracy (7 % at u = 8). Only where Phi(u)
+    is subnormal or 0 (u below about -37.5) does it load scipy's log_ndtr.
+    """
+    if u > 0:
+        return math.log1p(-std_normal_cdf(-u))
+    p = std_normal_cdf(u)
+    if p >= sys.float_info.min:
+        return math.log(p)
+    from scipy.special import log_ndtr
+
+    return float(log_ndtr(u))
 
 
 def log_sum_exp(values: Iterable[float]) -> float:

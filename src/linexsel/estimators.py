@@ -18,13 +18,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import (
     CovarianceSpec,
     InvalidParameterError,
     LinexParams,
     SingularCovarianceError,
+    log_std_normal_cdf,
+    log_sum_exp,
     std_normal_cdf,
 )
 from .selection import SelectionSummary
@@ -128,25 +129,46 @@ def n3_offset(t1: float, t2: float, a: LinexParams, cov: CovarianceSpec) -> floa
 
     (1/a) * ln[1 + (exp(a*t2) - 1) * Phi(t1 / sqrt(2*sigma_xx))], rearranged
     as t2 + (1/a) * ln[P + (1-P) * exp(-a*t2)] once a*t2 > 30 so the
-    exponential never overflows (the worked dataset reaches a*t2 ~ 64).
+    exponential never overflows (the worked dataset reaches a*t2 ~ 64). Where
+    P and exp(-a*t2) both underflow to 0, that log is taken in the log domain.
     """
-    p = std_normal_cdf(t1 / math.sqrt(2.0 * cov.sigma_xx))
+    u = t1 / math.sqrt(2.0 * cov.sigma_xx)
+    p = std_normal_cdf(u)
     z = a.a * t2
     if z > N3_LOG_SWITCH:
-        return t2 + math.log(p + (1.0 - p) * math.exp(-z)) / a.a
+        inner = p + (1.0 - p) * math.exp(-z)
+        if inner > 0:
+            return t2 + math.log(inner) / a.a
+        return t2 + log_sum_exp((log_std_normal_cdf(u), math.log1p(-p) - z)) / a.a
     return math.log1p(math.expm1(z) * p) / a.a
 
 
 def n3_offset_batch(t1, t2, a: LinexParams, cov: CovarianceSpec) -> np.ndarray:
-    """`n3_offset` over arrays; the log switch becomes a mask."""
-    p = ndtr(t1 / math.sqrt(2.0 * cov.sigma_xx))
+    """`n3_offset` over arrays; the log switch becomes a mask.
+
+    scipy.special loads on the first call, so only callers of this kernel pay
+    for importing it.
+    """
+    from scipy.special import log_ndtr, ndtr
+
+    u = t1 / math.sqrt(2.0 * cov.sigma_xx)
+    p = ndtr(u)
     z = a.a * t2
     out = np.empty_like(t2)
     big = z > N3_LOG_SWITCH
     small = ~big
     out[small] = np.log1p(np.expm1(z[small]) * p[small]) / a.a
     if big.any():
-        out[big] = t2[big] + np.log(p[big] + (1.0 - p[big]) * np.exp(-z[big])) / a.a
+        pb, zb = p[big], z[big]
+        inner = pb + (1.0 - pb) * np.exp(-zb)
+        with np.errstate(divide="ignore"):
+            log_inner = np.log(inner)
+        under = inner == 0
+        if under.any():
+            log_inner[under] = np.logaddexp(
+                log_ndtr(u[big][under]), np.log1p(-pb[under]) - zb[under]
+            )
+        out[big] = t2[big] + log_inner / a.a
     return out
 
 

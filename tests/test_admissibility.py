@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
 from linexsel import (
     ADMISSIBLE_IN_CLASS,
@@ -62,6 +63,14 @@ class TestPsi:
         cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=1.0)
         # -1 - ln(Phi(1) + Phi(0)) = -1.293672652... by 30-digit evaluation
         assert psi(ThetaStar(1.0, 0.0), A1, cov) == pytest.approx(-1.29367265259, abs=1e-9)
+
+    def test_finite_where_h_a_underflows(self):
+        # a*sxy/sqrt(2*sxx) = -42.4: both Phi terms of h_a are 0 in doubles
+        cov = CovarianceSpec(sigma_xx=1.0, sigma_yy=1.0, sigma_xy=-1.0)
+        a = LinexParams(60.0)
+        u = a.a * cov.sigma_xy / math.sqrt(2.0 * cov.sigma_xx)
+        expected = -a.a * cov.sigma_yy / 2.0 - float(np.logaddexp(log_ndtr(u), log_ndtr(u))) / a.a
+        assert psi(ThetaStar(0.0, 0.0), a, cov) == pytest.approx(expected, rel=1e-12)
 
     def test_ignores_theta_y(self, rng):
         for _ in range(100):

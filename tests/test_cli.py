@@ -151,6 +151,17 @@ class TestEstimate:
         assert out == ""
         assert not (tmp_path / "estimate_report.txt").exists()
 
+    def test_n3_where_phi_and_tilt_underflow(self, capsys, tmp_path):
+        # Phi(t1/sqrt(2 sxx)) and exp(-a*t2) are both 0 in doubles; N3 -> y_sel
+        code, out, _ = run(
+            capsys, "estimate", "--x", "0,100", "--y", "800,0", "--cov", "1,0,1",
+            "--a", "1", "--format", "csv", "--out", str(tmp_path),
+        )
+        assert code == 0
+        rows = {line.split(",")[0]: float(line.split(",")[1]) for line in out.splitlines()[1:]}
+        assert math.isfinite(rows["N3"])
+        assert rows["N3"] == pytest.approx(rows["N1"], abs=1e-9)
+
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_REPORT_SHA256), ids="-".join)
 def test_report_golden_digest(capsys, tmp_path, key):
@@ -409,12 +420,47 @@ def test_numerical_overflow_exits_one(capsys, tmp_path):
     assert "exceeds exp() range" in err
 
 
-def test_cli_import_does_not_load_scipy_integrate():
+def _fresh_python(probe, *argv):
+    """Run `python -c probe *argv` in a new interpreter that imports this checkout."""
     src = str(Path(linexsel.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = "import sys, linexsel.cli; print('scipy.integrate' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.splitlines()[-1]
+
+
+def test_cli_import_does_not_load_scipy_integrate(tmp_path):
+    # scipy loads only for the batch N3 kernel and a tail log Phi: the worked
+    # example's estimate, admissibility and analyze never reach either
+    runs = [
+        ["estimate", "--x", "59.0997,58.3516", "--y", "131.4569,195.7275", "--cov", COV,
+         "--a", "1", "--out", str(tmp_path / "estimate")],
+        ["admissibility", "--cov", "2,1,2", "--a", "1", "--d", "-1.2",
+         "--out", str(tmp_path / "admissibility")],
+        ["analyze", "--clean", "--a", "1", "--out", str(tmp_path / "analyze")],
+    ]
+    probe = (
+        "import json, sys\n"
+        "import linexsel.cli\n"
+        "integrate = 'scipy.integrate' in sys.modules\n"
+        "codes = [linexsel.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([integrate, codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))"
+    )
+    integrate, codes, scipy_modules = json.loads(_fresh_python(probe, json.dumps(runs)))
+    assert integrate is False
+    assert codes == [0, 0, 0]
+    assert scipy_modules == []
+
+
+def test_first_scipy_import_inside_the_thread_pool():
+    # the pool's threads race to import scipy.special inside n3_offset_batch
+    probe = (
+        "import hashlib, sys\n"
+        "from linexsel.risksim import risk_grid\n"
+        "assert 'scipy' not in sys.modules\n"
+        "csv = risk_grid(7, reps=2000, master_seed=42, workers=4).to_csv()\n"
+        "print(hashlib.sha256(csv.encode()).hexdigest())"
+    )
+    assert _fresh_python(probe) == GOLDEN_TABLE_SHA256[7]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import log_ndtr
 
 from linexsel import (
     CovarianceSpec,
@@ -19,6 +20,7 @@ from linexsel import (
     evaluate,
     evaluate_batch,
     linex_loss,
+    log_std_normal_cdf,
     log_sum_exp,
     rng_stream,
     sample_batch,
@@ -60,6 +62,21 @@ class TestStdNormal:
         grid = np.linspace(-10, 10, 401)
         vals = [std_normal_cdf(u) for u in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+    def test_log_cdf_matches_log_ndtr(self):
+        # the second grid covers u in [-38.5, -37.5], where Phi is subnormal
+        grid = np.concatenate([np.linspace(-60.0, 8.0, 6801), np.linspace(-38.6, -37.4, 121)])
+        got = [log_std_normal_cdf(u) for u in grid.tolist()]
+        np.testing.assert_allclose(got, log_ndtr(grid), rtol=1e-12, atol=0)
+
+    def test_log_cdf_is_log_of_cdf_where_phi_is_normal(self):
+        # bit for bit for u <= 0 down to the last normal Phi, and at the
+        # admissibility golden points +-0.5, where log_ndtr gives the same bits
+        for u in np.linspace(-37.5, 0.0, 3751).tolist():
+            assert log_std_normal_cdf(u) == math.log(std_normal_cdf(u))
+        for u in (0.5, -0.5):
+            assert log_std_normal_cdf(u) == math.log(std_normal_cdf(u)) == float(log_ndtr(u))
 
 
 class TestLinexLoss:

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from linexsel import (
     sample_batch,
     select,
 )
-from linexsel.estimators import n3_offset
+from linexsel.estimators import n3_offset, n3_offset_batch
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
 from .reference import posterior_numeric
@@ -101,6 +103,18 @@ class TestN3:
         cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=0.0)
         s = select(ObservationPair((1.0, 0.0), (0.0, 900.0)))
         assert math.isfinite(evaluate(N3, s, A1, cov))
+
+    def test_phi_and_tilt_both_underflow(self):
+        # u = -100/sqrt(2) puts Phi(u) at 0 and a*t2 = 800 puts exp(-a*t2) at 0;
+        # the offset is t2 + ln(Phi(u) + exp(-800)) = t2 - 800 + O(exp(-1700)) = 0
+        cov = CovarianceSpec(sigma_xx=1.0, sigma_yy=1.0, sigma_xy=0.0)
+        t1, t2 = np.array([-100.0, -1.0]), np.array([800.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = n3_offset_batch(t1, t2, A1, cov)
+        scalar = [n3_offset(u, v, A1, cov) for u, v in zip(t1.tolist(), t2.tolist())]
+        assert scalar[0] == pytest.approx(0.0, abs=1e-9)
+        assert batch.tolist() == pytest.approx(scalar, rel=1e-12, abs=1e-12)
 
     def test_monotone_in_t2(self, rng):
         cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=1.0)
