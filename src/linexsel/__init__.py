@@ -49,6 +49,7 @@ from .core import (
     rng_stream,
     sample_batch,
     std_normal_cdf,
+    std_normal_cdf_batch,
     std_normal_pdf,
 )
 from .estimators import (

@@ -25,8 +25,10 @@ from .core import (
     LinexParams,
     SingularCovarianceError,
     log_std_normal_cdf,
+    log_std_normal_cdf_tail,
     log_sum_exp,
     std_normal_cdf,
+    std_normal_cdf_batch,
 )
 from .selection import SelectionSummary
 
@@ -144,15 +146,9 @@ def n3_offset(t1: float, t2: float, a: LinexParams, cov: CovarianceSpec) -> floa
 
 
 def n3_offset_batch(t1, t2, a: LinexParams, cov: CovarianceSpec) -> np.ndarray:
-    """`n3_offset` over arrays; the log switch becomes a mask.
-
-    scipy.special loads on the first call, so only callers of this kernel pay
-    for importing it.
-    """
-    from scipy.special import log_ndtr, ndtr
-
+    """`n3_offset` over arrays; the log switch becomes a mask."""
     u = t1 / math.sqrt(2.0 * cov.sigma_xx)
-    p = ndtr(u)
+    p = std_normal_cdf_batch(u)
     z = a.a * t2
     out = np.empty_like(t2)
     big = z > N3_LOG_SWITCH
@@ -163,10 +159,11 @@ def n3_offset_batch(t1, t2, a: LinexParams, cov: CovarianceSpec) -> np.ndarray:
         inner = pb + (1.0 - pb) * np.exp(-zb)
         with np.errstate(divide="ignore"):
             log_inner = np.log(inner)
+        # inner is 0 only where Phi(u) underflowed, i.e. in the tail
         under = inner == 0
         if under.any():
             log_inner[under] = np.logaddexp(
-                log_ndtr(u[big][under]), np.log1p(-pb[under]) - zb[under]
+                log_std_normal_cdf_tail(u[big][under]), np.log1p(-pb[under]) - zb[under]
             )
         out[big] = t2[big] + log_inner / a.a
     return out
@@ -285,4 +282,4 @@ def evaluate_batch(
         return est_bayes(s, spec.prior, a, cov)
     from . import improvement
 
-    return improvement.improve_batch(spec, s, a, cov)
+    return improvement.improve_batch(spec, s, a, cov, base_phi_batch(spec.base, s, a, cov))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CovarianceSpec, InvalidParameterError, LinexParams
-from .estimators import EstimatorSpec, base_phi, base_phi_batch
+from .estimators import EstimatorSpec, base_phi
 from .oracles import clip_band
 from .selection import SelectionSummary
 
@@ -51,10 +51,17 @@ def improve(
 
 
 def improve_batch(
-    spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec
+    spec: EstimatorSpec,
+    s: SelectionSummary,
+    a: LinexParams,
+    cov: CovarianceSpec,
+    phi: np.ndarray,
 ) -> np.ndarray:
-    """`improve(...).value` over a `select_batch` summary, with the same weak clip."""
-    phi = base_phi_batch(spec.base, s, a, cov)
+    """`improve(...).value` over a `select_batch` summary, with the same weak clip.
+
+    `phi` is the base component `base_phi_batch(spec.base, s, a, cov)`, which
+    a sweep has already computed for the base column on the same draws.
+    """
     value, lo_set, hi_set = clip_band(s.t1, s.t2, a, cov)
     clipped = np.where(lo_set & (phi <= value), value, phi)
     clipped = np.where(hi_set & (phi >= value), value, clipped)

@@ -28,8 +28,8 @@ from .core import (
     rng_stream,
     sample_batch,
 )
-from .estimators import EstimatorSpec, evaluate_batch
-from .improvement import applicable_case, case_label
+from .estimators import EstimatorSpec, base_phi_batch, evaluate_batch
+from .improvement import applicable_case, case_label, improve_batch
 from .selection import select_batch
 
 #: the 11 mean-vector configurations used by every published table
@@ -91,10 +91,22 @@ def _simulate_losses(
     s = select_batch(*sample_batch(config.means, config.cov, rng, config.reps))
     theta_sel = np.where(s.selected == 1, config.means.theta1[1], config.means.theta2[1])
     a, cov = config.a, config.cov
-    return [
-        linex_loss(evaluate_batch(spec, s, a, cov), theta_sel, a, spec.label)
-        for spec in specs
-    ]
+    # a base and its improved column share the draws, so they share one phi
+    phis: dict[EstimatorSpec, np.ndarray] = {}
+
+    def phi(base: EstimatorSpec) -> np.ndarray:
+        if base not in phis:
+            phis[base] = base_phi_batch(base, s, a, cov)
+        return phis[base]
+
+    def estimate(spec: EstimatorSpec) -> np.ndarray:
+        if spec.kind == "Improved":
+            return improve_batch(spec, s, a, cov, phi(spec.base))
+        if spec.kind in ("N1", "N2", "N3", "N4"):
+            return s.y_sel + phi(spec)
+        return evaluate_batch(spec, s, a, cov)
+
+    return [linex_loss(estimate(spec), theta_sel, a, spec.label) for spec in specs]
 
 
 def _estimate_from_losses(

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -432,8 +433,9 @@ def _fresh_python(probe, *argv):
 
 
 def test_cli_import_does_not_load_scipy_integrate(tmp_path):
-    # scipy loads only for the batch N3 kernel and a tail log Phi: the worked
-    # example's estimate, admissibility and analyze never reach either
+    # the worked example's estimate, admissibility and analyze load no scipy
+    # module, so none is left in sys.modules (test_runs_without_scipy adds
+    # simulate with scipy made unimportable)
     runs = [
         ["estimate", "--x", "59.0997,58.3516", "--y", "131.4569,195.7275", "--cov", COV,
          "--a", "1", "--out", str(tmp_path / "estimate")],
@@ -454,13 +456,50 @@ def test_cli_import_does_not_load_scipy_integrate(tmp_path):
     assert scipy_modules == []
 
 
-def test_first_scipy_import_inside_the_thread_pool():
-    # the pool's threads race to import scipy.special inside n3_offset_batch
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable every
+    # subcommand succeeds, and a sweep on a thread pool gives the golden CSV
+    runs = [
+        ["estimate", "--x", "59.0997,58.3516", "--y", "131.4569,195.7275", "--cov", COV,
+         "--a", "1", "--out", str(tmp_path / "estimate")],
+        ["admissibility", "--cov", "2,1,2", "--a", "1", "--d", "-1.2",
+         "--out", str(tmp_path / "admissibility")],
+        ["analyze", "--clean", "--a", "1", "--out", str(tmp_path / "analyze")],
+        ["simulate", "--table", "7", "--seed", "42", "--reps", "2000",
+         "--out", str(tmp_path / "simulate")],
+    ]
     probe = (
-        "import hashlib, sys\n"
+        "import hashlib, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import linexsel.cli\n"
         "from linexsel.risksim import risk_grid\n"
-        "assert 'scipy' not in sys.modules\n"
+        "codes = [linexsel.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
         "csv = risk_grid(7, reps=2000, master_seed=42, workers=4).to_csv()\n"
-        "print(hashlib.sha256(csv.encode()).hexdigest())"
+        "print(json.dumps([codes, hashlib.sha256(csv.encode()).hexdigest()]))"
     )
-    assert _fresh_python(probe) == GOLDEN_TABLE_SHA256[7]
+    codes, digest = json.loads(_fresh_python(probe, json.dumps(runs)))
+    assert codes == [0, 0, 0, 0]
+    assert digest == GOLDEN_TABLE_SHA256[7]
+    written = (tmp_path / "simulate" / "table7.csv").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == GOLDEN_TABLE_SHA256[7]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_program_keeps_its_heap(tmp_path):
+    # from glibc's default thresholds every 20000-rep cell's arrays are trimmed
+    # away and faulted in again (~24k minor faults for table 7); the program
+    # entry point raises the thresholds first, leaving a few hundred
+    probe = (
+        "import resource, sys\n"
+        "import linexsel.cli\n"
+        "sys.argv = ['linexsel', 'simulate', '--table', '7', '--reps', '20000', '--out', sys.argv[1]]\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "try:\n"
+        "    linexsel.cli.run()\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+    )
+    code, faults = map(int, _fresh_python(probe, str(tmp_path)).split())
+    assert code == 0
+    assert faults < 5000

@@ -27,8 +27,10 @@ from linexsel import (
     select,
     select_batch,
     std_normal_cdf,
+    std_normal_cdf_batch,
     std_normal_pdf,
 )
+from linexsel.core import log_std_normal_cdf_tail
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
 
@@ -62,6 +64,34 @@ class TestStdNormal:
         grid = np.linspace(-10, 10, 401)
         vals = [std_normal_cdf(u) for u in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_batch_cdf_against_mpmath_and_erfc(self):
+        # relative error c (1 + u^2) eps, because rounding u^2 passes through
+        # exp, plus one subnormal ulp where Phi is subnormal (u < -37.5)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        u = np.linspace(-38.5, 0.0, 3851)
+        exact = np.array([float(mp.ncdf(mp.mpf(x))) for x in u.tolist()])
+        erfc = np.array([std_normal_cdf(x) for x in u.tolist()])
+        scale = (1.0 + u * u) * np.finfo(float).eps
+        sub = 2.0**-1074
+        got = std_normal_cdf_batch(u)
+        assert (exact < np.finfo(float).tiny).sum() > 50
+        assert np.all(np.abs(got - exact) <= 3.0 * scale * exact + sub)
+        assert np.all(np.abs(got - erfc) <= 4.0 * scale * exact + 2 * sub)
+
+    def test_batch_cdf_edges(self):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = std_normal_cdf_batch(np.array([0.0, -38.7, -1e200, -np.inf]))
+        assert got.tolist() == [0.5, 0.0, 0.0, 0.0]
+        assert np.isnan(std_normal_cdf_batch(np.array([np.nan]))[0])
+
+    def test_log_cdf_tail_matches_log_ndtr(self):
+        grid = np.linspace(-60.0, -37.0, 2301)
+        np.testing.assert_allclose(log_std_normal_cdf_tail(grid), log_ndtr(grid), rtol=1e-12, atol=0)
+        floats = [log_std_normal_cdf_tail(u) for u in grid.tolist()]
+        np.testing.assert_allclose(floats, log_ndtr(grid), rtol=1e-12, atol=0)
+        assert log_std_normal_cdf_tail(-np.inf) == -np.inf
 
 
     def test_log_cdf_matches_log_ndtr(self):
@@ -174,6 +204,31 @@ class TestSampling:
             x1, y1, x2, y2 = sample_batch(means, cov, gen, 1)
             assert y1[0] == x1[0]
             assert y2[0] == x2[0]
+
+    @pytest.mark.parametrize("rho", [-1.0, -0.3, 0.0, 0.5, 1.0])
+    def test_in_place_matches_the_formula_bit_for_bit(self, rho):
+        # signed zeros included: at |rho| = 1, l_yy = 0, so l_yy * g is a signed
+        # zero, and the first draws are zeros of both signs
+        cov = CovarianceSpec.from_correlation(2.0, 3.0, rho)
+        means = MeanVectorPair((0.0, 0.0), (-1.5, 0.25))
+        l_xx, l_yx, l_yy = cov.cholesky_factors()
+        g = rng_stream(5, 1).standard_normal((4, 1000))
+        g[:, :4] = [[0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]] * 2
+        expected = (
+            means.theta1[0] + l_xx * g[0],
+            means.theta1[1] + l_yx * g[0] + l_yy * g[1],
+            means.theta2[0] + l_xx * g[2],
+            means.theta2[1] + l_yx * g[2] + l_yy * g[3],
+        )
+
+        class Fixed:
+            def standard_normal(self, shape):
+                return g.copy()
+
+        got = sample_batch(means, cov, Fixed(), 1000)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
 
     def test_independent_case_correlation(self):
         cov = CovarianceSpec.from_correlation(2.0, 3.0, 0.0)
