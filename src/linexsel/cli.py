@@ -15,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .admissibility import bounds, classify
 from .analysis import DatasetError, analyze, bundled_dataset_path, fit, load_dataset
@@ -161,7 +159,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             c=c,
         )
         name = "custom_grid.csv"
-    result = risk_grid(spec, reps=args.reps, master_seed=args.seed)
+    try:
+        result = risk_grid(spec, reps=args.reps, master_seed=args.seed)
+    except MemoryError:
+        grid = "the custom grid" if args.table is None else f"table {args.table}"
+        raise LinexError(f"out of memory sweeping {grid} at {args.reps} reps") from None
 
     # only what determines the CSV: equal manifests mean equal outputs on any machine
     outdir = _write_outputs(args, {
@@ -284,21 +286,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The `linexsel` program: `main` on the command line, exiting with its code.
-
-    First it allocates and frees one 16 MiB block, never written, so no page
-    of it is touched. glibc's malloc maps every request above its mmap
-    threshold afresh and trims the heap top once twice that threshold lies
-    free; freeing a mapping raises the threshold to its size. From the 128 KB
-    default (scipy's import, no longer made, used to raise it by accident),
-    every 20000-rep risk cell's arrays were trimmed away and faulted
-    in again: `simulate --table 6` on one CPU took 25.6k minor faults and
-    0.23 s in the sweep, and 1.0k faults and 0.18 s after this block (2-CPU
-    Xeon, glibc 2.36). It lives here and not in the library because the
-    thresholds belong to the whole process: a program that imports linexsel
-    keeps its own.
-    """
-    np.empty(16 << 20, np.uint8)
+    """The `linexsel` program: `main` on the command line, exiting with its code."""
     sys.exit(main())
 
 

@@ -4,16 +4,19 @@ Everything downstream builds on the pieces here: the known 2x2 covariance
 and its derived quantities, the LINEX loss, the standard normal cdf (erfc
 for floats, a rational approximation for arrays) and its log (the
 admissibility bounds and the hybrid log-estimator take logs of Phi, so both
-need to be accurate in the tails), a stable log-sum-exp, and counter-based
-random streams for reproducible simulation. numpy is the only dependency.
+need to be accurate in the tails), a stable log-sum-exp, counter-based
+random streams for reproducible simulation, and the `Workspace` that batch
+kernels borrow their temporaries from instead of allocating them. numpy is
+the only dependency.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -216,7 +219,9 @@ def std_normal_cdf(u: float) -> float:
     return 0.5 * math.erfc(-u / _SQRT2)
 
 
-def std_normal_cdf_batch(u: np.ndarray) -> np.ndarray:
+def std_normal_cdf_batch(
+    u: np.ndarray, out: Optional[np.ndarray] = None, work: Optional["Workspace"] = None
+) -> np.ndarray:
     """Phi(u) over an array of u <= 0 (the batch N3 kernel's t1 is never positive).
 
     A Cody-style rational approximation: exp(-u^2/2) P(-u) / Q(-u) with one
@@ -224,26 +229,28 @@ def std_normal_cdf_batch(u: np.ndarray) -> np.ndarray:
     where Phi(-t) is nonzero, so no branch is needed. Relative error within
     about 4 ulp plus the u^2/4 ulp that rounding u^2 passes through exp;
     about 1 subnormal ulp absolute where Phi is subnormal, and 0 below about
-    -38.5. Not defined for u > 0.
+    -38.5. Not defined for u > 0. Writes into `out` if given and borrows
+    its two temporaries from `work` if given.
     """
-    t = np.negative(u)
-    # beyond _CDF_T_MAX Phi(-t) is 0 all the same; the clip keeps t*t, P and Q
-    # finite for any u, -inf included
-    np.minimum(t, _CDF_T_MAX, out=t)
-    out = t * t
-    out *= -0.5
-    np.exp(out, out=out)
-    num = _CDF_P[-1] * t
-    num += _CDF_P[-2]
-    for c in _CDF_P[-3::-1]:
-        num *= t
-        num += c
-    den = t + _CDF_Q[-2]
-    for c in _CDF_Q[-3::-1]:
-        den *= t
-        den += c
-    out *= num
-    out /= den
+    with borrow(work, floats=2) as (t, acc):
+        t = np.negative(u, out=t)
+        # beyond _CDF_T_MAX Phi(-t) is 0 all the same; the clip keeps t*t, P and Q
+        # finite for any u, -inf included
+        np.minimum(t, _CDF_T_MAX, out=t)
+        out = np.multiply(t, t, out=out)
+        out *= -0.5
+        np.exp(out, out=out)
+        acc = np.multiply(_CDF_P[-1], t, out=acc)
+        acc += _CDF_P[-2]
+        for c in _CDF_P[-3::-1]:
+            acc *= t
+            acc += c
+        out *= acc
+        acc = np.add(t, _CDF_Q[-2], out=acc)
+        for c in _CDF_Q[-3::-1]:
+            acc *= t
+            acc += c
+        out /= acc
     return out
 
 
@@ -288,23 +295,33 @@ def log_sum_exp(values: Iterable[float]) -> float:
     return m + math.log(sum(math.exp(v - m) for v in vals))
 
 
-def linex_loss(delta, theta, params: LinexParams, context: str = ""):
+def linex_loss(
+    delta,
+    theta,
+    params: LinexParams,
+    context: str = "",
+    out: Optional[np.ndarray] = None,
+    work: Optional["Workspace"] = None,
+):
     """LINEX loss exp(a*(delta-theta)) - a*(delta-theta) - 1, over floats or arrays.
 
     Nonnegative, zero only at delta == theta. Rather than returning inf or nan
     silently it raises LinexOverflowError when the largest exponent would
     overflow exp() or is NaN, and InvalidParameterError when an exponent is
     -inf; both name the offending rep. `context` only labels the message.
+    Writes into `out` if given (which may be `delta` itself) and borrows the
+    exponent's array from `work` if given.
     """
-    z = params.a * (delta - theta)
-    zmax = np.max(z)
-    if not zmax <= EXP_OVERFLOW_LIMIT:
-        raise LinexOverflowError(float(zmax), f"{context} rep={np.argmax(z)}".lstrip())
-    if np.min(z) == -math.inf:
-        raise InvalidParameterError(
-            f"loss arguments must be finite, exponent -inf at rep={np.argmin(z)} {context}".rstrip()
-        )
-    return np.expm1(z) - z
+    with borrow(work, floats=1) as (buf,):
+        z = np.multiply(params.a, np.subtract(delta, theta, out=buf), out=buf)
+        zmax = np.max(z)
+        if not zmax <= EXP_OVERFLOW_LIMIT:
+            raise LinexOverflowError(float(zmax), f"{context} rep={np.argmax(z)}".lstrip())
+        if np.min(z) == -math.inf:
+            raise InvalidParameterError(
+                f"loss arguments must be finite, exponent -inf at rep={np.argmin(z)} {context}".rstrip()
+            )
+        return np.subtract(np.expm1(z, out=out), z, out=out)
 
 
 def rng_stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -321,25 +338,119 @@ def rng_stream(master_seed: int, *key: int) -> np.random.Generator:
 
 
 def sample_batch(
-    means: MeanVectorPair, cov: CovarianceSpec, rng: np.random.Generator, n: int
+    means: MeanVectorPair,
+    cov: CovarianceSpec,
+    rng: np.random.Generator,
+    n: int,
+    out: Optional[np.ndarray] = None,
+    work: Optional["Workspace"] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw Z1, Z2 independently, each N2(theta_i, Sigma), n times over.
 
     Returns the arrays (x1, y1, x2, y2). Uses the lower-triangular factor from
     CovarianceSpec.cholesky_factors(); at |rho| = 1 the second noise column is
     exactly zero. One draw of standard_normal((4, n)) read row-major feeds the
-    four components (stream layout v1); the four arrays are its rows,
-    transformed in place. Each y is theta_y + l_yx*x + l_yy*y with its sums and
-    products only commuted, never regrouped, so the bits match the
-    out-of-place formula.
+    four components (stream layout v1), filling `out`, a (4, n) array, if
+    given; the four arrays are its rows, transformed in place, with one
+    temporary borrowed from `work` if given. Each y is theta_y + l_yx*x +
+    l_yy*y with its sums and products only commuted, never regrouped, so the
+    bits match the out-of-place formula.
     """
     l_xx, l_yx, l_yy = cov.cholesky_factors()
-    x1, y1, x2, y2 = rng.standard_normal((4, n))
-    for x, y, (theta_x, theta_y) in ((x1, y1, means.theta1), (x2, y2, means.theta2)):
-        y *= l_yy
-        t = l_yx * x  # before x is overwritten
-        t += theta_y
-        y += t
-        x *= l_xx
-        x += theta_x
+    if out is None:
+        out = rng.standard_normal((4, n))
+    elif out.shape == (4, n):
+        rng.standard_normal(out=out)
+    else:
+        raise InvalidParameterError(f"out must have shape (4, {n}), got {out.shape}")
+    x1, y1, x2, y2 = out
+    with borrow(work, floats=1) as (t,):
+        for x, y, (theta_x, theta_y) in ((x1, y1, means.theta1), (x2, y2, means.theta2)):
+            y *= l_yy
+            t = np.multiply(l_yx, x, out=t)  # before x is overwritten
+            t += theta_y
+            y += t
+            x *= l_xx
+            x += theta_x
     return x1, y1, x2, y2
+
+
+class Workspace:
+    """Arrays of one length that batch kernels borrow instead of allocating.
+
+    A kernel given a workspace as `work` takes its temporaries from here and
+    hands them back before it returns, so a caller that runs batch after
+    batch of n draws through one workspace allocates nothing per batch.
+    Kernels calling kernels borrow further arrays; a workspace grows to the
+    most any call needs at once. Not for sharing between threads.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._floats: list[np.ndarray] = []
+        self._masks: list[np.ndarray] = []
+
+    def borrow(self, floats: int = 0, masks: int = 0) -> "_Loan":
+        """Lend `floats` float arrays, then `masks` bool arrays, of length n until the `with` block ends."""
+        lent = [self._floats.pop() if self._floats else np.empty(self.n) for _ in range(floats)]
+        lent += [self._masks.pop() if self._masks else np.empty(self.n, bool) for _ in range(masks)]
+        return _Loan(self, lent, floats)
+
+
+class _Loan:
+    __slots__ = ("work", "lent", "floats")
+
+    def __init__(self, work: Workspace, lent: list[np.ndarray], floats: int):
+        self.work, self.lent, self.floats = work, lent, floats
+
+    def __enter__(self) -> list[np.ndarray]:
+        return self.lent
+
+    def __exit__(self, *exc) -> None:
+        self.work._floats += self.lent[: self.floats]
+        self.work._masks += self.lent[self.floats :]
+
+
+def borrow(work: Optional[Workspace], floats: int = 0, masks: int = 0):
+    """`work.borrow(floats, masks)`, or as many Nones when `work` is None.
+
+    A kernel passes each borrowed array as a ufunc's `out`, so without a
+    workspace the ufunc allocates, as it would have anyway.
+    """
+    if work is None:
+        return nullcontext([None] * (floats + masks))
+    return work.borrow(floats, masks)
+
+
+def assign(out: Optional[np.ndarray], value, like: np.ndarray) -> np.ndarray:
+    """`value` (an array or a scalar) copied into `out`, or into a new float array shaped like `like`."""
+    if out is None:
+        out = np.empty(np.shape(like))
+    np.copyto(out, value)
+    return out
+
+
+def _bits(v) -> np.ndarray | np.int64:
+    return v.view(np.int64) if isinstance(v, np.ndarray) else np.float64(v).view(np.int64)
+
+
+def blend(
+    cond: np.ndarray, a, b, out: Optional[np.ndarray] = None, work: Optional[Workspace] = None
+) -> np.ndarray:
+    """np.where(cond, a, b) bit for bit, written into `out` if given; `a` and `b` are floats or float arrays.
+
+    It blends bit patterns, b ^ ((a ^ b) & -cond), rather than branch on each
+    element: where cond is a coin toss, np.where and masked copies run 5-10x
+    slower on mispredicted branches. `out` must not be `b`. Borrows the
+    mask's array from `work` if given.
+    """
+    if out is None:
+        out = np.empty(np.shape(cond))
+    bits = out.view(np.int64)
+    with borrow(work, floats=1) as (buf,):
+        mask = np.negative(cond.view(np.int8), out=None if buf is None else buf.view(np.int64))
+        scalars = np.ndim(a) == 0 and np.ndim(b) == 0
+        np.bitwise_and(mask, np.bitwise_xor(_bits(a), _bits(b), out=None if scalars else bits),
+                       out=bits)
+        bits ^= _bits(b)
+    return out

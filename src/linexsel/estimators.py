@@ -24,6 +24,10 @@ from .core import (
     InvalidParameterError,
     LinexParams,
     SingularCovarianceError,
+    Workspace,
+    assign,
+    blend,
+    borrow,
     log_std_normal_cdf,
     log_std_normal_cdf_tail,
     log_sum_exp,
@@ -145,27 +149,38 @@ def n3_offset(t1: float, t2: float, a: LinexParams, cov: CovarianceSpec) -> floa
     return math.log1p(math.expm1(z) * p) / a.a
 
 
-def n3_offset_batch(t1, t2, a: LinexParams, cov: CovarianceSpec) -> np.ndarray:
-    """`n3_offset` over arrays; the log switch becomes a mask."""
-    u = t1 / math.sqrt(2.0 * cov.sigma_xx)
-    p = std_normal_cdf_batch(u)
-    z = a.a * t2
-    out = np.empty_like(t2)
-    big = z > N3_LOG_SWITCH
-    small = ~big
-    out[small] = np.log1p(np.expm1(z[small]) * p[small]) / a.a
-    if big.any():
-        pb, zb = p[big], z[big]
-        inner = pb + (1.0 - pb) * np.exp(-zb)
-        with np.errstate(divide="ignore"):
-            log_inner = np.log(inner)
-        # inner is 0 only where Phi(u) underflowed, i.e. in the tail
-        under = inner == 0
-        if under.any():
-            log_inner[under] = np.logaddexp(
-                log_std_normal_cdf_tail(u[big][under]), np.log1p(-pb[under]) - zb[under]
-            )
-        out[big] = t2[big] + log_inner / a.a
+def n3_offset_batch(
+    t1, t2, a: LinexParams, cov: CovarianceSpec,
+    out: Optional[np.ndarray] = None, work: Optional[Workspace] = None,
+) -> np.ndarray:
+    """`n3_offset` over arrays; the log switch becomes a mask.
+
+    Writes into `out` if given and borrows its temporaries from `work` if given.
+    """
+    with borrow(work, floats=2, masks=2) as (u, p, big, small):
+        u = np.divide(t1, math.sqrt(2.0 * cov.sigma_xx), out=u)
+        p = std_normal_cdf_batch(u, out=p, work=work)
+        z = out = np.multiply(a.a, t2, out=out)
+        big = np.greater(z, N3_LOG_SWITCH, out=big)
+        any_big = big.any()
+        # out holds z until the small branch overwrites it there
+        small = np.logical_not(big, out=small) if any_big else True
+        np.expm1(z, out=out, where=small)
+        np.multiply(out, p, out=out, where=small)
+        np.log1p(out, out=out, where=small)
+        np.divide(out, a.a, out=out, where=small)
+        if any_big:
+            pb, zb = p[big], z[big]
+            inner = pb + (1.0 - pb) * np.exp(-zb)
+            with np.errstate(divide="ignore"):
+                log_inner = np.log(inner)
+            # inner is 0 only where Phi(u) underflowed, i.e. in the tail
+            under = inner == 0
+            if under.any():
+                log_inner[under] = np.logaddexp(
+                    log_std_normal_cdf_tail(u[big][under]), np.log1p(-pb[under]) - zb[under]
+                )
+            out[big] = t2[big] + log_inner / a.a
     return out
 
 
@@ -198,17 +213,24 @@ def base_phi(
 
 
 def base_phi_batch(
-    spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec
+    spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec,
+    out: Optional[np.ndarray] = None, work: Optional[Workspace] = None,
 ) -> np.ndarray:
-    """`base_phi` over a `select_batch` summary; N4's window becomes a mask."""
+    """`base_phi` over a `select_batch` summary; N4's window becomes a mask.
+
+    Writes into `out` if given and borrows its temporaries from `work` if given.
+    """
     if spec.kind == "N1":
-        return np.zeros_like(s.t2)
+        return assign(out, 0.0, s.t2)
     if spec.kind == "N2":
-        return np.full_like(s.t2, -a.a * cov.sigma_yy / 2.0)
+        return assign(out, -a.a * cov.sigma_yy / 2.0, s.t2)
     if spec.kind == "N3":
-        return n3_offset_batch(s.t1, s.t2, a, cov)
+        return n3_offset_batch(s.t1, s.t2, a, cov, out, work)
     if spec.kind == "N4":
-        return np.where(s.t1 > _n4_cut(spec.c, cov), s.t2 / 2.0, 0.0)
+        with borrow(work, masks=1) as (inside,):
+            inside = np.greater(s.t1, _n4_cut(spec.c, cov), out=inside)
+            half = np.divide(s.t2, 2.0, out=out)
+            return blend(inside, half, 0.0, half, work)
     raise InvalidParameterError(
         f"no equivariant component for kind {spec.kind!r}; only N1..N4 have one"
     )

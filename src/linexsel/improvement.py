@@ -11,10 +11,11 @@ the improved rows in reports and tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .core import CovarianceSpec, InvalidParameterError, LinexParams
+from .core import CovarianceSpec, InvalidParameterError, LinexParams, Workspace, blend, borrow
 from .estimators import EstimatorSpec, base_phi
 from .oracles import clip_band
 from .selection import SelectionSummary
@@ -56,16 +57,25 @@ def improve_batch(
     a: LinexParams,
     cov: CovarianceSpec,
     phi: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    work: Optional[Workspace] = None,
 ) -> np.ndarray:
     """`improve(...).value` over a `select_batch` summary, with the same weak clip.
 
     `phi` is the base component `base_phi_batch(spec.base, s, a, cov)`, which
     a sweep has already computed for the base column on the same draws.
+    Writes into `out` if given and borrows its temporaries from `work` if given.
     """
-    value, lo_set, hi_set = clip_band(s.t1, s.t2, a, cov)
-    clipped = np.where(lo_set & (phi <= value), value, phi)
-    clipped = np.where(hi_set & (phi >= value), value, clipped)
-    return s.y_sel + clipped
+    with borrow(work, floats=1, masks=3) as (value, lo_set, hi_set, clip):
+        value, lo_set, hi_set = clip_band(s.t1, s.t2, a, cov, (value, lo_set, hi_set), work)
+        # the two sets are disjoint and both clip to value, so one blend serves both
+        clip = np.greater_equal(phi, value, out=clip)
+        hi_set &= clip
+        np.less_equal(phi, value, out=clip)
+        clip &= lo_set
+        clip |= hi_set
+        out = blend(clip, value, phi, out, work)
+    return np.add(s.y_sel, out, out=out)
 
 
 # case id -> (base kind, label suffix used in reports, the (sign a, sign rho)

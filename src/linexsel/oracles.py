@@ -12,12 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .admissibility import shift_risk
 from .core import (
     CovarianceSpec,
     InvalidParameterError,
     LinexParams,
     ThetaStar,
+    borrow,
     log_sum_exp,
     std_normal_cdf,
     std_normal_pdf,
@@ -141,19 +144,41 @@ def varphi(
     )
 
 
-def clip_band(t1, t2, a: LinexParams, cov: CovarianceSpec):
+def clip_band(t1, t2, a: LinexParams, cov: CovarianceSpec, out=None, work=None):
     """The clip value t2/2 - a*sigma_yy/4 and the condition sets of the band.
 
     Returns (value, lo_set, hi_set): phi_inf equals value on lo_set and
-    phi_sup equals value on hi_set. Serves floats and arrays alike; the two
-    sets are disjoint.
+    phi_sup equals value on hi_set; the two sets are disjoint. Floats give
+    floats; arrays give arrays, written into `out` = (value, lo_set, hi_set),
+    a float and two bool arrays, if given, with one temporary borrowed from
+    `work` if given.
     """
     rho, xi = cov.rho, cov.xi
-    value = t2 / 2.0 - a.a * cov.sigma_yy / 4.0
+    shift = a.a * cov.sigma_yy / 4.0
     margin = -a.a * cov.sigma_yy * (1.0 - rho * rho) / 2.0
-    side = t1 * xi - rho * t2
-    gap = t2 - xi * rho * t1
-    return value, (side < 0) & (gap < margin), (side > 0) & (gap > margin)
+    if not isinstance(t1, np.ndarray):
+        # plain float arithmetic: a ufunc on floats costs ~10x
+        value = t2 / 2.0 - shift
+        side = t1 * xi - rho * t2
+        gap = t2 - xi * rho * t1
+        return value, (side < 0) & (gap < margin), (side > 0) & (gap > margin)
+    value, lo, hi = (None,) * 3 if out is None else out
+    with borrow(work, floats=1, masks=1) as (tmp, cond):
+        # side = t1*xi - rho*t2, with value holding rho*t2 for the moment
+        value = np.multiply(rho, t2, out=value)
+        side = tmp = np.multiply(t1, xi, out=tmp)
+        side -= value
+        lo = np.less(side, 0, out=lo)
+        hi = np.greater(side, 0, out=hi)
+        gap = np.multiply(xi * rho, t1, out=tmp)
+        np.subtract(t2, gap, out=gap)
+        cond = np.less(gap, margin, out=cond)
+        lo &= cond
+        np.greater(gap, margin, out=cond)
+        hi &= cond
+    np.divide(t2, 2.0, out=value)
+    value -= shift
+    return value, lo, hi
 
 
 def phi_bounds(

@@ -13,9 +13,10 @@ from __future__ import annotations
 import io
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .core import (
     InvalidParameterError,
     LinexParams,
     MeanVectorPair,
+    Workspace,
+    blend,
     linex_loss,
     rng_stream,
     sample_batch,
@@ -84,43 +87,84 @@ class RiskEstimate:
     stream_key: tuple[int, ...] = ()
 
 
-def _simulate_losses(
-    config: SimConfig, specs: Sequence[EstimatorSpec], stream_key: tuple[int, ...]
-) -> list[np.ndarray]:
+class CellWorkspace(Workspace):
+    """The arrays of risk cells of `reps` draws, reused cell after cell.
+
+    Beyond the kernels' scratch it holds the (4, reps) draw block and what
+    lives through a cell: the selection mask, y_sel, t1, t2, the realized
+    theta_y^S, the base phi, and the column's estimate, which its loss then
+    overwrites. One thread's alone; dropped when its sweep returns.
+    """
+
+    def __init__(self, reps: int):
+        super().__init__(reps)
+        self.draws = np.empty((4, reps))
+        self.sel1 = np.empty(reps, bool)
+        self.y_sel, self.t1, self.t2, self.theta_sel, self.phi, self.est = (
+            np.empty(reps) for _ in range(6)
+        )
+
+
+def _cell_losses(
+    config: SimConfig, specs: Sequence[EstimatorSpec], stream_key: tuple[int, ...],
+    ws: CellWorkspace,
+) -> Iterator[np.ndarray]:
+    """Each column's losses on the cell's draws in turn, in `ws.est` until the next."""
     rng = rng_stream(config.master_seed, *stream_key)
-    s = select_batch(*sample_batch(config.means, config.cov, rng, config.reps))
-    theta_sel = np.where(s.selected == 1, config.means.theta1[1], config.means.theta2[1])
+    x1, y1, x2, y2 = sample_batch(config.means, config.cov, rng, config.reps, ws.draws, ws)
+    s = select_batch(x1, y1, x2, y2, (ws.sel1, ws.y_sel, ws.t1, ws.t2), ws)
+    theta_sel = blend(ws.sel1, config.means.theta1[1], config.means.theta2[1], ws.theta_sel, ws)
     a, cov = config.a, config.cov
     # a base and its improved column share the draws, so they share one phi
-    phis: dict[EstimatorSpec, np.ndarray] = {}
-
-    def phi(base: EstimatorSpec) -> np.ndarray:
-        if base not in phis:
-            phis[base] = base_phi_batch(base, s, a, cov)
-        return phis[base]
-
-    def estimate(spec: EstimatorSpec) -> np.ndarray:
-        if spec.kind == "Improved":
-            return improve_batch(spec, s, a, cov, phi(spec.base))
-        if spec.kind in ("N1", "N2", "N3", "N4"):
-            return s.y_sel + phi(spec)
-        return evaluate_batch(spec, s, a, cov)
-
-    return [linex_loss(estimate(spec), theta_sel, a, spec.label) for spec in specs]
+    held = None
+    for spec in specs:
+        if spec.kind in ("Shift", "Bayes"):  # in no published table; they allocate
+            if spec.kind == "Bayes" and s.x_max is None:
+                # only Bayes reads x_max, so only a Bayes column builds it
+                s = replace(s, x_max=np.maximum(x1, x2))
+            estimate = evaluate_batch(spec, s, a, cov)
+        else:
+            base = spec.base if spec.kind == "Improved" else spec
+            if base != held:
+                held = base
+                base_phi_batch(base, s, a, cov, ws.phi, ws)
+            if spec.kind == "Improved":
+                estimate = improve_batch(spec, s, a, cov, ws.phi, ws.est, ws)
+            else:
+                estimate = np.add(s.y_sel, ws.phi, out=ws.est)
+        yield linex_loss(estimate, theta_sel, a, spec.label, ws.est, ws)
 
 
 def _estimate_from_losses(
-    losses: np.ndarray, config: SimConfig, stream_key: tuple[int, ...]
+    losses: np.ndarray, config: SimConfig, stream_key: tuple[int, ...], ws: CellWorkspace
 ) -> RiskEstimate:
-    mean = float(losses.mean())
-    se = float(losses.std(ddof=1) / math.sqrt(config.reps)) if config.reps > 1 else None
+    # the ufuncs of losses.mean() and losses.std(ddof=1), so the bits match,
+    # with the deviations in a borrowed array
+    n = config.reps
+    total = np.add.reduce(losses)
+    se = None
+    if n > 1:
+        with ws.borrow(floats=1) as (dev,):
+            np.subtract(losses, total / n, out=dev)
+            np.square(dev, out=dev)
+            se = float(np.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n))
     return RiskEstimate(
-        mean_risk=mean,
+        mean_risk=float(total / n),
         std_error=se,
-        reps=config.reps,
+        reps=n,
         master_seed=config.master_seed,
         stream_key=stream_key,
     )
+
+
+def _run_cell(
+    config: SimConfig, specs: Sequence[EstimatorSpec], stream_key: tuple[int, ...],
+    ws: CellWorkspace,
+) -> list[RiskEstimate]:
+    return [
+        _estimate_from_losses(losses, config, stream_key, ws)
+        for losses in _cell_losses(config, specs, stream_key, ws)
+    ]
 
 
 def simulate_risk(
@@ -132,19 +176,16 @@ def simulate_risk(
     the estimator, and scores it against the realized theta_y^S. Deterministic
     for a fixed (master_seed, stream_key).
     """
-    (losses,) = _simulate_losses(config, [spec], stream_key)
-    return _estimate_from_losses(losses, config, stream_key)
+    (est,) = _run_cell(config, [spec], stream_key, CellWorkspace(config.reps))
+    return est
 
 
 def simulate_all(config: SimConfig) -> dict[str, RiskEstimate]:
     """Evaluate config.estimators on one shared stream (common random numbers)."""
     if not config.estimators:
         raise InvalidParameterError("config.estimators must be nonempty")
-    losses = _simulate_losses(config, config.estimators, ())
-    return {
-        spec.label: _estimate_from_losses(l, config, ())
-        for spec, l in zip(config.estimators, losses)
-    }
+    estimates = _run_cell(config, config.estimators, (), CellWorkspace(config.reps))
+    return {spec.label: est for spec, est in zip(config.estimators, estimates)}
 
 
 def paired_risk_difference(
@@ -154,8 +195,11 @@ def paired_risk_difference(
     stream_key: tuple[int, ...] = (),
 ) -> tuple[float, float]:
     """mean(loss_a - loss_b) over identical draws, with the paired standard error (0 at one rep)."""
-    loss_a, loss_b = _simulate_losses(config, [spec_a, spec_b], stream_key)
-    est = _estimate_from_losses(loss_a - loss_b, config, stream_key)
+    ws = CellWorkspace(config.reps)
+    losses = _cell_losses(config, [spec_a, spec_b], stream_key, ws)
+    loss_a = next(losses).copy()
+    np.subtract(loss_a, next(losses), out=loss_a)
+    est = _estimate_from_losses(loss_a, config, stream_key, ws)
     return est.mean_risk, est.std_error or 0.0
 
 
@@ -285,6 +329,8 @@ def risk_grid(
         groups.setdefault(stream_group(est_spec), []).append(j)
 
     table_result = RiskTable(spec=spec, reps=reps, master_seed=master_seed)
+    # one workspace per thread of this call, made on its first cell
+    local = threading.local()
 
     def run_cell(row_idx: int, group_id: int) -> list[tuple[tuple[int, int], RiskEstimate]]:
         config = SimConfig(
@@ -296,11 +342,10 @@ def risk_grid(
         )
         key = (spec.table_id, row_idx, group_id)
         cols = groups[group_id]
-        losses = _simulate_losses(config, [spec.columns[j][1] for j in cols], key)
-        return [
-            ((row_idx, j), _estimate_from_losses(l, config, key))
-            for j, l in zip(cols, losses)
-        ]
+        if not hasattr(local, "ws"):
+            local.ws = CellWorkspace(reps)
+        estimates = _run_cell(config, [spec.columns[j][1] for j in cols], key, local.ws)
+        return [((row_idx, j), est) for j, est in zip(cols, estimates)]
 
     tasks = [(i, g) for i in range(len(spec.rows)) for g in sorted(groups)]
     # one worker runs the cells on this thread: a one-thread pool measured 2-26 %

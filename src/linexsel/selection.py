@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .core import InvalidParameterError, MeanVectorPair, ObservationPair
+from .core import InvalidParameterError, MeanVectorPair, ObservationPair, Workspace, blend
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,8 @@ class SelectionSummary:
 
     t1 = X_(1) - X_(2) <= 0 and t2 = Y_[1] - Y_[2]; y_sel is the concomitant
     of the larger X (the selected population's Y). From `select_batch` every
-    field is an array with one entry per draw.
+    field is an array with one entry per draw (or None, where it writes into
+    `out` and builds only y_sel, t1 and t2).
     """
 
     selected: int
@@ -52,13 +54,28 @@ def select(obs: ObservationPair) -> SelectionSummary:
     return SelectionSummary(selected, x_max, x_min, y_sel, y_other, t1, t2)
 
 
-def select_batch(x1, y1, x2, y2) -> SelectionSummary:
-    """`select` over arrays of draws; the tie rule becomes the mask x1 > x2."""
-    sel1 = x1 > x2
-    x_max, x_min = np.maximum(x1, x2), np.minimum(x1, x2)
-    y_sel, y_other = np.where(sel1, y1, y2), np.where(sel1, y2, y1)
+def select_batch(x1, y1, x2, y2, out=None, work: Optional[Workspace] = None) -> SelectionSummary:
+    """`select` over arrays of draws; the tie rule becomes the mask x1 > x2.
+
+    With `out` = (sel1, y_sel, t1, t2), a bool array and three float arrays,
+    the mask x1 > x2 and the three differences a risk cell needs are written
+    there, and selected, x_max, x_min and y_other are left None. Borrows its
+    temporaries from `work` if given.
+    """
+    sel1, y_sel, t1, t2 = (None,) * 4 if out is None else out
+    sel1 = np.greater(x1, x2, out=sel1)
+    y_sel = blend(sel1, y1, y2, y_sel, work)
+    # x_min - x_max is -|x1 - x2|, and +0.0 (as 0.0 - 0.0) at a tie
+    t1 = np.subtract(x1, x2, out=t1)
+    np.abs(t1, out=t1)
+    np.subtract(0.0, t1, out=t1)
+    # with `out`, t2 holds y_other until it becomes y_other - y_sel
+    y_other = blend(sel1, y2, y1, t2, work)
+    t2 = np.subtract(y_other, y_sel, out=t2)
+    if out is not None:
+        return SelectionSummary(None, None, None, y_sel, None, t1, t2)
     return SelectionSummary(
-        np.where(sel1, 1, 2), x_max, x_min, y_sel, y_other, x_min - x_max, y_other - y_sel
+        np.where(sel1, 1, 2), np.maximum(x1, x2), np.minimum(x1, x2), y_sel, y_other, t1, t2
     )
 
 

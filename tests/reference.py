@@ -16,13 +16,19 @@ from scipy.stats import norm
 
 from linexsel import (
     CovarianceSpec,
+    EstimatorSpec,
     LinexParams,
     MeanVectorPair,
     PriorSpec,
+    SimConfig,
     ThetaStar,
     linex_loss,
+    rng_stream,
+    std_normal_cdf_batch,
     w_pdf,
 )
+from linexsel.core import log_std_normal_cdf_tail
+from linexsel.estimators import N3_LOG_SWITCH
 
 QUAD_ABS_TOL = 1e-12
 QUAD_HALF_WIDTH = 12.0  # integration half-width in component standard deviations
@@ -130,3 +136,79 @@ def shift_risk_quadrature(
 
     value, _ = quad(integrand, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200)
     return value
+
+
+def _n3_offset_plain(t1, t2, a: LinexParams, cov: CovarianceSpec) -> np.ndarray:
+    """The batch N3 component with fancy indexing and fresh arrays throughout."""
+    u = t1 / math.sqrt(2.0 * cov.sigma_xx)
+    p = std_normal_cdf_batch(u)
+    z = a.a * t2
+    out = np.empty_like(t2)
+    big = z > N3_LOG_SWITCH
+    small = ~big
+    out[small] = np.log1p(np.expm1(z[small]) * p[small]) / a.a
+    if big.any():
+        pb, zb = p[big], z[big]
+        inner = pb + (1.0 - pb) * np.exp(-zb)
+        with np.errstate(divide="ignore"):
+            log_inner = np.log(inner)
+        under = inner == 0
+        if under.any():
+            log_inner[under] = np.logaddexp(
+                log_std_normal_cdf_tail(u[big][under]), np.log1p(-pb[under]) - zb[under]
+            )
+        out[big] = t2[big] + log_inner / a.a
+    return out
+
+
+def reference_cell(
+    config: SimConfig, specs: list[EstimatorSpec], stream_key: tuple[int, ...]
+) -> list[tuple[float, float | None]]:
+    """(mean risk, standard error) of each column of one risk cell, computed the plain way.
+
+    Fresh arrays for every step: the out-of-place transform of
+    standard_normal((4, reps)), np.where selection, each N1..N4 component and
+    its clip written out with np.where, `linex_loss`, and the reductions
+    .mean() and .std(ddof=1). `linexsel.risksim` must match it bit for bit.
+    Specs are N1..N4 and their improved forms.
+    """
+    means, cov, a, reps = config.means, config.cov, config.a, config.reps
+    l_xx, l_yx, l_yy = cov.cholesky_factors()
+    g = rng_stream(config.master_seed, *stream_key).standard_normal((4, reps))
+    x1 = means.theta1[0] + l_xx * g[0]
+    y1 = means.theta1[1] + l_yx * g[0] + l_yy * g[1]
+    x2 = means.theta2[0] + l_xx * g[2]
+    y2 = means.theta2[1] + l_yx * g[2] + l_yy * g[3]
+    sel1 = x1 > x2
+    y_sel, y_other = np.where(sel1, y1, y2), np.where(sel1, y2, y1)
+    t1, t2 = np.minimum(x1, x2) - np.maximum(x1, x2), y_other - y_sel
+    theta_sel = np.where(sel1, means.theta1[1], means.theta2[1])
+
+    def phi(base: EstimatorSpec) -> np.ndarray:
+        if base.kind == "N1":
+            return np.zeros_like(t2)
+        if base.kind == "N2":
+            return np.full_like(t2, -a.a * cov.sigma_yy / 2.0)
+        if base.kind == "N3":
+            return _n3_offset_plain(t1, t2, a, cov)
+        return np.where(t1 > -base.c * math.sqrt(2.0 * cov.sigma_xx), t2 / 2.0, 0.0)
+
+    def estimate(spec: EstimatorSpec) -> np.ndarray:
+        if spec.kind != "Improved":
+            return y_sel + phi(spec)
+        base = phi(spec.base)
+        rho, xi = cov.rho, cov.xi
+        value = t2 / 2.0 - a.a * cov.sigma_yy / 4.0
+        margin = -a.a * cov.sigma_yy * (1.0 - rho * rho) / 2.0
+        side = t1 * xi - rho * t2
+        gap = t2 - xi * rho * t1
+        clipped = np.where((side < 0) & (gap < margin) & (base <= value), value, base)
+        clipped = np.where((side > 0) & (gap > margin) & (base >= value), value, clipped)
+        return y_sel + clipped
+
+    out = []
+    for spec in specs:
+        losses = linex_loss(estimate(spec), theta_sel, a, spec.label)
+        se = float(losses.std(ddof=1) / math.sqrt(reps)) if reps > 1 else None
+        out.append((float(losses.mean()), se))
+    return out

@@ -486,9 +486,9 @@ def test_runs_without_scipy(tmp_path):
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
 def test_program_keeps_its_heap(tmp_path):
-    # from glibc's default thresholds every 20000-rep cell's arrays are trimmed
-    # away and faulted in again (~24k minor faults for table 7); the program
-    # entry point raises the thresholds first, leaving a few hundred
+    # each sweep thread reuses one workspace, so the pages of a 20000-rep cell
+    # are faulted in once per sweep (~1.8k minor faults for table 7) rather than
+    # once per cell (~24k, where glibc trims every cell's freed arrays away)
     probe = (
         "import resource, sys\n"
         "import linexsel.cli\n"
@@ -503,3 +503,39 @@ def test_program_keeps_its_heap(tmp_path):
     code, faults = map(int, _fresh_python(probe, str(tmp_path)).split())
     assert code == 0
     assert faults < 5000
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_library_sweep_keeps_its_heap(workers):
+    # a library caller's fresh interpreter, with glibc's default thresholds and
+    # no program entry point: ~0.9k minor faults on one worker and ~1.7k on two,
+    # against ~24k and ~21k while each cell allocated its own arrays
+    probe = (
+        "import resource, sys\n"
+        "from linexsel.risksim import risk_grid\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "risk_grid(7, 20000, 42, workers=int(sys.argv[1]))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+    )
+    assert int(_fresh_python(probe, str(workers))) < 5000
+
+
+@pytest.mark.parametrize("fails", ["workspace", "sweep"])
+def test_out_of_memory_exits_one(capsys, tmp_path, monkeypatch, fails):
+    # a MemoryError while building a cell's workspace or inside the sweep names
+    # the grid and its reps instead of ending in a traceback
+    from linexsel import risksim
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    if fails == "workspace":
+        monkeypatch.setattr(risksim.CellWorkspace, "__init__", no_memory)
+    else:
+        monkeypatch.setattr(risksim, "sample_batch", no_memory)
+    code, out, err = run(capsys, "simulate", "--table", "7", "--reps", "2000", "--out", str(tmp_path))
+    assert code == 1
+    assert "out of memory sweeping table 7 at 2000 reps" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "table7.csv").exists()

@@ -1,7 +1,12 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from linexsel import (
     CovarianceSpec,
@@ -19,9 +24,10 @@ from linexsel import (
     simulate_all,
     simulate_risk,
 )
-from linexsel.risksim import THETA_CONFIGS, stream_group
+from linexsel.risksim import THETA_CONFIGS, TableSpec, stream_group
 
-from .reference import risk_quadrature_general
+from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
+from .reference import reference_cell, risk_quadrature_general
 
 A1 = LinexParams(1.0)
 
@@ -259,3 +265,82 @@ def test_theta_configs_are_the_published_grid():
     assert THETA_CONFIGS[5].theta1 == (0.0, 0.0)
     assert THETA_CONFIGS[0].theta1 == (0.2, 2.0)
     assert THETA_CONFIGS[0].theta2 == (2.0, 0.2)
+
+
+def _bits(x):
+    return None if x is None else float(x).hex()
+
+
+class TestWorkspaceCells:
+    """Cells run through one reused workspace give the plain reference's bits."""
+
+    @PROPERTY
+    @given(
+        a=A,
+        sxx=SCALE,
+        syy=SCALE,
+        rho=RHO,
+        means=st.tuples(MEAN, MEAN, MEAN, MEAN),
+        c=st.floats(0.0, 3.0),
+        reps=st.sampled_from([1, 2, 3, 257, 5000]),
+        seed=SEED,
+    )
+    def test_cells_match_the_reference_bit_for_bit(self, a, sxx, syy, rho, means, c, reps, seed):
+        cov = CovarianceSpec.from_correlation(sxx, syy, rho)
+        pair = MeanVectorPair(means[:2], means[2:])
+        bases = [EstimatorSpec.n1(), EstimatorSpec.n2(), EstimatorSpec.n3(), EstimatorSpec.n4(c)]
+        groups = [[base, EstimatorSpec.improved(base)] for base in bases]
+        spec = TableSpec(table_id=3, a=LinexParams(a), cov=cov, rows=(pair,),
+                         columns=tuple((e.label, e) for group in groups for e in group))
+        config = SimConfig(means=pair, cov=cov, a=LinexParams(a), reps=reps, master_seed=seed)
+        expected = [cell for g, group in enumerate(groups)
+                    for cell in reference_cell(config, group, (3, 0, g))]
+        # the four cells, one per stream group, run through one workspace in turn
+        table = risk_grid(spec, reps, seed, workers=1)
+        got = [table.cell(0, j) for j in range(len(spec.columns))]
+        assert [(_bits(e.mean_risk), _bits(e.std_error)) for e in got] == [
+            (_bits(m), _bits(se)) for m, se in expected
+        ]
+
+
+def test_concurrent_sweeps_keep_their_own_workspaces():
+    # two sweeps at once, four pool threads on the CPUs between them, switching
+    # often: each still gives its serial bytes, so no workspace is shared
+    tables = (6, 9)
+    serial = {t: risk_grid(t, reps=2000, master_seed=42, workers=1).to_csv() for t in tables}
+    start = threading.Barrier(len(tables))
+    got = {}
+
+    def sweep(t):
+        start.wait()
+        got[t] = risk_grid(t, reps=2000, master_seed=42, workers=2).to_csv()
+
+    threads = [threading.Thread(target=sweep, args=(t,)) for t in tables]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == serial
+
+
+def test_no_buffer_outlives_the_call():
+    # a 20000-rep vector is 160 kB; nothing of that size stays behind
+    cfg = config(reps=20000, rho=0.5)
+    est = EstimatorSpec.improved(EstimatorSpec.n3())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        risk_grid(7, reps=20000, master_seed=1, workers=2)
+        simulate_risk(cfg, est)
+        simulate_all(SimConfig(cfg.means, cfg.cov, cfg.a, cfg.reps, 1, (est, EstimatorSpec.n1())))
+        paired_risk_difference(cfg, est, est.base)
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 50_000

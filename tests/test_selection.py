@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from linexsel import MeanVectorPair, ObservationPair, realized_parameter, select
+from linexsel import MeanVectorPair, ObservationPair, realized_parameter, select, select_batch
+from linexsel.core import Workspace
 
 
 def test_fitted_means_as_observations():
@@ -17,6 +19,29 @@ def test_tie_goes_to_population_two():
     assert s.y_sel == -5.0
     assert s.y_other == 10.0
     assert s.t1 == 0.0
+
+
+def test_batch_summary_keeps_signed_zeros_at_ties():
+    # x_min - x_max is +0.0 at every tie, signed zeros included, where -|x1 - x2|
+    # would give -0.0; y_other - y_sel keeps its own signs of zero
+    x1 = np.array([0.0, -0.0, 0.0, -0.0, 2.5, -1.0, 3.0, 1.0])
+    x2 = np.array([0.0, 0.0, -0.0, -0.0, 2.5, 1.0, -3.0, 0.5])
+    y1 = np.array([-0.0, 0.0, 1.0, -0.0, -0.0, 4.0, 0.0, -0.0])
+    y2 = np.array([0.0, -0.0, 1.0, -0.0, 0.0, 4.0, -0.0, 0.0])
+    sel1 = x1 > x2
+    y_sel, y_other = np.where(sel1, y1, y2), np.where(sel1, y2, y1)
+    t1 = np.minimum(x1, x2) - np.maximum(x1, x2)
+    assert not np.signbit(t1[:5]).any()
+    n = len(x1)
+    full = select_batch(x1, y1, x2, y2)
+    lean = select_batch(x1, y1, x2, y2, (np.empty(n, bool), np.empty(n), np.empty(n), np.empty(n)),
+                        Workspace(n))
+    for s in (full, lean):
+        assert s.t1.tobytes() == t1.tobytes()
+        assert s.y_sel.tobytes() == y_sel.tobytes()
+        assert s.t2.tobytes() == (y_other - y_sel).tobytes()
+    assert full.y_other.tobytes() == y_other.tobytes()
+    assert lean.x_max is None and lean.y_other is None
 
 
 def test_swap_populations_swaps_only_the_index(rng):
