@@ -422,14 +422,6 @@ def borrow(work: Optional[Workspace], floats: int = 0, masks: int = 0):
     return work.borrow(floats, masks)
 
 
-def assign(out: Optional[np.ndarray], value, like: np.ndarray) -> np.ndarray:
-    """`value` (an array or a scalar) copied into `out`, or into a new float array shaped like `like`."""
-    if out is None:
-        out = np.empty(np.shape(like))
-    np.copyto(out, value)
-    return out
-
-
 def _bits(v) -> np.ndarray | np.int64:
     return v.view(np.int64) if isinstance(v, np.ndarray) else np.float64(v).view(np.int64)
 
@@ -449,8 +441,6 @@ def blend(
     bits = out.view(np.int64)
     with borrow(work, floats=1) as (buf,):
         mask = np.negative(cond.view(np.int8), out=None if buf is None else buf.view(np.int64))
-        scalars = np.ndim(a) == 0 and np.ndim(b) == 0
-        np.bitwise_and(mask, np.bitwise_xor(_bits(a), _bits(b), out=None if scalars else bits),
-                       out=bits)
+        np.bitwise_and(mask, np.bitwise_xor(_bits(a), _bits(b), out=bits), out=bits)
         bits ^= _bits(b)
     return out

@@ -25,7 +25,6 @@ from .core import (
     LinexParams,
     SingularCovarianceError,
     Workspace,
-    assign,
     blend,
     borrow,
     log_std_normal_cdf,
@@ -54,7 +53,9 @@ class PriorSpec:
             raise InvalidParameterError(f"prior variance scale m must be positive, got {self.m}")
 
 
-_KINDS = ("N1", "N2", "N3", "N4", "Bayes", "Shift", "Improved")
+#: the kinds with an equivariant component, which an Improved spec can take as its base
+BASE_KINDS = ("N1", "N2", "N3", "N4")
+_KINDS = (*BASE_KINDS, "Bayes", "Shift", "Improved")
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class EstimatorSpec:
             raise InvalidParameterError(f"hybrid threshold c must be finite and >= 0, got {self.c}")
         if self.kind == "Shift" and not math.isfinite(self.d):
             raise InvalidParameterError("shift constant d must be finite")
-        if self.kind == "Improved" and self.base.kind not in ("N1", "N2", "N3", "N4"):
+        if self.kind == "Improved" and self.base.kind not in BASE_KINDS:
             raise InvalidParameterError(
                 f"Improved base must be one of N1..N4, got {self.base.kind!r}"
             )
@@ -215,15 +216,15 @@ def base_phi(
 def base_phi_batch(
     spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec,
     out: Optional[np.ndarray] = None, work: Optional[Workspace] = None,
-) -> np.ndarray:
+) -> float | np.ndarray:
     """`base_phi` over a `select_batch` summary; N4's window becomes a mask.
 
-    Writes into `out` if given and borrows its temporaries from `work` if given.
+    N1's and N2's components are constants and come back as `base_phi`'s
+    float, which ufuncs broadcast. N3's and N4's are written into `out` if
+    given, with temporaries borrowed from `work` if given.
     """
-    if spec.kind == "N1":
-        return assign(out, 0.0, s.t2)
-    if spec.kind == "N2":
-        return assign(out, -a.a * cov.sigma_yy / 2.0, s.t2)
+    if spec.kind in ("N1", "N2"):
+        return base_phi(spec, s, a, cov)
     if spec.kind == "N3":
         return n3_offset_batch(s.t1, s.t2, a, cov, out, work)
     if spec.kind == "N4":
@@ -264,8 +265,8 @@ def est_bayes(
     """Bayes estimator under LINEX loss: p* - (a/2) q* at the selected observation.
 
     Equals -(1/a) * ln M(-a) for the normal posterior of theta_y, i.e. the
-    unique minimizer of the posterior risk. Serves `select` and
-    `select_batch` summaries alike.
+    unique minimizer of the posterior risk. Serves a `select` summary, and a
+    `select_batch` summary once its x_max is set.
     """
     p_star, q_star = bayes_posterior((s.x_max, s.y_sel), prior, cov)
     return p_star - 0.5 * a.a * q_star
@@ -281,7 +282,7 @@ def evaluate(
     spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec
 ) -> float:
     """Dispatch on the spec tag."""
-    if spec.kind in ("N1", "N2", "N3", "N4"):
+    if spec.kind in BASE_KINDS:
         return s.y_sel + base_phi(spec, s, a, cov)
     if spec.kind == "Shift":
         return s.y_sel + spec.d
@@ -293,15 +294,28 @@ def evaluate(
 
 
 def evaluate_batch(
-    spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec
+    spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec,
+    phi: float | np.ndarray | None = None,
+    out: Optional[np.ndarray] = None, work: Optional[Workspace] = None,
 ) -> np.ndarray:
-    """`evaluate` over a `select_batch` summary: one estimate per draw."""
-    if spec.kind in ("N1", "N2", "N3", "N4"):
-        return s.y_sel + base_phi_batch(spec, s, a, cov)
+    """`evaluate` over a `select_batch` summary: one estimate per draw.
+
+    `phi` is the component `base_phi_batch` gives the spec (an improved
+    spec's base) on these draws, when the caller already has it; otherwise
+    it is computed here. Writes into `out` if given and borrows its
+    temporaries from `work` if given; Bayes, in no published table, allocates.
+    """
     if spec.kind == "Shift":
-        return s.y_sel + spec.d
+        return np.add(s.y_sel, spec.d, out=out)
     if spec.kind == "Bayes":
         return est_bayes(s, spec.prior, a, cov)
-    from . import improvement
+    if phi is None:
+        base = spec.base if spec.kind == "Improved" else spec
+        with borrow(work, floats=1) as (buf,):
+            phi = base_phi_batch(base, s, a, cov, buf, work)
+            return evaluate_batch(spec, s, a, cov, phi, out, work)
+    if spec.kind == "Improved":
+        from . import improvement
 
-    return improvement.improve_batch(spec, s, a, cov, base_phi_batch(spec.base, s, a, cov))
+        return improvement.improve_batch(s, a, cov, phi, out, work)
+    return np.add(s.y_sel, phi, out=out)

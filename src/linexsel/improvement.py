@@ -52,19 +52,19 @@ def improve(
 
 
 def improve_batch(
-    spec: EstimatorSpec,
     s: SelectionSummary,
     a: LinexParams,
     cov: CovarianceSpec,
-    phi: np.ndarray,
+    phi: float | np.ndarray,
     out: Optional[np.ndarray] = None,
     work: Optional[Workspace] = None,
 ) -> np.ndarray:
     """`improve(...).value` over a `select_batch` summary, with the same weak clip.
 
-    `phi` is the base component `base_phi_batch(spec.base, s, a, cov)`, which
-    a sweep has already computed for the base column on the same draws.
-    Writes into `out` if given and borrows its temporaries from `work` if given.
+    `phi` is the base estimator's component from `base_phi_batch` on the same
+    draws, which a sweep has already computed for the base column; it must
+    not be `out`. Writes into `out` if given and borrows its temporaries from
+    `work` if given.
     """
     with borrow(work, floats=1, masks=3) as (value, lo_set, hi_set, clip):
         value, lo_set, hi_set = clip_band(s.t1, s.t2, a, cov, (value, lo_set, hi_set), work)

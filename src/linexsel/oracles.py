@@ -16,6 +16,7 @@ import numpy as np
 
 from .admissibility import shift_risk
 from .core import (
+    _HALF_LOG_2PI,
     CovarianceSpec,
     InvalidParameterError,
     LinexParams,
@@ -26,11 +27,9 @@ from .core import (
     std_normal_pdf,
 )
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def _log_std_normal_pdf(u: float) -> float:
-    return -0.5 * u * u - _LOG_SQRT_2PI
+    return -0.5 * u * u - _HALF_LOG_2PI
 
 
 def _check_t1(t1: float) -> None:

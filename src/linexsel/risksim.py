@@ -31,8 +31,8 @@ from .core import (
     rng_stream,
     sample_batch,
 )
-from .estimators import EstimatorSpec, base_phi_batch, evaluate_batch
-from .improvement import applicable_case, case_label, improve_batch
+from .estimators import BASE_KINDS, EstimatorSpec, base_phi_batch, evaluate_batch
+from .improvement import applicable_case, case_label
 from .selection import select_batch
 
 #: the 11 mean-vector configurations used by every published table
@@ -92,8 +92,9 @@ class CellWorkspace(Workspace):
 
     Beyond the kernels' scratch it holds the (4, reps) draw block and what
     lives through a cell: the selection mask, y_sel, t1, t2, the realized
-    theta_y^S, the base phi, and the column's estimate, which its loss then
-    overwrites. One thread's alone; dropped when its sweep returns.
+    theta_y^S, the base phi (N3's or N4's; N1's and N2's are floats), and the
+    column's estimate, which its loss then overwrites. One thread's alone;
+    dropped when its sweep returns.
     """
 
     def __init__(self, reps: int):
@@ -115,23 +116,16 @@ def _cell_losses(
     s = select_batch(x1, y1, x2, y2, (ws.sel1, ws.y_sel, ws.t1, ws.t2), ws)
     theta_sel = blend(ws.sel1, config.means.theta1[1], config.means.theta2[1], ws.theta_sel, ws)
     a, cov = config.a, config.cov
-    # a base and its improved column share the draws, so they share one phi
-    held = None
+    held = phi = None
     for spec in specs:
-        if spec.kind in ("Shift", "Bayes"):  # in no published table; they allocate
-            if spec.kind == "Bayes" and s.x_max is None:
-                # only Bayes reads x_max, so only a Bayes column builds it
-                s = replace(s, x_max=np.maximum(x1, x2))
-            estimate = evaluate_batch(spec, s, a, cov)
-        else:
-            base = spec.base if spec.kind == "Improved" else spec
-            if base != held:
-                held = base
-                base_phi_batch(base, s, a, cov, ws.phi, ws)
-            if spec.kind == "Improved":
-                estimate = improve_batch(spec, s, a, cov, ws.phi, ws.est, ws)
-            else:
-                estimate = np.add(s.y_sel, ws.phi, out=ws.est)
+        if spec.kind == "Bayes" and s.x_max is None:
+            # only Bayes reads x_max, so only a Bayes column builds it
+            s = replace(s, x_max=np.maximum(x1, x2))
+        # a base and its improved column share the draws, so they share one phi
+        base = spec.base if spec.kind == "Improved" else spec
+        if base != held and base.kind in BASE_KINDS:
+            held, phi = base, base_phi_batch(base, s, a, cov, ws.phi, ws)
+        estimate = evaluate_batch(spec, s, a, cov, phi if base == held else None, ws.est, ws)
         yield linex_loss(estimate, theta_sel, a, spec.label, ws.est, ws)
 
 

@@ -22,9 +22,8 @@ class SelectionSummary:
     """Order statistics of X, their Y concomitants, and the differences.
 
     t1 = X_(1) - X_(2) <= 0 and t2 = Y_[1] - Y_[2]; y_sel is the concomitant
-    of the larger X (the selected population's Y). From `select_batch` every
-    field is an array with one entry per draw (or None, where it writes into
-    `out` and builds only y_sel, t1 and t2).
+    of the larger X (the selected population's Y). From `select_batch`,
+    y_sel, t1 and t2 are arrays with one entry per draw and the rest is None.
     """
 
     selected: int
@@ -57,10 +56,10 @@ def select(obs: ObservationPair) -> SelectionSummary:
 def select_batch(x1, y1, x2, y2, out=None, work: Optional[Workspace] = None) -> SelectionSummary:
     """`select` over arrays of draws; the tie rule becomes the mask x1 > x2.
 
-    With `out` = (sel1, y_sel, t1, t2), a bool array and three float arrays,
-    the mask x1 > x2 and the three differences a risk cell needs are written
-    there, and selected, x_max, x_min and y_other are left None. Borrows its
-    temporaries from `work` if given.
+    Builds the mask and the three arrays the estimators read, y_sel, t1 and
+    t2, and leaves selected, x_max, x_min and y_other None. With `out` =
+    (sel1, y_sel, t1, t2), a bool array and three float arrays, they are
+    written there. Borrows its temporaries from `work` if given.
     """
     sel1, y_sel, t1, t2 = (None,) * 4 if out is None else out
     sel1 = np.greater(x1, x2, out=sel1)
@@ -69,14 +68,10 @@ def select_batch(x1, y1, x2, y2, out=None, work: Optional[Workspace] = None) -> 
     t1 = np.subtract(x1, x2, out=t1)
     np.abs(t1, out=t1)
     np.subtract(0.0, t1, out=t1)
-    # with `out`, t2 holds y_other until it becomes y_other - y_sel
-    y_other = blend(sel1, y2, y1, t2, work)
-    t2 = np.subtract(y_other, y_sel, out=t2)
-    if out is not None:
-        return SelectionSummary(None, None, None, y_sel, None, t1, t2)
-    return SelectionSummary(
-        np.where(sel1, 1, 2), np.maximum(x1, x2), np.minimum(x1, x2), y_sel, y_other, t1, t2
-    )
+    # t2 holds y_other until it becomes y_other - y_sel
+    t2 = blend(sel1, y2, y1, t2, work)
+    np.subtract(t2, y_sel, out=t2)
+    return SelectionSummary(None, None, None, y_sel, None, t1, t2)
 
 
 def realized_parameter(obs: ObservationPair, means: MeanVectorPair) -> float:

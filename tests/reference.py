@@ -20,8 +20,10 @@ from linexsel import (
     LinexParams,
     MeanVectorPair,
     PriorSpec,
+    SelectionSummary,
     SimConfig,
     ThetaStar,
+    est_bayes,
     linex_loss,
     rng_stream,
     std_normal_cdf_batch,
@@ -170,7 +172,9 @@ def reference_cell(
     standard_normal((4, reps)), np.where selection, each N1..N4 component and
     its clip written out with np.where, `linex_loss`, and the reductions
     .mean() and .std(ddof=1). `linexsel.risksim` must match it bit for bit.
-    Specs are N1..N4 and their improved forms.
+    Specs are N1..N4, their improved forms, Shift and Bayes; Bayes is the
+    package's `est_bayes` at this cell's own x_max and y_sel arrays, so it
+    checks the cell's plumbing, not the formula.
     """
     means, cov, a, reps = config.means, config.cov, config.a, config.reps
     l_xx, l_yx, l_yy = cov.cholesky_factors()
@@ -194,6 +198,11 @@ def reference_cell(
         return np.where(t1 > -base.c * math.sqrt(2.0 * cov.sigma_xx), t2 / 2.0, 0.0)
 
     def estimate(spec: EstimatorSpec) -> np.ndarray:
+        if spec.kind == "Shift":
+            return y_sel + spec.d
+        if spec.kind == "Bayes":
+            s = SelectionSummary(None, np.maximum(x1, x2), None, y_sel, None, t1, t2)
+            return est_bayes(s, spec.prior, a, cov)
         if spec.kind != "Improved":
             return y_sel + phi(spec)
         base = phi(spec.base)

