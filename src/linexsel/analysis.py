@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
-import numpy as np
-
 from .core import CovarianceSpec, LinexParams, ObservationPair
 from .estimators import EstimatorSpec, PriorSpec, evaluate
 from .improvement import TRUNCATED_NONE, applicable_case, improve
@@ -126,24 +124,46 @@ def load_dataset(path: str, clean: bool = False) -> GroupedDataset:
     )
 
 
+def _moments(
+    group: tuple[tuple[float, float], ...],
+) -> tuple[tuple[float, float], tuple[float, float, float]]:
+    """Sample means (x, y) and covariance (xx, yy, xy), n-1 denominators, of one group.
+
+    Sums run left to right in plain floats, so the means are bit for bit
+    numpy's `mean(axis=0)`; like `np.cov`, the cross products are scaled by
+    1/(n-1).
+    """
+    n = len(group)
+    sum_x = sum_y = 0.0
+    for x, y in group:
+        sum_x += x
+        sum_y += y
+    mean_x, mean_y = sum_x / n, sum_y / n
+    sxx = syy = sxy = 0.0
+    for x, y in group:
+        dx, dy = x - mean_x, y - mean_y
+        sxx += dx * dx
+        syy += dy * dy
+        sxy += dx * dy
+    scale = 1.0 / (n - 1)
+    return (mean_x, mean_y), (sxx * scale, syy * scale, sxy * scale)
+
+
 def fit(data: GroupedDataset) -> FittedModel:
     """Per-group sample means and the pooled covariance."""
-    g1 = np.asarray(data.group1, dtype=float)
-    g2 = np.asarray(data.group2, dtype=float)
-    if len(g1) < 2 or len(g2) < 2:
+    if len(data.group1) < 2 or len(data.group2) < 2:
         raise DatasetError("each group needs at least 2 observations")
-    m1 = g1.mean(axis=0)
-    m2 = g2.mean(axis=0)
-    pooled = (np.cov(g1.T, ddof=1) + np.cov(g2.T, ddof=1)) / 2.0
-    if pooled[0, 0] <= 0 or pooled[1, 1] <= 0:
+    m1, c1 = _moments(data.group1)
+    m2, c2 = _moments(data.group2)
+    sxx, syy, sxy = ((u + v) / 2.0 for u, v in zip(c1, c2))
+    if sxx <= 0 or syy <= 0:
         raise DatasetError("zero variance in a column; covariance model is degenerate")
-    cov = CovarianceSpec(pooled[0, 0], pooled[1, 1], pooled[0, 1])
     return FittedModel(
-        theta_hat_1=(float(m1[0]), float(m1[1])),
-        theta_hat_2=(float(m2[0]), float(m2[1])),
-        cov_hat=cov,
+        theta_hat_1=m1,
+        theta_hat_2=m2,
+        cov_hat=CovarianceSpec(sxx, syy, sxy),
         labels=data.labels,
-        n_per_group=len(g1),
+        n_per_group=len(data.group1),
         cleaned=data.cleaned,
     )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .analysis import DatasetError, analyze, bundled_dataset_path, fit, load_dat
 from .analysis import estimate_rows, estimates_csv
 from .core import CovarianceSpec, InvalidParameterError, LinexError, LinexParams, ObservationPair
 from .estimators import PriorSpec
-from .risksim import TABLE_SPECS, TableSpec, table_columns, risk_grid
+from .risksim import TABLE_SPECS, CellWorkspace, TableSpec, available_cpus, risk_grid, table_columns
 from .selection import select
 
 
@@ -53,6 +54,15 @@ def _prior_from_flag(text: str) -> PriorSpec:
         return PriorSpec(mu1=mu1, mu2=mu2, m=m)
     except InvalidParameterError as exc:
         raise UsageError(f"--prior: {exc}") from None
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the OS does not say."""
+    try:
+        size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size if size > 0 else None
 
 
 def _write_outputs(args: argparse.Namespace, params: dict, files: dict[str, str]) -> Path:
@@ -159,10 +169,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             c=c,
         )
         name = "custom_grid.csv"
+    grid = "the custom grid" if args.table is None else f"table {args.table}"
+    # each sweep thread holds one workspace for the whole sweep; one that cannot
+    # fit would pass np.empty under overcommit and get the process killed later
+    workers = available_cpus()
+    need, have = workers * args.reps * CellWorkspace.BYTES_PER_REP, _physical_memory()
+    if have is not None and need > have:
+        raise LinexError(
+            f"sweeping {grid} at {args.reps} reps needs about {need / 2**20:.0f} MiB of "
+            f"workspace on {workers} threads, more than the {have / 2**20:.0f} MiB of "
+            "physical memory"
+        )
     try:
-        result = risk_grid(spec, reps=args.reps, master_seed=args.seed)
+        result = risk_grid(spec, reps=args.reps, master_seed=args.seed, workers=workers)
     except MemoryError:
-        grid = "the custom grid" if args.table is None else f"table {args.table}"
         raise LinexError(f"out of memory sweeping {grid} at {args.reps} reps") from None
 
     # only what determines the CSV: equal manifests mean equal outputs on any machine

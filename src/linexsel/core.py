@@ -7,7 +7,8 @@ admissibility bounds and the hybrid log-estimator take logs of Phi, so both
 need to be accurate in the tails), a stable log-sum-exp, counter-based
 random streams for reproducible simulation, and the `Workspace` that batch
 kernels borrow their temporaries from instead of allocating them. numpy is
-the only dependency.
+the only dependency, and only the array kernels import it, on first use: the
+scalar API runs without loading it, except in the log Phi tail.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -232,6 +234,8 @@ def std_normal_cdf_batch(
     -38.5. Not defined for u > 0. Writes into `out` if given and borrows
     its two temporaries from `work` if given.
     """
+    import numpy as np
+
     with borrow(work, floats=2) as (t, acc):
         t = np.negative(u, out=t)
         # beyond _CDF_T_MAX Phi(-t) is 0 all the same; the clip keeps t*t, P and Q
@@ -262,6 +266,8 @@ def log_std_normal_cdf_tail(u):
     Below -37.5, u^-2 < 7.2e-4, so the terms kept (to u^-14) leave an error
     below 2e-19 in the argument of the last logarithm.
     """
+    import numpy as np
+
     r = 1.0 / (u * u)
     series = r * (-1.0 + r * (3.0 + r * (-15.0 + r * (105.0 + r * (
         -945.0 + r * (10395.0 - r * 135135.0))))))
@@ -312,6 +318,8 @@ def linex_loss(
     Writes into `out` if given (which may be `delta` itself) and borrows the
     exponent's array from `work` if given.
     """
+    import numpy as np
+
     with borrow(work, floats=1) as (buf,):
         z = np.multiply(params.a, np.subtract(delta, theta, out=buf), out=buf)
         zmax = np.max(z)
@@ -331,6 +339,8 @@ def rng_stream(master_seed: int, *key: int) -> np.random.Generator:
     distinct keys are independent and reproducible regardless of the order
     in which they are created or consumed.
     """
+    import numpy as np
+
     if master_seed < 0:
         raise InvalidParameterError("master seed must be nonnegative")
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
@@ -356,6 +366,8 @@ def sample_batch(
     l_yy*y with its sums and products only commuted, never regrouped, so the
     bits match the out-of-place formula.
     """
+    import numpy as np
+
     l_xx, l_yx, l_yy = cov.cholesky_factors()
     if out is None:
         out = rng.standard_normal((4, n))
@@ -392,9 +404,16 @@ class Workspace:
 
     def borrow(self, floats: int = 0, masks: int = 0) -> "_Loan":
         """Lend `floats` float arrays, then `masks` bool arrays, of length n until the `with` block ends."""
-        lent = [self._floats.pop() if self._floats else np.empty(self.n) for _ in range(floats)]
-        lent += [self._masks.pop() if self._masks else np.empty(self.n, bool) for _ in range(masks)]
+        lent = [self._floats.pop() if self._floats else _empty(self.n, float) for _ in range(floats)]
+        lent += [self._masks.pop() if self._masks else _empty(self.n, bool) for _ in range(masks)]
         return _Loan(self, lent, floats)
+
+
+def _empty(n: int, dtype: type) -> np.ndarray:
+    # only a workspace's first loans allocate, so only they import numpy
+    import numpy as np
+
+    return np.empty(n, dtype)
 
 
 class _Loan:
@@ -423,7 +442,13 @@ def borrow(work: Optional[Workspace], floats: int = 0, masks: int = 0):
 
 
 def _bits(v) -> np.ndarray | np.int64:
-    return v.view(np.int64) if isinstance(v, np.ndarray) else np.float64(v).view(np.int64)
+    # an array's bits are read in place; a number (Python or numpy scalar) is
+    # converted to float64 first, which alone needs numpy
+    if getattr(v, "ndim", 0):
+        return v.view("i8")
+    import numpy as np
+
+    return np.float64(v).view(np.int64)
 
 
 def blend(
@@ -436,6 +461,8 @@ def blend(
     slower on mispredicted branches. `out` must not be `b`. Borrows the
     mask's array from `work` if given.
     """
+    import numpy as np
+
     if out is None:
         out = np.empty(np.shape(cond))
     bits = out.view(np.int64)

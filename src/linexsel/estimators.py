@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .core import (
     CovarianceSpec,
@@ -34,6 +32,9 @@ from .core import (
     std_normal_cdf_batch,
 )
 from .selection import SelectionSummary
+
+if TYPE_CHECKING:
+    import numpy as np
 
 N3_LOG_SWITCH = 30.0  # switch the N3 component to the log-domain rearrangement
 
@@ -158,6 +159,8 @@ def n3_offset_batch(
 
     Writes into `out` if given and borrows its temporaries from `work` if given.
     """
+    import numpy as np
+
     with borrow(work, floats=2, masks=2) as (u, p, big, small):
         u = np.divide(t1, math.sqrt(2.0 * cov.sigma_xx), out=u)
         p = std_normal_cdf_batch(u, out=p, work=work)
@@ -228,6 +231,8 @@ def base_phi_batch(
     if spec.kind == "N3":
         return n3_offset_batch(s.t1, s.t2, a, cov, out, work)
     if spec.kind == "N4":
+        import numpy as np
+
         with borrow(work, masks=1) as (inside,):
             inside = np.greater(s.t1, _n4_cut(spec.c, cov), out=inside)
             half = np.divide(s.t2, 2.0, out=out)
@@ -305,6 +310,8 @@ def evaluate_batch(
     it is computed here. Writes into `out` if given and borrows its
     temporaries from `work` if given; Bayes, in no published table, allocates.
     """
+    import numpy as np
+
     if spec.kind == "Shift":
         return np.add(s.y_sel, spec.d, out=out)
     if spec.kind == "Bayes":

@@ -11,14 +11,15 @@ the improved rows in reports and tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .core import CovarianceSpec, InvalidParameterError, LinexParams, Workspace, blend, borrow
 from .estimators import EstimatorSpec, base_phi
 from .oracles import clip_band
 from .selection import SelectionSummary
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TRUNCATED_NONE = "none"
 TRUNCATED_LO = "clipped_to_phi_inf"
@@ -66,6 +67,8 @@ def improve_batch(
     not be `out`. Writes into `out` if given and borrows its temporaries from
     `work` if given.
     """
+    import numpy as np
+
     with borrow(work, floats=1, masks=3) as (value, lo_set, hi_set, clip):
         value, lo_set, hi_set = clip_band(s.t1, s.t2, a, cov, (value, lo_set, hi_set), work)
         # the two sets are disjoint and both clip to value, so one blend serves both

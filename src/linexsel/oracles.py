@@ -10,9 +10,8 @@ into. The exact shift-estimator risk lives with psi in `admissibility`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .admissibility import shift_risk
 from .core import (
@@ -155,7 +154,9 @@ def clip_band(t1, t2, a: LinexParams, cov: CovarianceSpec, out=None, work=None):
     rho, xi = cov.rho, cov.xi
     shift = a.a * cov.sigma_yy / 4.0
     margin = -a.a * cov.sigma_yy * (1.0 - rho * rho) / 2.0
-    if not isinstance(t1, np.ndarray):
+    # an array means numpy is loaded already, so this test imports nothing
+    np = sys.modules.get("numpy")
+    if np is None or not isinstance(t1, np.ndarray):
         # plain float arithmetic: a ufunc on floats costs ~10x
         value = t2 / 2.0 - shift
         side = t1 * xi - rho * t2

@@ -14,11 +14,8 @@ import io
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .core import (
     CovarianceSpec,
@@ -34,6 +31,9 @@ from .core import (
 from .estimators import BASE_KINDS, EstimatorSpec, base_phi_batch, evaluate_batch
 from .improvement import applicable_case, case_label
 from .selection import select_batch
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: the 11 mean-vector configurations used by every published table
 THETA_CONFIGS: tuple[MeanVectorPair, ...] = tuple(
@@ -97,7 +97,14 @@ class CellWorkspace(Workspace):
     dropped when its sweep returns.
     """
 
+    #: what one grows to per rep in a published or CLI grid, rounded up: 14 float
+    #: arrays (the draw block's four rows, six vectors, four borrowed) and five
+    #: bool masks
+    BYTES_PER_REP = 15 * 8
+
     def __init__(self, reps: int):
+        import numpy as np
+
         super().__init__(reps)
         self.draws = np.empty((4, reps))
         self.sel1 = np.empty(reps, bool)
@@ -111,6 +118,8 @@ def _cell_losses(
     ws: CellWorkspace,
 ) -> Iterator[np.ndarray]:
     """Each column's losses on the cell's draws in turn, in `ws.est` until the next."""
+    import numpy as np
+
     rng = rng_stream(config.master_seed, *stream_key)
     x1, y1, x2, y2 = sample_batch(config.means, config.cov, rng, config.reps, ws.draws, ws)
     s = select_batch(x1, y1, x2, y2, (ws.sel1, ws.y_sel, ws.t1, ws.t2), ws)
@@ -134,6 +143,8 @@ def _estimate_from_losses(
 ) -> RiskEstimate:
     # the ufuncs of losses.mean() and losses.std(ddof=1), so the bits match,
     # with the deviations in a borrowed array
+    import numpy as np
+
     n = config.reps
     total = np.add.reduce(losses)
     se = None
@@ -189,6 +200,8 @@ def paired_risk_difference(
     stream_key: tuple[int, ...] = (),
 ) -> tuple[float, float]:
     """mean(loss_a - loss_b) over identical draws, with the paired standard error (0 at one rep)."""
+    import numpy as np
+
     ws = CellWorkspace(config.reps)
     losses = _cell_losses(config, [spec_a, spec_b], stream_key, ws)
     loss_a = next(losses).copy()
@@ -347,6 +360,9 @@ def risk_grid(
     if workers == 1:
         results = [run_cell(i, g) for i, g in tasks]
     else:
+        # loaded here alone: it pulls in logging and queue, which a serial sweep never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda t: run_cell(*t), tasks))
     for chunk in results:

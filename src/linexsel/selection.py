@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .core import InvalidParameterError, MeanVectorPair, ObservationPair, Workspace, blend
 
 
@@ -61,6 +59,8 @@ def select_batch(x1, y1, x2, y2, out=None, work: Optional[Workspace] = None) -> 
     (sel1, y_sel, t1, t2), a bool array and three float arrays, they are
     written there. Borrows its temporaries from `work` if given.
     """
+    import numpy as np
+
     sel1, y_sel, t1, t2 = (None,) * 4 if out is None else out
     sel1 = np.greater(x1, x2, out=sel1)
     y_sel = blend(sel1, y1, y2, y_sel, work)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 from scipy.special import log_ndtr
 
 from linexsel import (
@@ -20,6 +21,8 @@ from linexsel import (
     paired_risk_difference,
     psi,
 )
+
+from ._strategies import A, MEAN, PROPERTY, RHO, SCALE
 
 A1 = LinexParams(1.0)
 
@@ -153,6 +156,27 @@ class TestClassify:
         cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=1.0)
         assert classify(-1.2, A1, cov) == ADMISSIBLE_IN_CLASS
         assert classify(-2.0, A1, cov) == DOMINATED_BY_D0
+
+    @PROPERTY
+    @given(a=A, sigma_xx=SCALE, sigma_yy=SCALE, rho=RHO, d=MEAN)
+    def test_agrees_with_bounds(self, a, sigma_xx, sigma_yy, rho, d):
+        # each endpoint, one ulp either side of it, and a free d; at rho = 0
+        # the interval is one point
+        a = LinexParams(a)
+        cov = CovarianceSpec.from_correlation(sigma_xx, sigma_yy, rho)
+        b = bounds(a, cov)
+        assert b.d0 <= b.d1
+        if rho == 0:
+            assert b.d0 == b.d1
+        ends = [(math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf)) for e in (b.d0, b.d1)]
+        for point in (*ends[0], *ends[1], d):
+            if point < b.d0:
+                want = DOMINATED_BY_D0
+            elif point > b.d1:
+                want = DOMINATED_BY_D1
+            else:
+                want = ADMISSIBLE_IN_CLASS
+            assert classify(point, a, cov) == want
 
     def test_endpoints_admissible(self):
         cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=1.0)

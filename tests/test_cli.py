@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -432,28 +433,90 @@ def _fresh_python(probe, *argv):
     return out.stdout.splitlines()[-1]
 
 
+#: modules that no module of the package may import at module level: numpy is
+#: loaded by the array kernels on first use, the thread pool by a threaded sweep
+COLD_PATH_BANNED = ("numpy", "concurrent.futures")
+
+
+def _module_level_imports(tree):
+    """(line, module) of each import run when the module is imported.
+
+    Function bodies run later and `if TYPE_CHECKING:` blocks never, so
+    neither is searched; class bodies and other blocks are.
+    """
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            found += _module_level_imports(ast.Module(body=node.orelse, type_ignores=[]))
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+        found += _module_level_imports(node)
+    return found
+
+
+def test_no_module_imports_numpy_or_the_thread_pool_at_module_level():
+    package = Path(linexsel.__file__).resolve().parent
+    offenders = [
+        f"{path.name}:{line}: import {module}"
+        for path in sorted(package.glob("*.py"))
+        for line, module in _module_level_imports(ast.parse(path.read_text(), str(path)))
+        if any(module == banned or module.startswith(banned + ".") for banned in COLD_PATH_BANNED)
+    ]
+    assert offenders == []
+
+
 def test_cli_import_does_not_load_scipy_integrate(tmp_path):
     # the worked example's estimate, admissibility and analyze load no scipy
     # module, so none is left in sys.modules (test_runs_without_scipy adds
-    # simulate with scipy made unimportable)
+    # simulate with scipy made unimportable); nor do they, or importing the
+    # package, load numpy, which only the array kernels import
     runs = [
-        ["estimate", "--x", "59.0997,58.3516", "--y", "131.4569,195.7275", "--cov", COV,
-         "--a", "1", "--out", str(tmp_path / "estimate")],
-        ["admissibility", "--cov", "2,1,2", "--a", "1", "--d", "-1.2",
-         "--out", str(tmp_path / "admissibility")],
-        ["analyze", "--clean", "--a", "1", "--out", str(tmp_path / "analyze")],
+        [*argv, "--a", a, "--format", fmt, "--out", str(tmp_path / f"{argv[0]}{a}{fmt}")]
+        for argv in (
+            ["estimate", "--x", "59.0997,58.3516", "--y", "131.4569,195.7275", "--cov", COV],
+            ["admissibility", "--cov", "2,1,2", "--d", "-1.2"],
+            ["analyze", "--clean"],
+        )
+        for a in ("1", "-1")
+        for fmt in ("text", "csv")
     ]
     probe = (
         "import json, sys\n"
+        "import linexsel\n"
+        "numpy_on_package = [m for m in sys.modules if m.split('.')[0] == 'numpy']\n"
         "import linexsel.cli\n"
+        "numpy_on_cli = [m for m in sys.modules if m.split('.')[0] == 'numpy']\n"
         "integrate = 'scipy.integrate' in sys.modules\n"
         "codes = [linexsel.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([integrate, codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))"
+        "numpy_on_runs = [m for m in sys.modules if m.split('.')[0] == 'numpy']\n"
+        "print(json.dumps([integrate, codes, sorted(m for m in sys.modules if m.startswith('scipy')),\n"
+        "                  numpy_on_package, numpy_on_cli, numpy_on_runs]))"
     )
-    integrate, codes, scipy_modules = json.loads(_fresh_python(probe, json.dumps(runs)))
+    integrate, codes, scipy_modules, *numpy_modules = json.loads(
+        _fresh_python(probe, json.dumps(runs))
+    )
     assert integrate is False
-    assert codes == [0, 0, 0]
+    assert codes == [0] * 12
     assert scipy_modules == []
+    assert numpy_modules == [[], [], []]
+
+
+def test_numpy_first_loaded_inside_the_pool():
+    # numpy's first import can happen on two pool threads at once, as the first
+    # cells start; the sweep still gives the golden CSV
+    probe = (
+        "import hashlib, sys\n"
+        "from linexsel.risksim import risk_grid\n"
+        "assert 'numpy' not in sys.modules\n"
+        "csv = risk_grid(7, reps=2000, master_seed=42, workers=4).to_csv()\n"
+        "print(hashlib.sha256(csv.encode()).hexdigest())"
+    )
+    assert _fresh_python(probe) == GOLDEN_TABLE_SHA256[7]
 
 
 def test_runs_without_scipy(tmp_path):
@@ -492,6 +555,7 @@ def test_program_keeps_its_heap(tmp_path):
     probe = (
         "import resource, sys\n"
         "import linexsel.cli\n"
+        "import numpy\n"  # its import faults are not the sweep's
         "sys.argv = ['linexsel', 'simulate', '--table', '7', '--reps', '20000', '--out', sys.argv[1]]\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "try:\n"
@@ -514,6 +578,7 @@ def test_library_sweep_keeps_its_heap(workers):
     probe = (
         "import resource, sys\n"
         "from linexsel.risksim import risk_grid\n"
+        "import numpy\n"  # its import faults are not the sweep's
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "risk_grid(7, 20000, 42, workers=int(sys.argv[1]))\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
@@ -539,3 +604,28 @@ def test_out_of_memory_exits_one(capsys, tmp_path, monkeypatch, fails):
     assert "out of memory sweeping table 7 at 2000 reps" in err
     assert "Traceback" not in err
     assert not (tmp_path / "table7.csv").exists()
+
+
+@pytest.mark.parametrize("grid", ["table", "custom"])
+def test_sweep_too_large_for_the_machine_exits_one(capsys, tmp_path, monkeypatch, grid):
+    # the sweep's workspaces are weighed against physical memory before any is
+    # built; a 4 MiB machine is faked, so nothing large is allocated (10 reps
+    # fit on any CPU count, 100000 not even on one)
+    from linexsel import risksim
+
+    pages = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+    args = ("--table", "7") if grid == "table" else ("--cov", "2,1,2", "--a", "1")
+    code, _, _ = run(capsys, "simulate", *args, "--reps", "10", "--out", str(tmp_path / "fits"))
+    assert code == 0
+
+    def built(*args, **kwargs):
+        raise AssertionError("a workspace was built")
+
+    monkeypatch.setattr(risksim.CellWorkspace, "__init__", built)
+    code, _, err = run(capsys, "simulate", *args, "--reps", "100000", "--out", str(tmp_path))
+    assert code == 1
+    name = "table 7" if grid == "table" else "the custom grid"
+    assert f"sweeping {name} at 100000 reps" in err
+    assert "physical memory" in err
+    assert list(tmp_path.glob("*.csv")) == []

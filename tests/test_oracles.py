@@ -12,6 +12,7 @@ from linexsel import (
     ThetaStar,
     cond_t3_mgf,
     cond_t3_pdf,
+    clip_band,
     conditional_weights,
     phi_bounds,
     shift_risk,
@@ -239,6 +240,23 @@ class TestVarphiAndBounds:
         )
         assert lo == pytest.approx(270.3709, abs=5e-4)
         assert hi == math.inf
+
+    @pytest.mark.parametrize(
+        "number, types",
+        [(float, (float, bool)), (int, (float, bool)), (np.float64, (np.float64, np.bool_))],
+        ids=["float", "int", "float64"],
+    )
+    def test_numbers_give_numbers(self, number, types):
+        # clip_band tells numbers from arrays without importing numpy; every
+        # number takes the float path and gives scalars back, never 0-d arrays
+        cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=3.0, sigma_xy=1.0)
+        for (t1, t2), sets in [((-4, -5), (True, False)), ((0, -1), (False, True)),
+                               ((-1, 3), (False, False))]:
+            value, lo, hi = clip_band(number(t1), number(t2), A1, cov)
+            assert (type(value), type(lo), type(hi)) == (types[0], types[1], types[1])
+            assert (value, lo, hi) == (t2 / 2 - 0.75, *sets)
+            bounds = phi_bounds(number(t1), number(t2), A1, cov)
+            assert all(isinstance(b, float) for b in bounds)
 
     def test_at_most_one_bound_finite(self, rng):
         for _ in range(500):
