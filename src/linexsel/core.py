@@ -8,7 +8,7 @@ need to be accurate in the tails), a stable log-sum-exp, counter-based
 random streams for reproducible simulation, and the `Workspace` that batch
 kernels borrow their temporaries from instead of allocating them. numpy is
 the only dependency, and only the array kernels import it, on first use: the
-scalar API runs without loading it, except in the log Phi tail.
+scalar API runs without loading it.
 """
 
 from __future__ import annotations
@@ -264,14 +264,19 @@ def log_std_normal_cdf_tail(u):
     The asymptotic series of Abramowitz & Stegun 26.2.12,
     log Phi(u) = -u^2/2 - log(-u) - log(2 pi)/2 + log(1 - u^-2 + 3u^-4 - 15u^-6 + ...).
     Below -37.5, u^-2 < 7.2e-4, so the terms kept (to u^-14) leave an error
-    below 2e-19 in the argument of the last logarithm.
+    below 2e-19 in the argument of the last logarithm. Floats take math's
+    logarithms, so the scalar log Phi loads no numpy.
     """
-    import numpy as np
-
+    # an array means numpy is loaded already, so this test imports nothing
+    np = sys.modules.get("numpy")
+    if np is None or not isinstance(u, np.ndarray):
+        log, log1p = math.log, math.log1p
+    else:
+        log, log1p = np.log, np.log1p
     r = 1.0 / (u * u)
     series = r * (-1.0 + r * (3.0 + r * (-15.0 + r * (105.0 + r * (
         -945.0 + r * (10395.0 - r * 135135.0))))))
-    return -0.5 * u * u - np.log(-u) - _HALF_LOG_2PI + np.log1p(series)
+    return -0.5 * u * u - log(-u) - _HALF_LOG_2PI + log1p(series)
 
 
 def log_std_normal_cdf(u: float) -> float:
@@ -358,30 +363,44 @@ def sample_batch(
     """Draw Z1, Z2 independently, each N2(theta_i, Sigma), n times over.
 
     Returns the arrays (x1, y1, x2, y2). Uses the lower-triangular factor from
-    CovarianceSpec.cholesky_factors(); at |rho| = 1 the second noise column is
-    exactly zero. One draw of standard_normal((4, n)) read row-major feeds the
-    four components (stream layout v1), filling `out`, a (4, n) array, if
-    given; the four arrays are its rows, transformed in place, with one
-    temporary borrowed from `work` if given. Each y is theta_y + l_yx*x +
-    l_yy*y with its sums and products only commuted, never regrouped, so the
-    bits match the out-of-place formula.
+    CovarianceSpec.cholesky_factors(). Stream layout v1: one draw of
+    standard_normal((4, n)) read row-major feeds the four components, filling
+    `out`, a (4, n) array, if given; the four arrays are its rows, transformed
+    in place, with one temporary borrowed from `work` if given. Each y is
+    theta_y + l_yx*x + l_yy*y with its sums and products only commuted, never
+    regrouped, so the bits match the out-of-place formula.
+
+    Where l_yy is 0 (|rho| = 1) only the first three rows are drawn, the same
+    3n normals that begin the four-row draw, and each y is theta_y + l_yx*x:
+    l_yy*y is a signed zero there, and adding a signed zero leaves a sum's
+    bits alone unless the sum is -0, which needs theta_y = -0.0, so a -0.0
+    theta_y keeps the four-row draw. The generator then stops n normals
+    short of the four-row draw; a risk cell draws once from its own stream,
+    so nothing reads past it.
     """
     import numpy as np
 
     l_xx, l_yx, l_yy = cov.cholesky_factors()
+    affine = l_yy == 0.0 and not any(
+        theta_y == 0.0 and math.copysign(1.0, theta_y) < 0.0
+        for theta_y in (means.theta1[1], means.theta2[1])
+    )
     if out is None:
-        out = rng.standard_normal((4, n))
-    elif out.shape == (4, n):
-        rng.standard_normal(out=out)
-    else:
+        out = np.empty((4, n))
+    elif out.shape != (4, n):
         raise InvalidParameterError(f"out must have shape (4, {n}), got {out.shape}")
+    rng.standard_normal(out=out[:3] if affine else out)
     x1, y1, x2, y2 = out
     with borrow(work, floats=1) as (t,):
         for x, y, (theta_x, theta_y) in ((x1, y1, means.theta1), (x2, y2, means.theta2)):
-            y *= l_yy
-            t = np.multiply(l_yx, x, out=t)  # before x is overwritten
-            t += theta_y
-            y += t
+            if affine:
+                np.multiply(l_yx, x, out=y)
+                y += theta_y
+            else:
+                y *= l_yy
+                t = np.multiply(l_yx, x, out=t)  # before x is overwritten
+                t += theta_y
+                y += t
             x *= l_xx
             x += theta_x
     return x1, y1, x2, y2

@@ -474,7 +474,8 @@ def test_cli_import_does_not_load_scipy_integrate(tmp_path):
     # the worked example's estimate, admissibility and analyze load no scipy
     # module, so none is left in sys.modules (test_runs_without_scipy adds
     # simulate with scipy made unimportable); nor do they, or importing the
-    # package, load numpy, which only the array kernels import
+    # package, load numpy, which only the array kernels import. The last run
+    # takes log Phi's tail series (a*sigma_xy/sqrt(2 sigma_xx) = -250)
     runs = [
         [*argv, "--a", a, "--format", fmt, "--out", str(tmp_path / f"{argv[0]}{a}{fmt}")]
         for argv in (
@@ -484,7 +485,7 @@ def test_cli_import_does_not_load_scipy_integrate(tmp_path):
         )
         for a in ("1", "-1")
         for fmt in ("text", "csv")
-    ]
+    ] + [["admissibility", "--cov", "2,-100,10000", "--a", "5", "--out", str(tmp_path / "tail")]]
     probe = (
         "import json, sys\n"
         "import linexsel\n"
@@ -501,7 +502,7 @@ def test_cli_import_does_not_load_scipy_integrate(tmp_path):
         _fresh_python(probe, json.dumps(runs))
     )
     assert integrate is False
-    assert codes == [0] * 12
+    assert codes == [0] * len(runs)
     assert scipy_modules == []
     assert numpy_modules == [[], [], []]
 

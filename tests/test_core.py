@@ -196,6 +196,17 @@ def test_log_sum_exp():
     assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2))
 
 
+class _Fixed:
+    """A generator whose draws are the rows of `g`, as many as `out` holds."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def standard_normal(self, out):
+        out[...] = self.g[: len(out)]
+        return out
+
+
 class TestSampling:
     def test_degenerate_rho_is_exact(self):
         cov = CovarianceSpec.from_correlation(2.0, 2.0, 1.0)
@@ -222,14 +233,62 @@ class TestSampling:
             means.theta2[1] + l_yx * g[2] + l_yy * g[3],
         )
 
-        class Fixed:
-            def standard_normal(self, shape):
-                return g.copy()
-
-        got = sample_batch(means, cov, Fixed(), 1000)
+        got = sample_batch(means, cov, _Fixed(g), 1000)
         for a, b in zip(got, expected):
             assert np.array_equal(a, b)
             assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize("rho", [-1.0, 1.0])
+    @pytest.mark.parametrize("theta_y, rows", [(0.25, 3), (-0.0, 4)])
+    def test_unit_correlation_reads_three_rows_of_the_stream(self, rho, theta_y, rows):
+        # l_yy = 0, so the last row, the Y noise of population 2, is not read,
+        # unless a theta_y is -0.0; what is read is the stream's own prefix
+        cov = CovarianceSpec.from_correlation(2.0, 3.0, rho)
+        means = MeanVectorPair((0.5, 0.0), (-1.5, theta_y))
+        l_xx, l_yx, l_yy = cov.cholesky_factors()
+        n = 1000
+        gen, twin = rng_stream(5, 1), rng_stream(5, 1)
+        g = rng_stream(5, 1).standard_normal((4, n))
+        drawn = []
+
+        class Recording:
+            def standard_normal(self, out):
+                gen.standard_normal(out=out)
+                drawn.append(out.copy())
+                return out
+
+        got = sample_batch(means, cov, Recording(), n)
+        twin.standard_normal((rows, n))
+        np.testing.assert_equal(gen.bit_generator.state, twin.bit_generator.state)
+        assert [d.shape for d in drawn] == [(rows, n)]
+        assert np.array_equal(drawn[0], g[:rows])
+        expected = (
+            means.theta1[0] + l_xx * g[0],
+            means.theta1[1] + l_yx * g[0] + l_yy * g[1],
+            means.theta2[0] + l_xx * g[2],
+            means.theta2[1] + l_yx * g[2] + l_yy * g[3],
+        )
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize("rho", [-1.0, 1.0])
+    def test_negative_zero_theta_y_keeps_the_fourth_row(self, rho):
+        # theta_y + l_yx*g is -0 where theta_y = -0.0 and l_yx*g = -0, and
+        # adding l_yy*g = +0 turns it into +0: only the full draw gives the sign
+        cov = CovarianceSpec.from_correlation(2.0, 3.0, rho)
+        means = MeanVectorPair((0.0, -0.0), (-1.5, -0.0))
+        l_xx, l_yx, l_yy = cov.cholesky_factors()
+        g = rng_stream(5, 1).standard_normal((4, 1000))
+        g[:, :4] = [[0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]] * 2
+
+        x1, y1, x2, y2 = sample_batch(means, cov, _Fixed(g), 1000)
+        for y, x_row, theta_y in ((y1, 0, means.theta1[1]), (y2, 2, means.theta2[1])):
+            expected = theta_y + l_yx * g[x_row] + l_yy * g[x_row + 1]
+            assert np.array_equal(y, expected)
+            assert np.array_equal(np.signbit(y), np.signbit(expected))
+            # the three-row shortcut would have kept a -0 here
+            assert np.signbit(theta_y + l_yx * g[x_row]).sum() > np.signbit(expected).sum()
 
     def test_independent_case_correlation(self):
         cov = CovarianceSpec.from_correlation(2.0, 3.0, 0.0)

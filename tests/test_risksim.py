@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from linexsel import (
@@ -285,6 +285,12 @@ class TestWorkspaceCells:
         reps=st.sampled_from([1, 2, 3, 257, 5000]),
         seed=SEED,
     )
+    # at |rho| = 1 the cell draws three rows where the reference draws four;
+    # a -0.0 theta_y makes it draw all four
+    @example(a=1.5, sxx=2.0, syy=3.0, rho=1.0, means=(0.5, -0.0, -0.5, 2.0), c=1.0, reps=5000, seed=7)
+    @example(a=-1.0, sxx=2.0, syy=3.0, rho=1.0, means=(0.5, 0.0, 1.0, 0.0), c=0.5, reps=257, seed=8)
+    @example(a=1.5, sxx=2.0, syy=3.0, rho=-1.0, means=(0.5, 1.0, -0.5, -0.0), c=1.0, reps=5000, seed=9)
+    @example(a=-1.0, sxx=2.0, syy=3.0, rho=-1.0, means=(0.0, 0.0, 0.5, 2.0), c=0.5, reps=257, seed=10)
     def test_cells_match_the_reference_bit_for_bit(self, a, sxx, syy, rho, means, c, reps, seed):
         cov = CovarianceSpec.from_correlation(sxx, syy, rho)
         pair = MeanVectorPair(means[:2], means[2:])
