@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .core import (
     CovarianceSpec,
     InvalidParameterError,
+    LinexOverflowError,
     LinexParams,
     ThetaStar,
     log_std_normal_cdf,
@@ -78,7 +79,12 @@ def shift_risk(d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceS
     s = math.sqrt(2.0 * cov.sigma_xx)
     tx = theta_star.theta_x
     mean_w = 2.0 * cov.sigma_xy * std_normal_pdf(tx / s) / s
-    tilt = math.exp(a.a * d + a.a * a.a * cov.sigma_yy / 2.0) * h_a(tx, a, cov)
+    try:
+        tilt = math.exp(a.a * d + a.a * a.a * cov.sigma_yy / 2.0) * h_a(tx, a, cov)
+    except OverflowError:
+        # rebuilt only here, so the finite path stores nothing extra
+        exponent = a.a * d + a.a * a.a * cov.sigma_yy / 2.0
+        raise LinexOverflowError(exponent, "shift_risk: e^{ad + a^2 syy/2}") from None
     return tilt - a.a * (d + mean_w) - 1.0
 
 
@@ -89,20 +95,21 @@ def _end_correction(a: LinexParams, cov: CovarianceSpec) -> float:
     return -a.a * cov.sigma_yy / 2.0 - (math.log(2.0) + log_std_normal_cdf(arg)) / a.a
 
 
+def _interval(a: LinexParams, cov: CovarianceSpec) -> tuple[float, float]:
+    base = -a.a * cov.sigma_yy / 2.0
+    if cov.sigma_xy > 0:
+        return _end_correction(a, cov), base
+    if cov.sigma_xy < 0:
+        return base, _end_correction(a, cov)
+    return base, base
+
+
 def bounds(a: LinexParams, cov: CovarianceSpec) -> AdmissibilityBounds:
     """Closed-form [d0, d1], branching on the sign of sigma_xy.
 
     The interval collapses to the single point -a*sigma_yy/2 when sigma_xy = 0.
     """
-    base = -a.a * cov.sigma_yy / 2.0
-    if cov.sigma_xy > 0:
-        d0 = _end_correction(a, cov)
-        d1 = base
-    elif cov.sigma_xy < 0:
-        d0 = base
-        d1 = _end_correction(a, cov)
-    else:
-        d0 = d1 = base
+    d0, d1 = _interval(a, cov)
     return AdmissibilityBounds(d0=d0, d1=d1, a=a.a, cov=cov)
 
 
@@ -110,9 +117,9 @@ def classify(d: float, a: LinexParams, cov: CovarianceSpec) -> str:
     """Place a shift relative to [d0, d1]; endpoints count as admissible."""
     if not math.isfinite(d):
         raise InvalidParameterError("shift constant d must be finite")
-    b = bounds(a, cov)
-    if d < b.d0:
+    d0, d1 = _interval(a, cov)
+    if d < d0:
         return DOMINATED_BY_D0
-    if d > b.d1:
+    if d > d1:
         return DOMINATED_BY_D1
     return ADMISSIBLE_IN_CLASS

@@ -83,9 +83,11 @@ def _require_finite(name: str, *values: float) -> None:
 class CovarianceSpec:
     """The common known 2x2 variance-covariance matrix.
 
-    rho and xi are always derived from (sigma_xx, sigma_yy, sigma_xy);
-    degenerate correlation |rho| = 1 is accepted (the simulation tables use
-    rho = +-1) but the Bayes path rejects it separately.
+    rho and xi are always derived from (sigma_xx, sigma_yy, sigma_xy), once,
+    at construction: plain attributes outside the fields, so equality, hash
+    and repr see the three entries alone. Degenerate correlation |rho| = 1
+    is accepted (the simulation tables use rho = +-1) but the Bayes path
+    rejects it separately.
     """
 
     sigma_xx: float
@@ -107,21 +109,15 @@ class CovarianceSpec:
                 f"|sigma_xy| = {abs(self.sigma_xy)} exceeds sqrt(sigma_xx*sigma_yy) "
                 f"= {math.sqrt(bound)}: correlation would leave [-1, 1]"
             )
+        r = self.sigma_xy / math.sqrt(self.sigma_xx * self.sigma_yy)
+        object.__setattr__(self, "rho", max(-1.0, min(1.0, r)))
+        object.__setattr__(self, "xi", math.sqrt(self.sigma_yy / self.sigma_xx))
 
     @classmethod
     def from_correlation(cls, sigma_xx: float, sigma_yy: float, rho: float) -> "CovarianceSpec":
         if not -1.0 <= rho <= 1.0:
             raise InvalidParameterError(f"rho must lie in [-1, 1], got {rho}")
         return cls(sigma_xx, sigma_yy, rho * math.sqrt(sigma_xx * sigma_yy))
-
-    @property
-    def rho(self) -> float:
-        r = self.sigma_xy / math.sqrt(self.sigma_xx * self.sigma_yy)
-        return max(-1.0, min(1.0, r))
-
-    @property
-    def xi(self) -> float:
-        return math.sqrt(self.sigma_yy / self.sigma_xx)
 
     @property
     def det(self) -> float:

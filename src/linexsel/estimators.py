@@ -293,9 +293,8 @@ def evaluate(
         return s.y_sel + spec.d
     if spec.kind == "Bayes":
         return est_bayes(s, spec.prior, a, cov)
-    from . import improvement
-
-    return improvement.improve(spec, s, a, cov).value
+    phi = base_phi(spec.base, s, a, cov)
+    return s.y_sel + improvement.clip_component(phi, s.t1, s.t2, a, cov)[0]
 
 
 def evaluate_batch(
@@ -322,7 +321,9 @@ def evaluate_batch(
             phi = base_phi_batch(base, s, a, cov, buf, work)
             return evaluate_batch(spec, s, a, cov, phi, out, work)
     if spec.kind == "Improved":
-        from . import improvement
-
         return improvement.improve_batch(s, a, cov, phi, out, work)
     return np.add(s.y_sel, phi, out=out)
+
+
+# improvement builds on this module, so it is bound once both are defined
+from . import improvement  # noqa: E402

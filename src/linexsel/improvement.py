@@ -44,12 +44,20 @@ def improve(
     if spec.kind != "Improved":
         raise InvalidParameterError("improve() expects an Improved spec")
     phi = base_phi(spec.base, s, a, cov)
-    value, lo_set, hi_set = clip_band(s.t1, s.t2, a, cov)
+    component, truncated = clip_component(phi, s.t1, s.t2, a, cov)
+    return ImprovementOutcome(value=s.y_sel + component, truncated=truncated, base_phi=phi)
+
+
+def clip_component(
+    phi: float, t1: float, t2: float, a: LinexParams, cov: CovarianceSpec
+) -> tuple[float, str]:
+    """The base component phi clipped into the band, and the side that clipped."""
+    value, lo_set, hi_set = clip_band(t1, t2, a, cov)
     if lo_set and phi <= value:
-        return ImprovementOutcome(value=s.y_sel + value, truncated=TRUNCATED_LO, base_phi=phi)
+        return value, TRUNCATED_LO
     if hi_set and phi >= value:
-        return ImprovementOutcome(value=s.y_sel + value, truncated=TRUNCATED_HI, base_phi=phi)
-    return ImprovementOutcome(value=s.y_sel + phi, truncated=TRUNCATED_NONE, base_phi=phi)
+        return value, TRUNCATED_HI
+    return phi, TRUNCATED_NONE
 
 
 def improve_batch(

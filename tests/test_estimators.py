@@ -22,8 +22,9 @@ from linexsel import (
     rng_stream,
     sample_batch,
     select,
+    select_batch,
 )
-from linexsel.estimators import n3_offset, n3_offset_batch
+from linexsel.estimators import base_phi, base_phi_batch, n3_offset, n3_offset_batch
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
 from .reference import posterior_numeric
@@ -139,6 +140,18 @@ class TestN4:
         for _ in range(100):
             s = random_summary(rng)
             assert evaluate(EstimatorSpec.n4(0.0), s, A1, cov) == evaluate(N1, s, A1, cov)
+
+    def test_c_zero_never_averages_tied_xs(self):
+        # a tie gives t1 = +0.0 and the cut -0.0*sqrt(2*sxx) = -0.0; +0.0 > -0.0 is false
+        cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=0.0)
+        spec = EstimatorSpec.n4(0.0)
+        x, y1, y2 = np.array([0.0, 1.5, -2.25]), np.array([1.0, 2.0, 3.0]), np.array([4.0, -1.0, 0.5])
+        batch = select_batch(x, y1, x, y2)
+        assert (batch.t1 == 0.0).all() and not np.signbit(batch.t1).any()
+        phi = base_phi_batch(spec, batch, A1, cov)
+        for i in range(3):
+            s = select(ObservationPair((x[i], y1[i]), (x[i], y2[i])))
+            assert phi[i] == base_phi(spec, s, A1, cov) == 0.0
 
     def test_threshold_branch(self):
         cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=0.0)

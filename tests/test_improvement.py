@@ -93,6 +93,16 @@ class TestImprove:
         assert out.truncated == "none"
         assert out.value == pytest.approx(163.5922, abs=5e-5)
 
+    def test_tie_clips_formally(self):
+        # rho = 0, a = -1, syy = 1, t1 = -1, t2 = -0.5: phi_inf = t2/2 - a*syy/4 = 0 = N1's phi
+        cov = CovarianceSpec(1.0, 1.0, 0.0)
+        s = select(ObservationPair((1.0, 0.5), (0.0, 0.0)))
+        assert (s.t1, s.t2) == (-1.0, -0.5)
+        assert phi_bounds(s.t1, s.t2, AM1, cov) == (0.0, math.inf)
+        out = improve(EstimatorSpec.improved(EstimatorSpec.n1()), s, AM1, cov)
+        assert out.truncated == "clipped_to_phi_inf"
+        assert (out.value, out.base_phi) == (s.y_sel, 0.0)
+
     def test_clip_containment(self, rng):
         for _ in range(500):
             rho = rng.uniform(-0.95, 0.95)

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from linexsel import (
     CovarianceSpec,
     InvalidParameterError,
+    LinexOverflowError,
     LinexParams,
     MeanVectorPair,
     ThetaStar,
@@ -277,6 +278,17 @@ class TestVarphiAndBounds:
 
 
 class TestShiftRiskQuadrature:
+    def test_finite_value_bit_for_bit(self):
+        # taken on the closed form before the overflow guard went in
+        cov = CovarianceSpec(2.0, 2.0, 1.0)
+        assert shift_risk(-0.5, ThetaStar(0.7, 0.0), A1, cov).hex() == "0x1.5ec850dbea46ap+0"
+
+    def test_tilt_beyond_double_range_raises(self):
+        # e^{a*d + a^2*syy/2} = e^800 overflows
+        with pytest.raises(LinexOverflowError) as info:
+            shift_risk(0.0, ThetaStar(1.8, 1.8), LinexParams(40.0), CovarianceSpec(1.0, 1.0, 0.0))
+        assert info.value.exponent == 800.0
+
     def test_matches_exponential_moment_identity(self, rng):
         """R(d) = e^{ad} E e^{aW} - a(d + EW) - 1 with the moments computed
         from independent closed forms of the selected-concomitant law."""

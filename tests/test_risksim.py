@@ -24,7 +24,7 @@ from linexsel import (
     simulate_all,
     simulate_risk,
 )
-from linexsel.risksim import THETA_CONFIGS, TableSpec, stream_group
+from linexsel.risksim import THETA_CONFIGS, RiskEstimate, RiskTable, TableSpec, stream_group
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
 from .reference import reference_cell, risk_quadrature_general
@@ -239,6 +239,15 @@ class TestRiskGrid:
         table = risk_grid(10, reps=2000, master_seed=5)
         flagged = table.flagged
         assert any(label == "N3" for _, label, _, _ in flagged)
+
+    def test_flag_threshold_is_five_percent_strict(self):
+        mean = 3.7
+        at = 0.05 * abs(mean)
+        table = RiskTable(TABLE_SPECS[7], reps=100, master_seed=1, estimates={
+            (0, 0): RiskEstimate(mean, at, 100, 1),
+            (0, 1): RiskEstimate(-mean, math.nextafter(at, math.inf), 100, 1),
+        })
+        assert table.flagged == [(0, TABLE_SPECS[7].columns[1][0], -mean, math.nextafter(at, math.inf))]
 
     def test_stream_groups(self):
         assert stream_group(EstimatorSpec.n1()) == stream_group(
