@@ -61,25 +61,9 @@ from .estimators import (
     est_bayes,
     evaluate,
     evaluate_batch,
-    posterior_risk_constant,
 )
-from .improvement import (
-    ImprovementOutcome,
-    applicable_case,
-    case_label,
-    improve,
-    improve_batch,
-)
-from .oracles import (
-    ConditionalWeights,
-    clip_band,
-    cond_t3_mgf,
-    cond_t3_pdf,
-    conditional_weights,
-    phi_bounds,
-    varphi,
-    w_pdf,
-)
+from .improvement import ImprovementOutcome, applicable_case, case_label, improve
+from .oracles import clip_band, improve_batch, phi_bounds
 from .risksim import (
     TABLE_SPECS,
     THETA_CONFIGS,
@@ -92,6 +76,6 @@ from .risksim import (
     simulate_all,
     simulate_risk,
 )
-from .selection import SelectionSummary, realized_parameter, select, select_batch
+from .selection import SelectionSummary, select, select_batch
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -74,17 +74,21 @@ def shift_risk(d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceS
 
     With W = Y_[2] - theta_y^S, R(d) = e^{ad} E[e^{aW}] - a(d + E[W]) - 1, where
     E[e^{aW}] = e^{a^2 syy/2} h_a(theta_x) and E[W] = 2 sxy phi(u)/sqrt(2 sxx) at
-    u = theta_x/sqrt(2 sxx). psi is the minimizer of this closed form.
+    u = theta_x/sqrt(2 sxx). psi is the minimizer of this closed form. Raises
+    LinexOverflowError where e^{ad} E[e^{aW}] leaves the double range.
     """
     s = math.sqrt(2.0 * cov.sigma_xx)
     tx = theta_star.theta_x
     mean_w = 2.0 * cov.sigma_xy * std_normal_pdf(tx / s) / s
+    exponent = a.a * d + a.a * a.a * cov.sigma_yy / 2.0
+    h = h_a(tx, a, cov)
     try:
-        tilt = math.exp(a.a * d + a.a * a.a * cov.sigma_yy / 2.0) * h_a(tx, a, cov)
+        tilt = math.exp(exponent) * h
     except OverflowError:
-        # rebuilt only here, so the finite path stores nothing extra
-        exponent = a.a * d + a.a * a.a * cov.sigma_yy / 2.0
         raise LinexOverflowError(exponent, "shift_risk: e^{ad + a^2 syy/2}") from None
+    if tilt == math.inf:
+        # e^exponent is finite but h_a (up to 2) carries the product past the range
+        raise LinexOverflowError(exponent + math.log(h), "shift_risk: e^{ad + a^2 syy/2} h_a")
     return tilt - a.a * (d + mean_w) - 1.0
 
 

@@ -16,7 +16,8 @@ from typing import Optional
 
 from .core import CovarianceSpec, LinexParams, ObservationPair
 from .estimators import EstimatorSpec, PriorSpec, evaluate
-from .improvement import TRUNCATED_NONE, applicable_case, improve
+from .improvement import applicable_case, improve
+from .oracles import TRUNCATED_NONE
 from .risksim import table_columns
 from .selection import SelectionSummary, select
 

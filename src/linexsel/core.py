@@ -162,12 +162,6 @@ class MeanVectorPair:
             abs(self.theta1[1] - self.theta2[1]),
         )
 
-    def shifted(self, c1: float, c2: float) -> "MeanVectorPair":
-        return MeanVectorPair(
-            (self.theta1[0] + c1, self.theta1[1] + c2),
-            (self.theta2[0] + c1, self.theta2[1] + c2),
-        )
-
 
 @dataclass(frozen=True)
 class ThetaStar:

@@ -31,6 +31,7 @@ from .core import (
     std_normal_cdf,
     std_normal_cdf_batch,
 )
+from .oracles import clip_component, improve_batch
 from .selection import SelectionSummary
 
 if TYPE_CHECKING:
@@ -277,12 +278,6 @@ def est_bayes(
     return p_star - 0.5 * a.a * q_star
 
 
-def posterior_risk_constant(prior: PriorSpec, a: LinexParams, cov: CovarianceSpec) -> float:
-    """Posterior (= Bayes) risk a^2 q*/2 of est_bayes; independent of the data."""
-    _, q_star = bayes_posterior((0.0, 0.0), prior, cov)
-    return 0.5 * a.a * a.a * q_star
-
-
 def evaluate(
     spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec
 ) -> float:
@@ -294,7 +289,7 @@ def evaluate(
     if spec.kind == "Bayes":
         return est_bayes(s, spec.prior, a, cov)
     phi = base_phi(spec.base, s, a, cov)
-    return s.y_sel + improvement.clip_component(phi, s.t1, s.t2, a, cov)[0]
+    return s.y_sel + clip_component(phi, s.t1, s.t2, a, cov)[0]
 
 
 def evaluate_batch(
@@ -321,9 +316,5 @@ def evaluate_batch(
             phi = base_phi_batch(base, s, a, cov, buf, work)
             return evaluate_batch(spec, s, a, cov, phi, out, work)
     if spec.kind == "Improved":
-        return improvement.improve_batch(s, a, cov, phi, out, work)
+        return improve_batch(s, a, cov, phi, out, work)
     return np.add(s.y_sel, phi, out=out)
-
-
-# improvement builds on this module, so it is bound once both are defined
-from . import improvement  # noqa: E402

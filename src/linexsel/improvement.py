@@ -2,28 +2,20 @@
 
 Any estimator of the form Y_[2] + phi(T1, T2) whose component exits the
 band [phi_inf, phi_sup] with positive probability is dominated by the
-version clipped into the band. The generic clip below is the single source
-of truth, as a float form and an array form side by side (the weak
-inequalities become masks). The fifteen named (base, a, rho) regions label
-the improved rows in reports and tables.
+version clipped into the band. The clip itself lives in `oracles`, beside
+the band; `improve` applies it to one observation and reports the side
+that clipped. The fifteen named (base, a, rho) regions label the improved
+rows in reports and tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
-from .core import CovarianceSpec, InvalidParameterError, LinexParams, Workspace, blend, borrow
+from .core import CovarianceSpec, InvalidParameterError, LinexParams
 from .estimators import EstimatorSpec, base_phi
-from .oracles import clip_band
+from .oracles import clip_component
 from .selection import SelectionSummary
-
-if TYPE_CHECKING:
-    import numpy as np
-
-TRUNCATED_NONE = "none"
-TRUNCATED_LO = "clipped_to_phi_inf"
-TRUNCATED_HI = "clipped_to_phi_sup"
 
 
 @dataclass(frozen=True)
@@ -36,57 +28,12 @@ class ImprovementOutcome:
 def improve(
     spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec
 ) -> ImprovementOutcome:
-    """Clip the base component into [phi_inf, phi_sup] (see oracles.phi_bounds).
-
-    Boundary ties use weak inequalities (clip at phi <= phi_inf and
-    phi >= phi_sup); a tie clips formally but leaves the value unchanged.
-    """
+    """Clip the base component into [phi_inf, phi_sup] by `oracles.clip_component`."""
     if spec.kind != "Improved":
         raise InvalidParameterError("improve() expects an Improved spec")
     phi = base_phi(spec.base, s, a, cov)
     component, truncated = clip_component(phi, s.t1, s.t2, a, cov)
     return ImprovementOutcome(value=s.y_sel + component, truncated=truncated, base_phi=phi)
-
-
-def clip_component(
-    phi: float, t1: float, t2: float, a: LinexParams, cov: CovarianceSpec
-) -> tuple[float, str]:
-    """The base component phi clipped into the band, and the side that clipped."""
-    value, lo_set, hi_set = clip_band(t1, t2, a, cov)
-    if lo_set and phi <= value:
-        return value, TRUNCATED_LO
-    if hi_set and phi >= value:
-        return value, TRUNCATED_HI
-    return phi, TRUNCATED_NONE
-
-
-def improve_batch(
-    s: SelectionSummary,
-    a: LinexParams,
-    cov: CovarianceSpec,
-    phi: float | np.ndarray,
-    out: Optional[np.ndarray] = None,
-    work: Optional[Workspace] = None,
-) -> np.ndarray:
-    """`improve(...).value` over a `select_batch` summary, with the same weak clip.
-
-    `phi` is the base estimator's component from `base_phi_batch` on the same
-    draws, which a sweep has already computed for the base column; it must
-    not be `out`. Writes into `out` if given and borrows its temporaries from
-    `work` if given.
-    """
-    import numpy as np
-
-    with borrow(work, floats=1, masks=3) as (value, lo_set, hi_set, clip):
-        value, lo_set, hi_set = clip_band(s.t1, s.t2, a, cov, (value, lo_set, hi_set), work)
-        # the two sets are disjoint and both clip to value, so one blend serves both
-        clip = np.greater_equal(phi, value, out=clip)
-        hi_set &= clip
-        np.less_equal(phi, value, out=clip)
-        clip &= lo_set
-        clip |= hi_set
-        out = blend(clip, value, phi, out, work)
-    return np.add(s.y_sel, out, out=out)
 
 
 # case id -> (base kind, label suffix used in reports, the (sign a, sign rho)
@@ -108,10 +55,6 @@ _CASES: dict[int, tuple[str, str, set[tuple[int, int]]]] = {
     14: ("N4", "I4", {(-1, -1)}),
     15: ("N4", "I5", {(-1, 0)}),
 }
-
-
-def case_base_kind(case_id: int) -> str:
-    return _CASES[case_id][0]
 
 
 def case_label(case_id: int) -> str:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import InvalidParameterError, MeanVectorPair, ObservationPair, Workspace, blend
+from .core import InvalidParameterError, ObservationPair, Workspace, blend
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,3 @@ def select_batch(x1, y1, x2, y2, out=None, work: Optional[Workspace] = None) -> 
     t2 = blend(sel1, y2, y1, t2, work)
     np.subtract(t2, y_sel, out=t2)
     return SelectionSummary(None, None, None, y_sel, None, t1, t2)
-
-
-def realized_parameter(obs: ObservationPair, means: MeanVectorPair) -> float:
-    """The random target theta_y^S realized by this observation pair."""
-    if obs.z1[0] > obs.z2[0]:
-        return means.theta1[1]
-    return means.theta2[1]

@@ -1,7 +1,7 @@
 """The fifteen transcribed piecewise improvement rules, as test fixtures.
 
 The source states one rule per base estimator and (a, rho) region. The
-library clips generically (`linexsel.improvement.improve`); these
+library clips generically (`linexsel.oracles.clip_component`); these
 transcriptions are kept only to show that the generic clip and the stated
 rules agree.
 """
@@ -12,12 +12,17 @@ import math
 
 from linexsel import CovarianceSpec, InvalidParameterError, LinexParams, SelectionSummary
 from linexsel.estimators import n3_offset
-from linexsel.improvement import case_base_kind, case_in_region
+from linexsel.improvement import case_in_region, case_label
 from linexsel.oracles import phi_bounds
 
 
 class CaseRegionError(InvalidParameterError):
     """A named improvement rule was applied outside its declared (a, rho) region."""
+
+
+def case_base_kind(case_id: int) -> str:
+    """The base estimator N1..N4 that a named case improves."""
+    return case_label(case_id).partition("_")[0]
 
 
 def named_case_rule(

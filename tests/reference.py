@@ -1,14 +1,21 @@
-"""Independent numerical oracles used by the test suite.
+"""Independent references used by the test suite.
 
-Everything here is derived from first principles (joint normal densities,
-grid quadrature, numeric posterior integration) without reusing the
-package's closed-form expressions, so agreement is evidence rather than
-tautology.
+The numerical oracles here are derived from first principles (joint normal
+densities, grid quadrature, numeric posterior integration, a risk cell
+built from fresh arrays) without reusing the package's closed-form
+expressions, so agreement is evidence rather than tautology.
+
+Beside them sit the paper's closed forms that the runtime never calls: the
+density of W = Y_[2] - theta_y^S, the conditional law of T3 = Y_[2] -
+theta_y^S given (T1, T2) with its MGF and the optimal local shift varphi,
+and the Bayes estimator's posterior risk. The tests check each of them
+against quadrature or simulation before leaning on it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, simpson
@@ -17,23 +24,139 @@ from scipy.stats import norm
 from linexsel import (
     CovarianceSpec,
     EstimatorSpec,
+    InvalidParameterError,
     LinexParams,
     MeanVectorPair,
     PriorSpec,
     SelectionSummary,
     SimConfig,
     ThetaStar,
+    bayes_posterior,
     est_bayes,
     linex_loss,
+    log_sum_exp,
     rng_stream,
+    std_normal_cdf,
     std_normal_cdf_batch,
-    w_pdf,
+    std_normal_pdf,
 )
 from linexsel.core import log_std_normal_cdf_tail
 from linexsel.estimators import N3_LOG_SWITCH
 
 QUAD_ABS_TOL = 1e-12
 QUAD_HALF_WIDTH = 12.0  # integration half-width in component standard deviations
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_std_normal_pdf(u: float) -> float:
+    return -0.5 * u * u - _HALF_LOG_2PI
+
+
+def w_pdf(w: float, theta_star: ThetaStar, cov: CovarianceSpec) -> float:
+    """Density of W = Y_[2] - theta_y^S at w.
+
+    (1/sqrt(syy)) * phi(w/sqrt(syy)) * {Phi((rho*w/sqrt(syy) + tx/sqrt(sxx)) / sqrt(2-rho^2))
+    + Phi((.. - tx/sqrt(sxx)) / sqrt(2-rho^2))}. The sqrt(2-rho^2) denominator stays
+    finite at |rho| = 1, so the formula extends to the degenerate case as written.
+    """
+    s = math.sqrt(cov.sigma_yy)
+    r = math.sqrt(2.0 - cov.rho * cov.rho)
+    u = cov.rho * w / s
+    v = theta_star.theta_x / math.sqrt(cov.sigma_xx)
+    bracket = std_normal_cdf((u + v) / r) + std_normal_cdf((u - v) / r)
+    return std_normal_pdf(w / s) / s * bracket
+
+
+@dataclass(frozen=True)
+class ConditionalWeights:
+    """The two branch weights in the conditional law of T3 given (T1, T2)."""
+
+    d1_term: float
+    d2_term: float
+
+
+def _log_weights(
+    t1: float, t2: float, theta_star: ThetaStar, cov: CovarianceSpec
+) -> tuple[float, float]:
+    if t1 > 0:
+        raise InvalidParameterError(f"t1 must be <= 0, got {t1}")
+    if cov.is_singular:
+        raise InvalidParameterError("conditional weights require |rho| < 1")
+    rho = cov.rho
+    sy = math.sqrt(cov.sigma_yy)
+    sx = math.sqrt(cov.sigma_xx)
+    spread = math.sqrt(2.0 * (1.0 - rho * rho))
+    ty, tx = theta_star.theta_y, theta_star.theta_x
+    log_d1 = _log_std_normal_pdf((t2 - ty) / (math.sqrt(2.0) * sy)) + _log_std_normal_pdf(
+        (rho * (t2 - ty) / sy - (t1 - tx) / sx) / spread
+    )
+    log_d2 = _log_std_normal_pdf((t2 + ty) / (math.sqrt(2.0) * sy)) + _log_std_normal_pdf(
+        (rho * (t2 + ty) / sy - (t1 + tx) / sx) / spread
+    )
+    return log_d1, log_d2
+
+
+def conditional_weights(
+    t1: float, t2: float, theta_star: ThetaStar, cov: CovarianceSpec
+) -> ConditionalWeights:
+    """D1, D2 >= 0; equal when theta* = (0, 0).
+
+    Both terms use the same inner scaling (t1 -+ theta_x)/sqrt(sigma_xx); the
+    mixture consumers below work in the log domain so extreme inputs cannot
+    zero both terms at once.
+    """
+    log_d1, log_d2 = _log_weights(t1, t2, theta_star, cov)
+    return ConditionalWeights(math.exp(log_d1), math.exp(log_d2))
+
+
+def _mix_log_weights(log_d1: float, log_d2: float) -> tuple[float, float]:
+    norm = log_sum_exp((log_d1, log_d2))
+    return log_d1 - norm, log_d2 - norm
+
+
+def cond_t3_pdf(
+    t3: float, t1: float, t2: float, theta_star: ThetaStar, cov: CovarianceSpec
+) -> float:
+    """Conditional density of T3 = Y_[2] - theta_y^S given (T1, T2).
+
+    A two-component normal mixture with component variance sigma_yy/2,
+    component means -(t2 - theta_y)/2 and -(t2 + theta_y)/2, and weights
+    D1, D2 normalized.
+    """
+    log_d1, log_d2 = _log_weights(t1, t2, theta_star, cov)
+    lw1, lw2 = _mix_log_weights(log_d1, log_d2)
+    scale = math.sqrt(2.0 / cov.sigma_yy)
+    k1 = scale * std_normal_pdf(scale * (t3 + (t2 - theta_star.theta_y) / 2.0))
+    k2 = scale * std_normal_pdf(scale * (t3 + (t2 + theta_star.theta_y) / 2.0))
+    return math.exp(lw1) * k1 + math.exp(lw2) * k2
+
+
+def log_delta(t1: float, t2: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceSpec) -> float:
+    """log of the weight factor Delta = (D1 e^{a ty/2} + D2 e^{-a ty/2}) / (D1 + D2)."""
+    log_d1, log_d2 = _log_weights(t1, t2, theta_star, cov)
+    lw1, lw2 = _mix_log_weights(log_d1, log_d2)
+    half = a.a * theta_star.theta_y / 2.0
+    return log_sum_exp((lw1 + half, lw2 - half))
+
+
+def cond_t3_mgf(
+    a: LinexParams, t1: float, t2: float, theta_star: ThetaStar, cov: CovarianceSpec
+) -> float:
+    """E[exp(a*T3) | T1 = t1, T2 = t2] = exp(a^2 syy/4 - a t2/2) * Delta."""
+    return math.exp(
+        a.a * a.a * cov.sigma_yy / 4.0 - a.a * t2 / 2.0 + log_delta(t1, t2, theta_star, a, cov)
+    )
+
+
+def varphi(
+    t1: float, t2: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceSpec
+) -> float:
+    """Optimal local shift -(1/a) ln E[e^{aT3} | t1, t2] = t2/2 - a*syy/4 - ln(Delta)/a."""
+    return (
+        t2 / 2.0
+        - a.a * cov.sigma_yy / 4.0
+        - log_delta(t1, t2, theta_star, a, cov) / a.a
+    )
 
 
 def branch_density(t1: float, t2: float, means: MeanVectorPair, cov: CovarianceSpec, branch: int) -> float:
@@ -116,6 +239,12 @@ def posterior_numeric(z: tuple[float, float], prior: PriorSpec, cov: CovarianceS
     m1 = simpson(simpson(w * TY, x=ty, axis=1), x=tx) / z0
     m2 = simpson(simpson(w * TY * TY, x=ty, axis=1), x=tx) / z0
     return float(m1), float(m2 - m1 * m1)
+
+
+def posterior_risk_constant(prior: PriorSpec, a: LinexParams, cov: CovarianceSpec) -> float:
+    """Posterior (= Bayes) risk a^2 q*/2 of est_bayes; independent of the data."""
+    _, q_star = bayes_posterior((0.0, 0.0), prior, cov)
+    return 0.5 * a.a * a.a * q_star
 
 
 def shift_risk_quadrature(

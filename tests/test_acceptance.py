@@ -29,8 +29,6 @@ from linexsel import (
     bounds,
     bundled_dataset_path,
     classify,
-    cond_t3_mgf,
-    cond_t3_pdf,
     est_bayes,
     evaluate,
     fit,
@@ -38,20 +36,17 @@ from linexsel import (
     load_dataset,
     paired_risk_difference,
     phi_bounds,
-    posterior_risk_constant,
     psi,
     risk_grid,
     select,
     simulate_risk,
-    varphi,
-    w_pdf,
 )
 from linexsel.core import ObservationPair, rng_stream
 from linexsel.estimators import base_phi
-from linexsel.improvement import case_base_kind, case_in_region
+from linexsel.improvement import case_in_region
 from linexsel.risksim import TABLE_SPECS, THETA_CONFIGS
 
-from ._cases import named_case_rule
+from ._cases import case_base_kind, named_case_rule
 from ._tables import (
     ACCEPTANCE_SEED,
     KNIFE_EDGE_COLUMNS,
@@ -59,7 +54,14 @@ from ._tables import (
     REFERENCE,
     UNREPRODUCIBLE_AT_SEED,
 )
-from .reference import shift_risk_quadrature
+from .reference import (
+    cond_t3_mgf,
+    cond_t3_pdf,
+    posterior_risk_constant,
+    shift_risk_quadrature,
+    varphi,
+    w_pdf,
+)
 
 REPS = 20000
 

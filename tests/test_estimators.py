@@ -18,7 +18,6 @@ from linexsel import (
     bayes_posterior,
     est_bayes,
     evaluate,
-    posterior_risk_constant,
     rng_stream,
     sample_batch,
     select,
@@ -27,7 +26,7 @@ from linexsel import (
 from linexsel.estimators import base_phi, base_phi_batch, n3_offset, n3_offset_batch
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
-from .reference import posterior_numeric
+from .reference import posterior_numeric, posterior_risk_constant
 
 A1 = LinexParams(1.0)
 AM1 = LinexParams(-1.0)

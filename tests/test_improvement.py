@@ -22,9 +22,9 @@ from linexsel import (
     select_batch,
 )
 from linexsel.core import rng_stream, sample_batch
-from linexsel.improvement import applicable_case, case_base_kind, case_in_region, case_label
+from linexsel.improvement import applicable_case, case_in_region, case_label
 
-from ._cases import CaseRegionError, named_case_rule
+from ._cases import CaseRegionError, case_base_kind, named_case_rule
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
 
 A1 = LinexParams(1.0)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,18 +12,22 @@ from linexsel import (
     LinexParams,
     MeanVectorPair,
     ThetaStar,
-    cond_t3_mgf,
-    cond_t3_pdf,
     clip_band,
-    conditional_weights,
+    h_a,
     phi_bounds,
     shift_risk,
-    varphi,
-    w_pdf,
 )
 from linexsel.core import sample_batch, rng_stream, std_normal_cdf, std_normal_pdf
 
-from .reference import branch_density, shift_risk_quadrature
+from .reference import (
+    branch_density,
+    cond_t3_mgf,
+    cond_t3_pdf,
+    conditional_weights,
+    shift_risk_quadrature,
+    varphi,
+    w_pdf,
+)
 
 A1 = LinexParams(1.0)
 
@@ -288,6 +293,15 @@ class TestShiftRiskQuadrature:
         with pytest.raises(LinexOverflowError) as info:
             shift_risk(0.0, ThetaStar(1.8, 1.8), LinexParams(40.0), CovarianceSpec(1.0, 1.0, 0.0))
         assert info.value.exponent == 800.0
+
+    def test_tilt_times_h_a_beyond_double_range_raises(self):
+        # e^{709.5} is finite, but h_a = 2 Phi(1/sqrt(2)) = 1.52 carries the product past it
+        a, cov = LinexParams(1.0), CovarianceSpec(1.0, 1.0, 1.0)
+        with pytest.raises(LinexOverflowError) as info:
+            shift_risk(709.0, ThetaStar(0.0, 0.0), a, cov)
+        assert math.isfinite(math.exp(709.5))
+        assert info.value.exponent == 709.5 + math.log(h_a(0.0, a, cov))
+        assert info.value.exponent > math.log(sys.float_info.max)
 
     def test_matches_exponential_moment_identity(self, rng):
         """R(d) = e^{ad} E e^{aW} - a(d + EW) - 1 with the moments computed

@@ -113,8 +113,10 @@ class TestSimulateRisk:
 
     def test_translation_invariance(self):
         base = config(theta1=(0.4, 1.2), theta2=(1.0, 0.2), rho=0.5, seed=5)
+        (x1, y1), (x2, y2) = base.means.theta1, base.means.theta2
+        c1, c2 = 13.0, -8.0
         shifted = SimConfig(
-            means=base.means.shifted(13.0, -8.0), cov=base.cov, a=base.a,
+            means=MeanVectorPair((x1 + c1, y1 + c2), (x2 + c1, y2 + c2)), cov=base.cov, a=base.a,
             reps=base.reps, master_seed=base.master_seed,
         )
         for spec in (EstimatorSpec.n1(), EstimatorSpec.n3(),

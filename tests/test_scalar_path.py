@@ -94,8 +94,8 @@ PER_CALL = {
     "estimators.n3_offset": estimators.n3_offset,
     "estimators.est_bayes": estimators.est_bayes,
     "improvement.improve": improvement.improve,
-    "improvement.clip_component": improvement.clip_component,
     "oracles.clip_band": oracles.clip_band,
+    "oracles.clip_component": oracles.clip_component,
     "oracles.phi_bounds": oracles.phi_bounds,
     "admissibility.bounds": admissibility.bounds,
     "admissibility.classify": admissibility.classify,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linexsel import MeanVectorPair, ObservationPair, realized_parameter, select, select_batch
+from linexsel import MeanVectorPair, ObservationPair, select, select_batch
 from linexsel.core import Workspace
 
 
@@ -11,6 +11,10 @@ def test_fitted_means_as_observations():
     assert s.y_sel == 131.4569
     assert s.t1 == pytest.approx(-0.7481, abs=1e-4)
     assert s.t2 == pytest.approx(64.2706, abs=1e-4)
+
+
+def test_larger_x_goes_to_population_one():
+    assert select(ObservationPair((1.0, 0.0), (0.0, 0.0))).selected == 1
 
 
 def test_tie_goes_to_population_two():
@@ -76,13 +80,8 @@ def test_t1_never_positive(rng):
 class TestRealizedParameter:
     means = MeanVectorPair((0.0, 7.0), (0.0, -3.0))
 
-    def test_direct_branch(self):
-        assert realized_parameter(ObservationPair((1.0, 0.0), (0.0, 0.0)), self.means) == 7.0
-
     def test_tie_branch(self):
-        assert realized_parameter(ObservationPair((0.0, 0.0), (0.0, 0.0)), self.means) == -3.0
-
-    def test_codomain(self, rng):
-        for _ in range(200):
-            obs = ObservationPair(tuple(rng.normal(0, 2, 2)), tuple(rng.normal(0, 2, 2)))
-            assert realized_parameter(obs, self.means) in (7.0, -3.0)
+        # the realized parameter is theta_y of the selected population; a tie picks 2
+        s = select(ObservationPair((0.0, 0.0), (0.0, 0.0)))
+        theta = self.means.theta1 if s.selected == 1 else self.means.theta2
+        assert theta[1] == -3.0
