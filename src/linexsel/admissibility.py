@@ -32,12 +32,10 @@ DOMINATED_BY_D1 = "dominated_by_d1"
 
 @dataclass(frozen=True)
 class AdmissibilityBounds:
-    """Endpoints of the admissible shift interval, with their inputs."""
+    """Endpoints of the admissible shift interval."""
 
     d0: float
     d1: float
-    a: float
-    cov: CovarianceSpec
 
 
 def h_a(theta_x: float, a: LinexParams, cov: CovarianceSpec) -> float:
@@ -50,23 +48,26 @@ def h_a(theta_x: float, a: LinexParams, cov: CovarianceSpec) -> float:
     )
 
 
+def _log_h_a(theta_x: float, a: LinexParams, cov: CovarianceSpec) -> float:
+    # ln h_a; where h_a is subnormal or 0 in doubles, the log-sum-exp of the
+    # two log Phi terms instead
+    h = h_a(theta_x, a, cov)
+    if h >= sys.float_info.min:
+        return math.log(h)
+    s = math.sqrt(2.0 * cov.sigma_xx)
+    return log_sum_exp((
+        log_std_normal_cdf((a.a * cov.sigma_xy + theta_x) / s),
+        log_std_normal_cdf((a.a * cov.sigma_xy - theta_x) / s),
+    ))
+
+
 def psi(theta_star: ThetaStar, a: LinexParams, cov: CovarianceSpec) -> float:
     """The risk-minimizing shift at a fixed gap: -a*syy/2 - ln(h_a)/a.
 
-    Depends on theta* only through theta_x. Where h_a is subnormal or 0 in
-    doubles, ln(h_a) is the log-sum-exp of the two log Phi terms instead.
+    Depends on theta* only through theta_x; ln(h_a) stays finite where h_a
+    underflows.
     """
-    tx = theta_star.theta_x
-    h = h_a(tx, a, cov)
-    if h >= sys.float_info.min:
-        log_h = math.log(h)
-    else:
-        s = math.sqrt(2.0 * cov.sigma_xx)
-        log_h = log_sum_exp((
-            log_std_normal_cdf((a.a * cov.sigma_xy + tx) / s),
-            log_std_normal_cdf((a.a * cov.sigma_xy - tx) / s),
-        ))
-    return -a.a * cov.sigma_yy / 2.0 - log_h / a.a
+    return -a.a * cov.sigma_yy / 2.0 - _log_h_a(theta_star.theta_x, a, cov) / a.a
 
 
 def shift_risk(d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceSpec) -> float:
@@ -74,8 +75,10 @@ def shift_risk(d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceS
 
     With W = Y_[2] - theta_y^S, R(d) = e^{ad} E[e^{aW}] - a(d + E[W]) - 1, where
     E[e^{aW}] = e^{a^2 syy/2} h_a(theta_x) and E[W] = 2 sxy phi(u)/sqrt(2 sxx) at
-    u = theta_x/sqrt(2 sxx). psi is the minimizer of this closed form. Raises
-    LinexOverflowError where e^{ad} E[e^{aW}] leaves the double range.
+    u = theta_x/sqrt(2 sxx). psi is the minimizer of this closed form. Where
+    the product e^{ad} E[e^{aW}] overflows in doubles, it is taken as
+    e^{ad + a^2 syy/2 + ln h_a}, so a tiny h_a can bring it back into range;
+    raises LinexOverflowError where even that leaves the double range.
     """
     s = math.sqrt(2.0 * cov.sigma_xx)
     tx = theta_star.theta_x
@@ -85,10 +88,14 @@ def shift_risk(d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceS
     try:
         tilt = math.exp(exponent) * h
     except OverflowError:
-        raise LinexOverflowError(exponent, "shift_risk: e^{ad + a^2 syy/2}") from None
+        tilt = math.inf
     if tilt == math.inf:
-        # e^exponent is finite but h_a (up to 2) carries the product past the range
-        raise LinexOverflowError(exponent + math.log(h), "shift_risk: e^{ad + a^2 syy/2} h_a")
+        # e^exponent overflows, or h_a (up to 2) carries the product past the range
+        log_tilt = exponent + _log_h_a(tx, a, cov)
+        try:
+            tilt = math.exp(log_tilt)
+        except OverflowError:
+            raise LinexOverflowError(log_tilt, "shift_risk: e^{ad + a^2 syy/2} h_a") from None
     return tilt - a.a * (d + mean_w) - 1.0
 
 
@@ -113,8 +120,7 @@ def bounds(a: LinexParams, cov: CovarianceSpec) -> AdmissibilityBounds:
 
     The interval collapses to the single point -a*sigma_yy/2 when sigma_xy = 0.
     """
-    d0, d1 = _interval(a, cov)
-    return AdmissibilityBounds(d0=d0, d1=d1, a=a.a, cov=cov)
+    return AdmissibilityBounds(*_interval(a, cov))
 
 
 def classify(d: float, a: LinexParams, cov: CovarianceSpec) -> str:

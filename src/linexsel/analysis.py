@@ -177,8 +177,12 @@ class AnalysisReport:
     a: float
     c: float
     summary: SelectionSummary
-    selected_label: str
     estimates: list[tuple[str, float, str]] = field(default_factory=list)  # label, value, note
+
+    @property
+    def selected_label(self) -> str:
+        """The group label of the selected population."""
+        return self.model.labels[self.summary.selected - 1]
 
     def to_text(self) -> str:
         m = self.model
@@ -259,6 +263,5 @@ def analyze(
         a=a.a,
         c=c,
         summary=s,
-        selected_label=model.labels[s.selected - 1],
         estimates=estimate_rows(s, a, model.cov_hat, c, prior),
     )

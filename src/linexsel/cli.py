@@ -166,7 +166,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             a=a,
             cov=cov,
             columns=table_columns(a.a, cov.rho, improved, c),
-            c=c,
         )
         name = "custom_grid.csv"
     grid = "the custom grid" if args.table is None else f"table {args.table}"

@@ -302,13 +302,18 @@ def evaluate_batch(
     `phi` is the component `base_phi_batch` gives the spec (an improved
     spec's base) on these draws, when the caller already has it; otherwise
     it is computed here. Writes into `out` if given and borrows its
-    temporaries from `work` if given; Bayes, in no published table, allocates.
+    temporaries from `work` if given; Bayes, in no published table, allocates
+    and needs the summary's x_max set.
     """
     import numpy as np
 
     if spec.kind == "Shift":
         return np.add(s.y_sel, spec.d, out=out)
     if spec.kind == "Bayes":
+        if s.x_max is None:
+            raise InvalidParameterError(
+                "a Bayes estimate needs the summary's x_max, which select_batch leaves None"
+            )
         return est_bayes(s, spec.prior, a, cov)
     if phi is None:
         base = spec.base if spec.kind == "Improved" else spec

@@ -78,13 +78,10 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class RiskEstimate:
-    """Monte Carlo mean LINEX risk with its standard error and provenance."""
+    """Monte Carlo mean LINEX risk with its standard error (None at one rep)."""
 
     mean_risk: float
     std_error: Optional[float]
-    reps: int
-    master_seed: int
-    stream_key: tuple[int, ...] = ()
 
 
 class CellWorkspace(Workspace):
@@ -138,14 +135,12 @@ def _cell_losses(
         yield linex_loss(estimate, theta_sel, a, spec.label, ws.est, ws)
 
 
-def _estimate_from_losses(
-    losses: np.ndarray, config: SimConfig, stream_key: tuple[int, ...], ws: CellWorkspace
-) -> RiskEstimate:
+def _estimate_from_losses(losses: np.ndarray, ws: CellWorkspace) -> RiskEstimate:
     # the ufuncs of losses.mean() and losses.std(ddof=1), so the bits match,
     # with the deviations in a borrowed array
     import numpy as np
 
-    n = config.reps
+    n = len(losses)
     total = np.add.reduce(losses)
     se = None
     if n > 1:
@@ -153,13 +148,7 @@ def _estimate_from_losses(
             np.subtract(losses, total / n, out=dev)
             np.square(dev, out=dev)
             se = float(np.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n))
-    return RiskEstimate(
-        mean_risk=float(total / n),
-        std_error=se,
-        reps=n,
-        master_seed=config.master_seed,
-        stream_key=stream_key,
-    )
+    return RiskEstimate(float(total / n), se)
 
 
 def _run_cell(
@@ -167,7 +156,7 @@ def _run_cell(
     ws: CellWorkspace,
 ) -> list[RiskEstimate]:
     return [
-        _estimate_from_losses(losses, config, stream_key, ws)
+        _estimate_from_losses(losses, ws)
         for losses in _cell_losses(config, specs, stream_key, ws)
     ]
 
@@ -206,7 +195,7 @@ def paired_risk_difference(
     losses = _cell_losses(config, [spec_a, spec_b], stream_key, ws)
     loss_a = next(losses).copy()
     np.subtract(loss_a, next(losses), out=loss_a)
-    est = _estimate_from_losses(loss_a, config, stream_key, ws)
+    est = _estimate_from_losses(loss_a, ws)
     return est.mean_risk, est.std_error or 0.0
 
 
@@ -219,7 +208,11 @@ class TableSpec:
     cov: CovarianceSpec
     columns: tuple[tuple[str, EstimatorSpec], ...]
     rows: tuple[MeanVectorPair, ...] = THETA_CONFIGS
-    c: float = 1.0
+
+    @property
+    def c(self) -> Optional[float]:
+        """The hybrid threshold of the grid's N4 column, or None without one."""
+        return next((spec.c for _, spec in self.columns if spec.kind == "N4"), None)
 
 
 def table_columns(
@@ -290,7 +283,7 @@ class RiskTable:
                 buf.write(
                     f"{means.theta1[0]:.6g},{means.theta1[1]:.6g},"
                     f"{means.theta2[0]:.6g},{means.theta2[1]:.6g},"
-                    f"{label},{est.mean_risk:.6g},{se},{est.reps},{est.master_seed}\n"
+                    f"{label},{est.mean_risk:.6g},{se},{self.reps},{self.master_seed}\n"
                 )
         return buf.getvalue()
 

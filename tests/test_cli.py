@@ -607,6 +607,33 @@ def test_out_of_memory_exits_one(capsys, tmp_path, monkeypatch, fails):
     assert not (tmp_path / "table7.csv").exists()
 
 
+@pytest.mark.parametrize("grid", [
+    *(("--table", str(t)) for t in range(5, 11)),
+    ("--cov", "1,0.5,1", "--a", "1", "--improved", "N1", "N2", "N3", "N4"),
+    ("--cov", "1,-0.5,1", "--a", "-1", "--improved", "N1", "N2", "N3", "N4"),
+])
+def test_workspace_stays_within_its_bytes_per_rep(capsys, tmp_path, monkeypatch, grid):
+    # the memory pre-check weighs a sweep by CellWorkspace.BYTES_PER_REP, a hand
+    # count; every workspace the sweep grows must come to no more than that
+    from linexsel import risksim
+
+    built = []
+    init = risksim.CellWorkspace.__init__
+
+    def recorded(self, reps):
+        init(self, reps)
+        built.append(self)
+
+    monkeypatch.setattr(risksim.CellWorkspace, "__init__", recorded)
+    reps = 50
+    code, _, _ = run(capsys, "simulate", *grid, "--reps", str(reps), "--out", str(tmp_path))
+    assert code == 0 and built
+    for ws in built:
+        arrays = [ws.draws, ws.sel1, ws.y_sel, ws.t1, ws.t2, ws.theta_sel, ws.phi, ws.est,
+                  *ws._floats, *ws._masks]
+        assert sum(x.nbytes for x in arrays) <= reps * risksim.CellWorkspace.BYTES_PER_REP
+
+
 @pytest.mark.parametrize("grid", ["table", "custom"])
 def test_sweep_too_large_for_the_machine_exits_one(capsys, tmp_path, monkeypatch, grid):
     # the sweep's workspaces are weighed against physical memory before any is

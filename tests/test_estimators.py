@@ -18,6 +18,7 @@ from linexsel import (
     bayes_posterior,
     est_bayes,
     evaluate,
+    evaluate_batch,
     rng_stream,
     sample_batch,
     select,
@@ -221,6 +222,14 @@ class TestBayes:
         cov = CovarianceSpec.from_correlation(1.0, 1.0, 1.0)
         with pytest.raises(SingularCovarianceError):
             bayes_posterior((0.0, 0.0), self.prior, cov)
+
+    def test_batch_without_x_max_is_refused(self):
+        # select_batch leaves x_max None; only a risk cell with a Bayes column sets it
+        x, y = np.array([0.5, -1.0]), np.array([1.0, 2.0])
+        s = select_batch(x, y, -x, y)
+        assert s.x_max is None
+        with pytest.raises(InvalidParameterError, match="x_max"):
+            evaluate_batch(EstimatorSpec.bayes(self.prior), s, A1, self.unit)
 
     def test_posterior_risk_values(self):
         assert posterior_risk_constant(self.prior, A1, self.unit) == pytest.approx(0.25)

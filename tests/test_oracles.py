@@ -14,10 +14,13 @@ from linexsel import (
     ThetaStar,
     clip_band,
     h_a,
+    improve_batch,
     phi_bounds,
+    select_batch,
     shift_risk,
 )
 from linexsel.core import sample_batch, rng_stream, std_normal_cdf, std_normal_pdf
+from linexsel.oracles import clip_component
 
 from .reference import (
     branch_density,
@@ -282,6 +285,24 @@ class TestVarphiAndBounds:
         assert violations == 0
 
 
+class TestClipAtTheBandEdge:
+    """The band's condition sets are strict in gap: at gap == margin no edge is finite."""
+
+    @pytest.mark.parametrize("phi, t1, t2, a, cov", [
+        # side = t1*xi - rho*t2 = -1 < 0, gap = t2 - xi*rho*t1 = 0.5 = margin: phi_inf's edge
+        (0.0, -1.0, 0.5, -1.0, (1.0, 1.0, 0.0)),
+        # side = 0.75 > 0, gap = 3 = margin = -a*syy*(1 - rho^2)/2: phi_sup's edge
+        (10.0, -1.0, 3.5, -8.0, (1.0, 1.0, -0.5)),
+    ])
+    def test_gap_equal_to_margin_leaves_phi_unclipped(self, phi, t1, t2, a, cov):
+        a, cov = LinexParams(a), CovarianceSpec(*cov)
+        assert clip_component(phi, t1, t2, a, cov) == (phi, "none")
+        # population 1 selected with y_sel = 0, so the estimate is the clipped phi itself
+        s = select_batch(np.zeros(1), np.zeros(1), np.array([t1]), np.array([t2]))
+        assert (s.t1[0], s.t2[0], s.y_sel[0]) == (t1, t2, 0.0)
+        assert improve_batch(s, a, cov, phi).tolist() == [phi]
+
+
 class TestShiftRiskQuadrature:
     def test_finite_value_bit_for_bit(self):
         # taken on the closed form before the overflow guard went in
@@ -302,6 +323,13 @@ class TestShiftRiskQuadrature:
         assert math.isfinite(math.exp(709.5))
         assert info.value.exponent == 709.5 + math.log(h_a(0.0, a, cov))
         assert info.value.exponent > math.log(sys.float_info.max)
+
+    def test_tiny_h_a_brings_an_overflowing_tilt_back_into_range(self):
+        # e^{a^2 syy/2} = e^800 overflows, but h_a = 2 Phi(-40/sqrt(2)) has
+        # ln h_a = -403.5693, so the risk is e^{396.43} (mpmath at 40 digits)
+        a, cov = LinexParams(40.0), CovarianceSpec(1.0, 1.0, -1.0)
+        risk = shift_risk(0.0, ThetaStar(0.0, 0.0), a, cov)
+        assert risk == pytest.approx(1.4711150798024403e172, rel=1e-12)
 
     def test_matches_exponential_moment_identity(self, rng):
         """R(d) = e^{ad} E e^{aW} - a(d + EW) - 1 with the moments computed

@@ -24,7 +24,9 @@ from linexsel import (
     simulate_all,
     simulate_risk,
 )
-from linexsel.risksim import THETA_CONFIGS, RiskEstimate, RiskTable, TableSpec, stream_group
+from linexsel.risksim import (
+    THETA_CONFIGS, RiskEstimate, RiskTable, TableSpec, stream_group, table_columns,
+)
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
 from .reference import reference_cell, risk_quadrature_general
@@ -97,7 +99,6 @@ class TestSimulateRisk:
     def test_reps_one_has_no_se(self):
         est = simulate_risk(config(reps=1), EstimatorSpec.n1())
         assert est.std_error is None
-        assert est.reps == 1
 
     def test_overflow_aborts_with_diagnostic(self):
         cfg = config(reps=100)
@@ -179,6 +180,14 @@ class TestRiskGrid:
         for tid, cols in expected.items():
             assert [lab for lab, _ in TABLE_SPECS[tid].columns] == cols
 
+    def test_threshold_is_the_n4_columns(self):
+        # c is read off the grid's N4 column, so the two cannot disagree
+        cov = CovarianceSpec.from_correlation(2.0, 2.0, 0.5)
+        spec = TableSpec(table_id=0, a=A1, cov=cov, columns=table_columns(1.0, 0.5, (), 2.0))
+        assert spec.c == 2.0
+        assert TableSpec(table_id=0, a=A1, cov=cov, columns=spec.columns[:3]).c is None
+        assert {t.c for t in TABLE_SPECS.values()} == {1.0}
+
     def test_csv_format(self):
         table = risk_grid(7, reps=60, master_seed=4)
         text = table.to_csv()
@@ -212,7 +221,7 @@ class TestRiskGrid:
         slim_spec = type(spec)(
             table_id=6, a=spec.a, cov=spec.cov,
             columns=tuple((lab, s) for lab, s in spec.columns if lab in ("N1", "N3")),
-            rows=spec.rows, c=spec.c,
+            rows=spec.rows,
         )
         slim = risk_grid(slim_spec, reps=400, master_seed=2)
         full_cols = {lab: j for j, (lab, _) in enumerate(spec.columns)}
@@ -246,8 +255,8 @@ class TestRiskGrid:
         mean = 3.7
         at = 0.05 * abs(mean)
         table = RiskTable(TABLE_SPECS[7], reps=100, master_seed=1, estimates={
-            (0, 0): RiskEstimate(mean, at, 100, 1),
-            (0, 1): RiskEstimate(-mean, math.nextafter(at, math.inf), 100, 1),
+            (0, 0): RiskEstimate(mean, at),
+            (0, 1): RiskEstimate(-mean, math.nextafter(at, math.inf)),
         })
         assert table.flagged == [(0, TABLE_SPECS[7].columns[1][0], -mean, math.nextafter(at, math.inf))]
 
