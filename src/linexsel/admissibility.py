@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .core import (
     CovarianceSpec,
     InvalidParameterError,
+    LinexError,
     LinexOverflowError,
     LinexParams,
     ThetaStar,
@@ -109,16 +110,24 @@ def _end_correction(a: LinexParams, cov: CovarianceSpec) -> float:
 def _interval(a: LinexParams, cov: CovarianceSpec) -> tuple[float, float]:
     base = -a.a * cov.sigma_yy / 2.0
     if cov.sigma_xy > 0:
-        return _end_correction(a, cov), base
-    if cov.sigma_xy < 0:
-        return base, _end_correction(a, cov)
-    return base, base
+        d0, d1 = _end_correction(a, cov), base
+    elif cov.sigma_xy < 0:
+        d0, d1 = base, _end_correction(a, cov)
+    else:
+        d0 = d1 = base
+    # a*syy/2 past the double range gives an endpoint of +-inf (or nan), which
+    # would classify every shift as dominated
+    for name, value in (("d0", d0), ("d1", d1)):
+        if not math.isfinite(value):
+            raise LinexError(f"{name} = {value} is not finite at a = {a.a:g}")
+    return d0, d1
 
 
 def bounds(a: LinexParams, cov: CovarianceSpec) -> AdmissibilityBounds:
     """Closed-form [d0, d1], branching on the sign of sigma_xy.
 
     The interval collapses to the single point -a*sigma_yy/2 when sigma_xy = 0.
+    Raises LinexError naming an endpoint that is not finite.
     """
     return AdmissibilityBounds(*_interval(a, cov))
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
-from .core import CovarianceSpec, LinexParams, ObservationPair
-from .estimators import EstimatorSpec, PriorSpec, evaluate
+from .core import CovarianceSpec, LinexError, LinexParams, ObservationPair
+from .estimators import BASE_KINDS, EstimatorSpec, PriorSpec, evaluate
 from .improvement import applicable_case, improve
 from .oracles import TRUNCATED_NONE
 from .risksim import table_columns
@@ -219,9 +219,9 @@ def estimate_rows(
     The columns of a risk table (`risksim.table_columns`) with every improved
     column that applies at (a, rho); the note is empty unless the clip fired.
     The shift Y_[2] + d and the Bayes estimate come last when d or a prior is
-    given.
+    given. Raises LinexError naming a row whose value is not finite.
     """
-    bases = [k for k in ("N1", "N2", "N3", "N4") if applicable_case(k, a.a, cov.rho) is not None]
+    bases = [k for k in BASE_KINDS if applicable_case(k, a.a, cov.rho) is not None]
     rows = []
     for label, spec in table_columns(a.a, cov.rho, bases, c):
         if spec.kind == "Improved":
@@ -235,6 +235,9 @@ def estimate_rows(
         rows.append((shift.label, evaluate(shift, s, a, cov), ""))
     if prior is not None:
         rows.append(("Bayes", evaluate(EstimatorSpec.bayes(prior), s, a, cov), ""))
+    for label, value, _ in rows:
+        if not math.isfinite(value):
+            raise LinexError(f"the {label} estimate is {value}, not finite")
     return rows
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -21,8 +20,8 @@ from .admissibility import bounds, classify
 from .analysis import DatasetError, analyze, bundled_dataset_path, fit, load_dataset
 from .analysis import estimate_rows, estimates_csv
 from .core import CovarianceSpec, InvalidParameterError, LinexError, LinexParams, ObservationPair
-from .estimators import PriorSpec
-from .risksim import TABLE_SPECS, CellWorkspace, TableSpec, available_cpus, risk_grid, table_columns
+from .estimators import BASE_KINDS, PriorSpec
+from .risksim import TABLE_SPECS, TableSpec, risk_grid, table_columns
 from .selection import select
 
 
@@ -54,15 +53,6 @@ def _prior_from_flag(text: str) -> PriorSpec:
         return PriorSpec(mu1=mu1, mu2=mu2, m=m)
     except InvalidParameterError as exc:
         raise UsageError(f"--prior: {exc}") from None
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the OS does not say."""
-    try:
-        size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-    return size if size > 0 else None
 
 
 def _write_outputs(args: argparse.Namespace, params: dict, files: dict[str, str]) -> Path:
@@ -169,20 +159,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         name = "custom_grid.csv"
     grid = "the custom grid" if args.table is None else f"table {args.table}"
-    # each sweep thread holds one workspace for the whole sweep; one that cannot
-    # fit would pass np.empty under overcommit and get the process killed later
-    workers = available_cpus()
-    need, have = workers * args.reps * CellWorkspace.BYTES_PER_REP, _physical_memory()
-    if have is not None and need > have:
-        raise LinexError(
-            f"sweeping {grid} at {args.reps} reps needs about {need / 2**20:.0f} MiB of "
-            f"workspace on {workers} threads, more than the {have / 2**20:.0f} MiB of "
-            "physical memory"
-        )
     try:
-        result = risk_grid(spec, reps=args.reps, master_seed=args.seed, workers=workers)
-    except MemoryError:
-        raise LinexError(f"out of memory sweeping {grid} at {args.reps} reps") from None
+        result = risk_grid(spec, reps=args.reps, master_seed=args.seed)
+    except MemoryError as exc:
+        # risk_grid's refusal of a sweep too large for the machine says why; a
+        # MemoryError from an allocation says nothing
+        detail = f": {exc}" if str(exc) else ""
+        raise LinexError(f"out of memory sweeping {grid} at {args.reps} reps{detail}") from None
 
     # only what determines the CSV: equal manifests mean equal outputs on any machine
     outdir = _write_outputs(args, {
@@ -270,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--improved",
         nargs="*",
         default=None,
-        choices=("N1", "N2", "N3", "N4"),
+        choices=BASE_KINDS,
         help="custom grid: bases that also get their improved column",
     )
     p.add_argument("--reps", type=int, default=20000)

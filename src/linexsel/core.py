@@ -155,13 +155,6 @@ class MeanVectorPair:
     def __post_init__(self) -> None:
         _require_finite("mean components", *self.theta1, *self.theta2)
 
-    @property
-    def theta_star(self) -> "ThetaStar":
-        return ThetaStar(
-            abs(self.theta1[0] - self.theta2[0]),
-            abs(self.theta1[1] - self.theta2[1]),
-        )
-
 
 @dataclass(frozen=True)
 class ThetaStar:

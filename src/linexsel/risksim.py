@@ -295,6 +295,15 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the OS does not say."""
+    try:
+        size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size if size > 0 else None
+
+
 def risk_grid(
     table: int | TableSpec,
     reps: int = 20000,
@@ -306,7 +315,9 @@ def risk_grid(
     Cells are independent tasks; draws for a cell come from the stream keyed
     (master_seed, table_id, row, column-group), so the output is byte-identical
     for any worker count and unchanged when columns from other groups are added.
-    `workers` defaults to `available_cpus()`.
+    `workers` defaults to `available_cpus()`; the sweep runs on min(workers,
+    cells) threads. Raises MemoryError, before any workspace is built, where
+    those threads' workspaces would exceed physical memory.
     """
     if isinstance(table, int):
         if table not in TABLE_SPECS:
@@ -348,15 +359,24 @@ def risk_grid(
         return [((row_idx, j), est) for j, est in zip(cols, estimates)]
 
     tasks = [(i, g) for i in range(len(spec.rows)) for g in sorted(groups)]
-    # one worker runs the cells on this thread: a one-thread pool measured 2-26 %
+    # each thread holds one workspace for the whole sweep; one that cannot fit
+    # would pass np.empty under overcommit and get the process killed later
+    threads = min(workers, len(tasks))
+    need, have = threads * reps * CellWorkspace.BYTES_PER_REP, _physical_memory()
+    if have is not None and need > have:
+        raise MemoryError(
+            f"needs about {need / 2**20:.0f} MiB of workspace on {threads} threads, "
+            f"more than the {have / 2**20:.0f} MiB of physical memory"
+        )
+    # one thread runs the cells here, with no pool: a one-thread pool measured 2-26 %
     # slower on a 64-row, 8-column grid at 5000 reps
-    if workers == 1:
+    if threads <= 1:
         results = [run_cell(i, g) for i, g in tasks]
     else:
         # loaded here alone: it pulls in logging and queue, which a serial sweep never needs
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda t: run_cell(*t), tasks))
     for chunk in results:
         for key, est in chunk:

@@ -52,6 +52,14 @@ def _log_std_normal_pdf(u: float) -> float:
     return -0.5 * u * u - _HALF_LOG_2PI
 
 
+def theta_star(means: MeanVectorPair) -> ThetaStar:
+    """The component gaps |theta1 - theta2| of a mean-vector pair."""
+    return ThetaStar(
+        abs(means.theta1[0] - means.theta2[0]),
+        abs(means.theta1[1] - means.theta2[1]),
+    )
+
+
 def w_pdf(w: float, theta_star: ThetaStar, cov: CovarianceSpec) -> float:
     """Density of W = Y_[2] - theta_y^S at w.
 

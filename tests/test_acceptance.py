@@ -59,6 +59,7 @@ from .reference import (
     cond_t3_pdf,
     posterior_risk_constant,
     shift_risk_quadrature,
+    theta_star,
     varphi,
     w_pdf,
 )
@@ -291,7 +292,7 @@ def test_criterion4_dominance_all_cases():
         cov = CovarianceSpec.from_correlation(2.0, 2.0, rho)
         strict = 0
         for i, mp in enumerate(THETA_CONFIGS):
-            ts = mp.theta_star
+            ts = theta_star(mp)
             config = SimConfig(
                 means=MeanVectorPair((0.0, 0.0), (ts.theta_x, ts.theta_y)),
                 cov=cov,

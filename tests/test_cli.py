@@ -207,6 +207,28 @@ def test_non_finite_threshold_rejected(capsys, tmp_path, sub, c):
     assert not list(tmp_path.glob("*_manifest.json"))
 
 
+@pytest.mark.parametrize("argv,quantity", [
+    # a*syy/2 overflows, so both endpoints are -inf and every shift "dominated"
+    (("admissibility", "--cov", "2,1,4", "--a", "1e308"), "d0 = -inf"),
+    (("admissibility", "--cov", "2,1,4", "--a", "1e308", "--d", "0", "--format", "csv"),
+     "d0 = -inf"),
+    # N2's a*syy/2 overflows
+    (("estimate", "--x", "1,2", "--y", "3,4", "--cov", "1,0,1e300", "--a", "1e10"),
+     "N2 estimate is -inf"),
+    (("analyze", "--clean", "--a", "1e306"), "N2 estimate is -inf"),
+    # m^2 overflows in the posterior, which is then inf/inf
+    (("estimate", "--x", "1,2", "--y", "3,4", "--cov", "1,0.5,1", "--a", "1",
+      "--prior", "0,0,1e308"), "Bayes estimate is nan"),
+], ids=["admissibility", "admissibility-classify", "estimate", "analyze", "estimate-bayes"])
+def test_non_finite_report_exits_one(capsys, tmp_path, argv, quantity):
+    # a report never prints inf or nan: the run names the quantity and writes nothing
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 1
+    assert quantity in err and "not finite" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestAdmissibility:
     def test_collapsed_interval(self, capsys, tmp_path):
         code, out, _ = run(

@@ -184,8 +184,6 @@ class TestCovarianceSpec:
             CovarianceSpec(sigma_xx=sxx, sigma_yy=syy, sigma_xy=sxy)
 
     def test_theta_star_nonnegative(self):
-        means = MeanVectorPair((0.2, 2.0), (2.0, 0.2))
-        assert means.theta_star == ThetaStar(1.8, 1.8)
         with pytest.raises(InvalidParameterError):
             ThetaStar(-0.1, 0.0)
 

@@ -4,6 +4,8 @@ The package holds the runtime alone. Its modules import each other without
 a cycle, so no module needs a late import to see a name, and every public
 function, class and method is used by the package itself or by the
 benchmark in `perfbench/`; code that only the tests call lives in `tests/`.
+A method counts as used only where it is read as an attribute (`x.name`),
+so a local variable or parameter of the same name does not keep it.
 """
 
 import ast
@@ -80,28 +82,29 @@ def public_definitions(tree: ast.Module) -> list[str]:
     return found
 
 
-def names_used(trees) -> set[str]:
-    """Every ast.Name, ast.Attribute and imported alias named in the given modules."""
-    used = set()
+def names_used(trees) -> tuple[set[str], set[str]]:
+    """(each ast.Name and imported alias, each ast.Attribute) named in the given modules."""
+    names, attributes = set(), set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                used.add(node.name)
-    return used
+                names.add(node.name)
+    return names, attributes
 
 
 def test_every_public_name_has_a_runtime_or_benchmark_use():
     package = _trees(PACKAGE)
-    used = names_used(tree for name, tree in package.items() if name != "__init__")
-    used |= names_used(_trees(ROOT / "perfbench").values())
+    runtime = [tree for name, tree in package.items() if name != "__init__"]
+    names, attributes = names_used(runtime + list(_trees(ROOT / "perfbench").values()))
+    names |= attributes  # a function or class may be read either way, a method only as x.name
     unused = [
         f"{module}.{qualified}"
         for module, tree in package.items()
         for qualified in public_definitions(tree)
-        if qualified.rpartition(".")[2] not in used
+        if qualified.rpartition(".")[2] not in (attributes if "." in qualified else names)
     ]
     assert not unused, "only the tests use these; move them to tests/: " + ", ".join(unused)

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -25,7 +26,7 @@ from linexsel import (
     simulate_risk,
 )
 from linexsel.risksim import (
-    THETA_CONFIGS, RiskEstimate, RiskTable, TableSpec, stream_group, table_columns,
+    THETA_CONFIGS, CellWorkspace, RiskEstimate, RiskTable, TableSpec, stream_group, table_columns,
 )
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
@@ -265,6 +266,38 @@ class TestRiskGrid:
             EstimatorSpec.improved(EstimatorSpec.n1())
         )
         assert stream_group(EstimatorSpec.n1()) != stream_group(EstimatorSpec.n2())
+
+
+class TestMemoryRefusal:
+    """risk_grid weighs its threads' workspaces against physical memory first.
+
+    A 4 MiB machine is faked, so nothing large is allocated.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_machine(self, monkeypatch):
+        pages = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+
+    def test_sweep_too_large_is_refused_before_any_workspace(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("a workspace was built")
+
+        monkeypatch.setattr(CellWorkspace, "__init__", built)
+        # 100000 reps take about 11 MiB on one thread
+        with pytest.raises(MemoryError, match="physical memory"):
+            risk_grid(7, reps=100000, master_seed=0, workers=1)
+
+    def test_threads_are_counted_up_to_the_cells(self):
+        # one cell runs on one thread whatever the worker count: one 2.4 MB
+        # workspace fits, 64 of them would not
+        spec = TableSpec(
+            table_id=0, a=A1, cov=CovarianceSpec.from_correlation(2.0, 2.0, 0.5),
+            columns=(("N1", EstimatorSpec.n1()),), rows=THETA_CONFIGS[:1],
+        )
+        table = risk_grid(spec, reps=20000, master_seed=0, workers=64)
+        assert list(table.estimates) == [(0, 0)]
+        assert math.isfinite(table.cell(0, 0).mean_risk)
 
 
 def test_simulate_all_shares_draws():
