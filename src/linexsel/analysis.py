@@ -82,33 +82,36 @@ def load_dataset(path: str, clean: bool = False) -> GroupedDataset:
     """
     groups: dict[str, list[tuple[float, float]]] = {}
     order: list[str] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DatasetError(f"{path}: empty file")
-        if [h.strip().lower() for h in header] != ["group", "weight", "cholesterol"]:
-            raise DatasetError(
-                f"{path}: expected header 'group,weight,cholesterol', got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DatasetError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            label = row[0].strip()
-            try:
-                weight, chol = float(row[1]), float(row[2])
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from None
-            if not (math.isfinite(weight) and math.isfinite(chol)):
-                raise DatasetError(f"{path}:{lineno}: non-finite value")
-            if clean and chol == OUTLIER_VALUE:
-                chol = OUTLIER_REPLACEMENT
-            if label not in groups:
-                groups[label] = []
-                order.append(label)
-            groups[label].append((weight, chol))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DatasetError(f"{path}: {exc}") from None
+    if not rows:
+        raise DatasetError(f"{path}: empty file")
+    header = rows[0]
+    if [h.strip().lower() for h in header] != ["group", "weight", "cholesterol"]:
+        raise DatasetError(
+            f"{path}: expected header 'group,weight,cholesterol', got {','.join(header)!r}"
+        )
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise DatasetError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+        label = row[0].strip()
+        try:
+            weight, chol = float(row[1]), float(row[2])
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from None
+        if not (math.isfinite(weight) and math.isfinite(chol)):
+            raise DatasetError(f"{path}:{lineno}: non-finite value")
+        if clean and chol == OUTLIER_VALUE:
+            chol = OUTLIER_REPLACEMENT
+        if label not in groups:
+            groups[label] = []
+            order.append(label)
+        groups[label].append((weight, chol))
     if len(order) != 2:
         raise DatasetError(f"{path}: expected exactly 2 groups, found {len(order)}: {order}")
     n1, n2 = len(groups[order[0]]), len(groups[order[1]])

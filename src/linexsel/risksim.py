@@ -6,6 +6,11 @@ for a fixed master seed no matter how many workers run the sweep or which
 columns are added later. A column group is the base-estimator family; the
 base and its truncation-improved variant share draws, which is exactly the
 common-random-numbers pairing the dominance comparisons need.
+
+One runner runs every cell, the grid's and the one cell of `simulate_risk`,
+`simulate_all` and `paired_risk_difference`: it gives each thread one reused
+`CellWorkspace`, and refuses with a MemoryError, before building any, a run
+whose workspaces would exceed physical memory.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, TypeVar
 
 from .core import (
     CovarianceSpec,
@@ -91,7 +96,7 @@ class CellWorkspace(Workspace):
     lives through a cell: the selection mask, y_sel, t1, t2, the realized
     theta_y^S, the base phi (N3's or N4's; N1's and N2's are floats), and the
     column's estimate, which its loss then overwrites. One thread's alone;
-    dropped when its sweep returns.
+    dropped when the call that made it returns.
     """
 
     #: what one grows to per rep in a published or CLI grid, rounded up: 14 float
@@ -151,14 +156,60 @@ def _estimate_from_losses(losses: np.ndarray, ws: CellWorkspace) -> RiskEstimate
     return RiskEstimate(float(total / n), se)
 
 
-def _run_cell(
-    config: SimConfig, specs: Sequence[EstimatorSpec], stream_key: tuple[int, ...],
-    ws: CellWorkspace,
-) -> list[RiskEstimate]:
-    return [
-        _estimate_from_losses(losses, ws)
-        for losses in _cell_losses(config, specs, stream_key, ws)
-    ]
+_R = TypeVar("_R")
+#: a risk cell: its config, its columns and its stream key
+_Cell = tuple[SimConfig, Sequence[EstimatorSpec], tuple[int, ...]]
+
+
+def _column_estimates(losses: Iterator[np.ndarray], ws: CellWorkspace) -> list[RiskEstimate]:
+    return [_estimate_from_losses(column, ws) for column in losses]
+
+
+def _paired_difference(losses: Iterator[np.ndarray], ws: CellWorkspace) -> RiskEstimate:
+    loss_a = next(losses).copy()
+    loss_a -= next(losses)
+    return _estimate_from_losses(loss_a, ws)
+
+
+def _run_cells(
+    cells: Sequence[_Cell], reps: int, workers: int,
+    reduce: Callable[[Iterator[np.ndarray], CellWorkspace], _R],
+) -> list[_R]:
+    """`reduce(column losses, workspace)` of each `(config, specs, stream_key)` cell, in order.
+
+    The cells run on min(workers, cells) threads, each with one workspace made
+    on its first cell. Raises MemoryError, before any workspace is built, where
+    those threads' workspaces would exceed physical memory: one that cannot fit
+    would pass np.empty under overcommit and get the process killed later.
+    """
+    threads = min(workers, len(cells))
+    need = threads * reps * CellWorkspace.BYTES_PER_REP
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # the OS does not say
+        have = 0
+    if 0 < have < need:
+        raise MemoryError(
+            f"needs about {need / 2**20:.0f} MiB of workspace on {threads} threads, "
+            f"more than the {have / 2**20:.0f} MiB of physical memory"
+        )
+    # one workspace per thread of this call, dropped when it returns
+    local = threading.local()
+
+    def run(cell: _Cell) -> _R:
+        if not hasattr(local, "ws"):
+            local.ws = CellWorkspace(reps)
+        return reduce(_cell_losses(*cell, local.ws), local.ws)
+
+    # one thread runs the cells here, with no pool: a one-thread pool measured 2-26 %
+    # slower on a 64-row, 8-column grid at 5000 reps
+    if threads <= 1:
+        return [run(cell) for cell in cells]
+    # loaded here alone: it pulls in logging and queue, which a serial run never needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run, cells))
 
 
 def simulate_risk(
@@ -170,16 +221,20 @@ def simulate_risk(
     the estimator, and scores it against the realized theta_y^S. Deterministic
     for a fixed (master_seed, stream_key).
     """
-    (est,) = _run_cell(config, [spec], stream_key, CellWorkspace(config.reps))
+    ((est,),) = _run_cells([(config, [spec], stream_key)], config.reps, 1, _column_estimates)
     return est
 
 
 def simulate_all(config: SimConfig) -> dict[str, RiskEstimate]:
-    """Evaluate config.estimators on one shared stream (common random numbers)."""
+    """Evaluate config.estimators on one shared stream (common random numbers), keyed by label."""
     if not config.estimators:
         raise InvalidParameterError("config.estimators must be nonempty")
-    estimates = _run_cell(config, config.estimators, (), CellWorkspace(config.reps))
-    return {spec.label: est for spec, est in zip(config.estimators, estimates)}
+    labels = [spec.label for spec in config.estimators]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise InvalidParameterError(f"config.estimators repeat the label {label!r}")
+    (estimates,) = _run_cells([(config, config.estimators, ())], config.reps, 1, _column_estimates)
+    return dict(zip(labels, estimates))
 
 
 def paired_risk_difference(
@@ -189,13 +244,8 @@ def paired_risk_difference(
     stream_key: tuple[int, ...] = (),
 ) -> tuple[float, float]:
     """mean(loss_a - loss_b) over identical draws, with the paired standard error (0 at one rep)."""
-    import numpy as np
-
-    ws = CellWorkspace(config.reps)
-    losses = _cell_losses(config, [spec_a, spec_b], stream_key, ws)
-    loss_a = next(losses).copy()
-    np.subtract(loss_a, next(losses), out=loss_a)
-    est = _estimate_from_losses(loss_a, ws)
+    cells = [(config, [spec_a, spec_b], stream_key)]
+    (est,) = _run_cells(cells, config.reps, 1, _paired_difference)
     return est.mean_risk, est.std_error or 0.0
 
 
@@ -295,15 +345,6 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the OS does not say."""
-    try:
-        size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-    return size if size > 0 else None
-
-
 def risk_grid(
     table: int | TableSpec,
     reps: int = 20000,
@@ -334,51 +375,18 @@ def risk_grid(
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
 
-    # one task per (row, column-group): all columns in a group share draws
+    # one cell per (row, column-group): all columns in a group share draws
     groups: dict[int, list[int]] = {}
     for j, (_, est_spec) in enumerate(spec.columns):
         groups.setdefault(stream_group(est_spec), []).append(j)
-
-    table_result = RiskTable(spec=spec, reps=reps, master_seed=master_seed)
-    # one workspace per thread of this call, made on its first cell
-    local = threading.local()
-
-    def run_cell(row_idx: int, group_id: int) -> list[tuple[tuple[int, int], RiskEstimate]]:
-        config = SimConfig(
-            means=spec.rows[row_idx],
-            cov=spec.cov,
-            a=spec.a,
-            reps=reps,
-            master_seed=master_seed,
-        )
-        key = (spec.table_id, row_idx, group_id)
-        cols = groups[group_id]
-        if not hasattr(local, "ws"):
-            local.ws = CellWorkspace(reps)
-        estimates = _run_cell(config, [spec.columns[j][1] for j in cols], key, local.ws)
-        return [((row_idx, j), est) for j, est in zip(cols, estimates)]
-
     tasks = [(i, g) for i in range(len(spec.rows)) for g in sorted(groups)]
-    # each thread holds one workspace for the whole sweep; one that cannot fit
-    # would pass np.empty under overcommit and get the process killed later
-    threads = min(workers, len(tasks))
-    need, have = threads * reps * CellWorkspace.BYTES_PER_REP, _physical_memory()
-    if have is not None and need > have:
-        raise MemoryError(
-            f"needs about {need / 2**20:.0f} MiB of workspace on {threads} threads, "
-            f"more than the {have / 2**20:.0f} MiB of physical memory"
-        )
-    # one thread runs the cells here, with no pool: a one-thread pool measured 2-26 %
-    # slower on a 64-row, 8-column grid at 5000 reps
-    if threads <= 1:
-        results = [run_cell(i, g) for i, g in tasks]
-    else:
-        # loaded here alone: it pulls in logging and queue, which a serial sweep never needs
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: run_cell(*t), tasks))
-    for chunk in results:
-        for key, est in chunk:
-            table_result.estimates[key] = est
+    cells = [
+        (SimConfig(spec.rows[i], spec.cov, spec.a, reps, master_seed),
+         [spec.columns[j][1] for j in groups[g]], (spec.table_id, i, g))
+        for i, g in tasks
+    ]
+    table_result = RiskTable(spec=spec, reps=reps, master_seed=master_seed)
+    for (i, g), estimates in zip(tasks, _run_cells(cells, reps, workers, _column_estimates)):
+        for j, est in zip(groups[g], estimates):
+            table_result.estimates[(i, j)] = est
     return table_result

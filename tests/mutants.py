@@ -1,0 +1,251 @@
+#!/usr/bin/env python3
+"""The mutant catalogue: one-line faults that the tier-1 tests must kill.
+
+Each mutant replaces one exact text in one file under src/linexsel by
+another and names the test modules expected to fail on it. Run:
+
+    python tests/mutants.py
+
+It copies the checkout to a temporary directory, checks that the named
+test modules pass there unmutated, then applies each mutant in turn, runs
+its modules (stopping at the first failure) and reports it killed or
+survived with the time taken. It exits 1 when any mutant does not behave as
+catalogued: a survivor not marked equivalent, an equivalent one killed, a
+run over five minutes, or a text not found exactly once. Standard library
+only; about five minutes on two cores.
+
+`tests/test_mutants.py` checks in tier-1 that every text still occurs
+exactly once, so a refactor cannot turn a mutant into a no-op unseen.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    #: path under src/linexsel
+    file: str
+    old: str
+    new: str
+    #: test modules under tests/ that kill it
+    tests: tuple[str, ...]
+    #: why no test can kill it, for a mutant that changes no result
+    equivalent: Optional[str] = None
+
+
+MUTANTS: tuple[Mutant, ...] = (
+    # selection
+    Mutant("tie_selects_population_1", "selection.py",
+           "    if x1 > x2:\n", "    if x1 >= x2:\n", ("test_selection.py",)),
+    Mutant("batch_tie_selects_population_1", "selection.py",
+           "sel1 = np.greater(x1, x2, out=sel1)", "sel1 = np.greater_equal(x1, x2, out=sel1)",
+           ("test_selection.py",)),
+    Mutant("t1_is_minus_abs", "selection.py",
+           "np.subtract(0.0, t1, out=t1)", "np.negative(t1, out=t1)", ("test_selection.py",)),
+    # core: sampling, Phi, the loss, blend
+    Mutant("three_row_draw_ignores_negative_zero", "core.py",
+           "theta_y == 0.0 and math.copysign(1.0, theta_y) < 0.0", "False", ("test_core.py",)),
+    Mutant("theta_y_added_after_the_sum", "core.py",
+           "                t += theta_y\n                y += t\n",
+           "                y += t\n                y += theta_y\n", ("test_core.py",)),
+    Mutant("cdf_unclipped", "core.py",
+           "        np.minimum(t, _CDF_T_MAX, out=t)\n", "", ("test_core.py",)),
+    Mutant("tail_series_first_term", "core.py",
+           "    series = r * (-1.0 + r * (3.0 + r * (-15.0 + r * (105.0 + r * (\n"
+           "        -945.0 + r * (10395.0 - r * 135135.0))))))\n",
+           "    series = -r\n", ("test_core.py",)),
+    Mutant("log_cdf_without_upper_branch", "core.py",
+           "    if u > 0:\n        return math.log1p(-std_normal_cdf(-u))\n", "",
+           ("test_core.py",)),
+    Mutant("loss_lets_nan_through", "core.py",
+           "if not zmax <= EXP_OVERFLOW_LIMIT:", "if zmax > EXP_OVERFLOW_LIMIT:", ("test_core.py",)),
+    Mutant("loss_lets_minus_inf_through", "core.py",
+           "if np.min(z) == -math.inf:", "if False:", ("test_core.py",)),
+    Mutant("blend_drops_every_7th_mask", "core.py",
+           "        np.bitwise_and(mask, ",
+           "        mask[::7] = 0\n        np.bitwise_and(mask, ", ("test_selection.py",)),
+    Mutant("core_imports_numpy_at_module_level", "core.py",
+           "from contextlib import nullcontext\n",
+           "from contextlib import nullcontext\n\nimport numpy\n", ("test_cli.py",)),
+    # estimators
+    Mutant("n3_log_switch_drops_t2", "estimators.py",
+           "            return t2 + math.log(inner) / a.a\n",
+           "            return math.log(inner) / a.a\n", ("test_estimators.py",)),
+    Mutant("n3_batch_log_switch_drops_t2", "estimators.py",
+           "out[big] = t2[big] + log_inner / a.a", "out[big] = log_inner / a.a",
+           ("test_estimators.py", "test_core.py")),
+    Mutant("n3_small_branch_unmasked", "estimators.py",
+           "np.expm1(z, out=out, where=small)", "np.expm1(z, out=out)",
+           ("test_estimators.py", "test_risksim.py")),
+    Mutant("n4_window_weak_at_c_zero", "estimators.py",
+           "inside = np.greater(s.t1, _n4_cut(spec.c, cov), out=inside)",
+           "inside = np.greater_equal(s.t1, _n4_cut(spec.c, cov), out=inside)",
+           ("test_estimators.py",)),
+    Mutant("shift_regrouped", "estimators.py",
+           "return np.add(s.y_sel, spec.d, out=out)",
+           "return np.add(np.add(s.y_sel, spec.d / 3, out=out), 2 * spec.d / 3, out=out)",
+           ("test_risksim.py",)),
+    Mutant("evaluate_imports_per_call", "estimators.py",
+           "    phi = base_phi(spec.base, s, a, cov)\n",
+           "    from . import improvement  # noqa: F401\n    phi = base_phi(spec.base, s, a, cov)\n",
+           ("test_scalar_path.py",)),
+    # oracles: the band and the clip
+    Mutant("clip_band_lo_weak", "oracles.py",
+           "(side < 0) & (gap < margin)", "(side < 0) & (gap <= margin)", ("test_oracles.py",)),
+    Mutant("clip_band_hi_weak", "oracles.py",
+           "(side > 0) & (gap > margin)", "(side > 0) & (gap >= margin)", ("test_oracles.py",)),
+    Mutant("clip_band_batch_lo_weak", "oracles.py",
+           "cond = np.less(gap, margin, out=cond)", "cond = np.less_equal(gap, margin, out=cond)",
+           ("test_oracles.py",)),
+    Mutant("clip_band_batch_hi_weak", "oracles.py",
+           "np.greater(gap, margin, out=cond)", "np.greater_equal(gap, margin, out=cond)",
+           ("test_oracles.py",)),
+    Mutant("clip_band_numbers_take_the_array_path", "oracles.py",
+           "if np is None or not isinstance(t1, np.ndarray):", "if np is None or type(t1) is float:",
+           ("test_oracles.py",)),
+    Mutant("clip_tie_strict", "oracles.py",
+           "if lo_set and phi <= value:", "if lo_set and phi < value:", ("test_improvement.py",)),
+    Mutant("improve_batch_tie_strict", "oracles.py",
+           "np.less_equal(phi, value, out=clip)", "np.less(phi, value, out=clip)",
+           ("test_improvement.py", "test_oracles.py", "test_estimators.py", "test_risksim.py",
+            "test_acceptance.py"),
+           equivalent="at a tie phi == value, so both sides give the same component and differ "
+                      "at most in the sign of a zero, which no loss or risk sees"),
+    Mutant("improve_batch_lo_clip_wrong_side", "oracles.py",
+           "    np.less_equal(phi, value, out=clip)\n",
+           "    np.greater_equal(phi, value, out=clip)\n", ("test_improvement.py",)),
+    Mutant("improve_batch_hi_clip_wrong_side", "oracles.py",
+           "clip = np.greater_equal(phi, value, out=clip)", "clip = np.less_equal(phi, value, out=clip)",
+           ("test_risksim.py",)),
+    Mutant("improve_batch_hi_clip_dropped", "oracles.py",
+           "        clip |= hi_set\n", "", ("test_risksim.py",)),
+    Mutant("perfbench_alias_renamed", "oracles.py",
+           "shift_risk_quadrature = shift_risk", "shift_risk_quadrature_old = shift_risk",
+           ("test_perfbench_api.py",)),
+    # admissibility
+    Mutant("classify_d0_dominated", "admissibility.py",
+           "    if d < d0:\n", "    if d <= d0:\n", ("test_admissibility.py",)),
+    # risksim: reductions, flags, the cell runner
+    Mutant("se_ddof_0", "risksim.py",
+           "np.add.reduce(dev) / (n - 1)", "np.add.reduce(dev) / n", ("test_risksim.py",)),
+    Mutant("se_sum_by_fsum", "risksim.py",
+           "np.sqrt(np.add.reduce(dev) / (n - 1))", "np.sqrt(math.fsum(dev) / (n - 1))",
+           ("test_risksim.py",)),
+    Mutant("mean_times_reciprocal", "risksim.py",
+           "RiskEstimate(float(total / n), se)", "RiskEstimate(float(total * (1 / n)), se)",
+           ("test_risksim.py",)),
+    Mutant("bayes_on_x_min", "risksim.py",
+           "x_max=np.maximum(x1, x2)", "x_max=np.minimum(x1, x2)", ("test_risksim.py",)),
+    Mutant("flag_threshold_ten_percent", "risksim.py",
+           "est.std_error > 0.05 * abs(est.mean_risk)", "est.std_error > 0.10 * abs(est.mean_risk)",
+           ("test_risksim.py",)),
+    Mutant("flag_threshold_weak", "risksim.py",
+           "est.std_error > 0.05 * abs(est.mean_risk)", "est.std_error >= 0.05 * abs(est.mean_risk)",
+           ("test_risksim.py",)),
+    Mutant("tablespec_c_removed", "risksim.py",
+           "    def c(self) -> Optional[float]:", "    def c_old(self) -> Optional[float]:",
+           ("test_perfbench_api.py",)),
+    Mutant("threads_not_capped_by_cells", "risksim.py",
+           "threads = min(workers, len(cells))", "threads = workers", ("test_risksim.py",)),
+    Mutant("memory_check_dropped", "risksim.py",
+           "if 0 < have < need:", "if False:", ("test_risksim.py",)),
+    Mutant("pool_shares_one_workspace", "risksim.py",
+           "local = threading.local()", "local = type('Shared', (), {})()", ("test_risksim.py",)),
+    Mutant("workspace_per_cell", "risksim.py",
+           "        if not hasattr(local, \"ws\"):\n            local.ws = CellWorkspace(reps)\n",
+           "        local.ws = CellWorkspace(reps)\n", ("test_cli.py",)),
+    Mutant("pool_imported_at_module_level", "risksim.py",
+           "import threading\n",
+           "import threading\n\ntry:\n    import concurrent.futures\nexcept ImportError:\n    pass\n",
+           ("test_cli.py",)),
+    Mutant("repeated_labels_kept", "risksim.py",
+           "if label in labels[:i]:", "if label in labels[:0]:", ("test_risksim.py",)),
+    # analysis
+    Mutant("non_utf8_file_uncaught", "analysis.py",
+           "except (UnicodeDecodeError, csv.Error) as exc:", "except csv.Error as exc:",
+           ("test_cli.py",)),
+    Mutant("oversized_csv_field_uncaught", "analysis.py",
+           "except (UnicodeDecodeError, csv.Error) as exc:", "except UnicodeDecodeError as exc:",
+           ("test_cli.py",)),
+)
+
+
+def source(mutant: Mutant, root: Path = ROOT) -> Path:
+    return root / "src" / "linexsel" / mutant.file
+
+
+def apply(mutant: Mutant, text: str) -> str:
+    """`text` with the mutant's one occurrence replaced; ValueError unless there is exactly one."""
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: its text occurs {count} times in {mutant.file}")
+    return text.replace(mutant.old, mutant.new)
+
+
+def run_tests(root: Path, modules: tuple[str, ...]) -> tuple[Optional[bool], float]:
+    """Whether `modules` pass in the checkout at `root` (None after 5 minutes), and the seconds taken."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+            *(f"tests/{m}" for m in modules)]
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, timeout=300)
+    except subprocess.TimeoutExpired:
+        return None, time.perf_counter() - start
+    return proc.returncode == 0, time.perf_counter() - start
+
+
+def main() -> int:
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "_out")
+    with tempfile.TemporaryDirectory(prefix="linexsel-mutants-") as tmp:
+        root = Path(tmp) / "repo"
+        shutil.copytree(ROOT, root, ignore=ignore)
+        modules = tuple(sorted({m for mutant in MUTANTS for m in mutant.tests}))
+        passed, seconds = run_tests(root, modules)
+        print(f"unmutated: {'pass' if passed else 'FAIL'} ({seconds:.1f} s)", flush=True)
+        if not passed:
+            return 1
+        bad = 0
+        for mutant in MUTANTS:
+            path = source(mutant, root)
+            original = path.read_text()
+            try:
+                path.write_text(apply(mutant, original))
+            except ValueError as exc:
+                print(f"MISSING   {exc}", flush=True)
+                bad += 1
+                continue
+            try:
+                survived, seconds = run_tests(root, mutant.tests)
+            finally:
+                path.write_text(original)
+            if survived is None:
+                verdict, bad = "TIMED OUT", bad + 1
+            elif survived and mutant.equivalent:
+                verdict = f"survived  (equivalent: {mutant.equivalent})"
+            elif survived:
+                verdict, bad = "SURVIVED", bad + 1
+            elif mutant.equivalent:
+                verdict, bad = "killed    (listed as equivalent)", bad + 1
+            else:
+                verdict = "killed"
+            print(f"{mutant.name:40s} {seconds:6.1f} s  {verdict}", flush=True)
+        print(f"{len(MUTANTS)} mutants, {bad} not as catalogued")
+        return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

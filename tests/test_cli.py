@@ -419,6 +419,20 @@ class TestAnalyze:
         assert code == 2
         assert "nope.csv" in err
 
+    @pytest.mark.parametrize("content", [
+        b"group,weight,cholesterol\n\xff,1,2\n",  # not UTF-8
+        b"group,weight,cholesterol\n\"" + b"x" * 200000 + b"\",1,2\n",  # over the csv field limit
+    ], ids=["not_utf8", "field_too_large"])
+    def test_unreadable_file(self, capsys, tmp_path, content):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(content)
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "analyze", "--data", str(data), "--a", "1", "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith(f"error: {data}: ")
+        assert "Traceback" not in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
     def test_rerun_byte_identical(self, capsys, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         run(capsys, "analyze", "--clean", "--a", "1", "--out", str(a_dir))

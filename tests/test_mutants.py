@@ -1,0 +1,20 @@
+"""The mutant catalogue stays live: each mutant's text is in src/ once.
+
+The catalogue itself runs as `python tests/mutants.py` (minutes); this only
+checks that a refactor has not turned a mutant into a no-op.
+"""
+
+import pytest
+
+from .mutants import MUTANTS, ROOT, apply, source
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_mutant_text_occurs_once(mutant):
+    mutated = apply(mutant, source(mutant).read_text())
+    compile(mutated, str(source(mutant)), "exec")
+    assert all((ROOT / "tests" / module).is_file() for module in mutant.tests)
+
+
+def test_names_are_distinct():
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)

@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -269,7 +270,7 @@ class TestRiskGrid:
 
 
 class TestMemoryRefusal:
-    """risk_grid weighs its threads' workspaces against physical memory first.
+    """Every entry point weighs its threads' workspaces against physical memory first.
 
     A 4 MiB machine is faked, so nothing large is allocated.
     """
@@ -279,14 +280,25 @@ class TestMemoryRefusal:
         pages = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
 
-    def test_sweep_too_large_is_refused_before_any_workspace(self, monkeypatch):
+    @pytest.mark.parametrize("entry", [
+        "risk_grid", "simulate_risk", "simulate_all", "paired_risk_difference",
+    ])
+    def test_sweep_too_large_is_refused_before_any_workspace(self, monkeypatch, entry):
         def built(*args, **kwargs):
             raise AssertionError("a workspace was built")
 
         monkeypatch.setattr(CellWorkspace, "__init__", built)
         # 100000 reps take about 11 MiB on one thread
+        cfg = replace(config(reps=100000), estimators=(EstimatorSpec.n1(), EstimatorSpec.n2()))
+        calls = {
+            "risk_grid": lambda: risk_grid(7, reps=100000, master_seed=0, workers=1),
+            "simulate_risk": lambda: simulate_risk(cfg, EstimatorSpec.n1()),
+            "simulate_all": lambda: simulate_all(cfg),
+            "paired_risk_difference": lambda: paired_risk_difference(
+                cfg, EstimatorSpec.n1(), EstimatorSpec.n2()),
+        }
         with pytest.raises(MemoryError, match="physical memory"):
-            risk_grid(7, reps=100000, master_seed=0, workers=1)
+            calls[entry]()
 
     def test_threads_are_counted_up_to_the_cells(self):
         # one cell runs on one thread whatever the worker count: one 2.4 MB
@@ -311,6 +323,17 @@ def test_simulate_all_shares_draws():
     )
     out = simulate_all(cfg)
     assert out["N1"].mean_risk == out["Shift(d=0)"].mean_risk
+
+
+def test_simulate_all_refuses_repeated_labels():
+    # labels print c and d with :g, so close thresholds share one; a dict keyed
+    # by label would keep only the last column of each
+    cfg = replace(config(reps=10), estimators=(
+        EstimatorSpec.n4(1.0), EstimatorSpec.n4(1.0000001),
+        EstimatorSpec.shift(0.1), EstimatorSpec.shift(0.10000001),
+    ))
+    with pytest.raises(InvalidParameterError, match=r"repeat the label 'N4\(c=1\)'"):
+        simulate_all(cfg)
 
 
 def test_theta_configs_are_the_published_grid():
