@@ -17,7 +17,7 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -102,6 +102,13 @@ class CovarianceSpec:
                 f"sigma_yy={self.sigma_yy}"
             )
         bound = self.sigma_xx * self.sigma_yy
+        # rho divides by sqrt(bound): a product that underflows to a subnormal or
+        # 0, or overflows, leaves it meaningless
+        if not sys.float_info.min <= bound <= sys.float_info.max:
+            raise InvalidParameterError(
+                f"sigma_xx*sigma_yy = {bound!r} is not a positive normal double "
+                f"(sigma_xx={self.sigma_xx}, sigma_yy={self.sigma_yy})"
+            )
         # tiny relative slack so sigma_xy = sqrt(sigma_xx*sigma_yy) computed in
         # floats still validates as |rho| = 1
         if self.sigma_xy * self.sigma_xy > bound * (1.0 + 1e-12):
@@ -345,37 +352,74 @@ def sample_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw Z1, Z2 independently, each N2(theta_i, Sigma), n times over.
 
-    Returns the arrays (x1, y1, x2, y2). Uses the lower-triangular factor from
-    CovarianceSpec.cholesky_factors(). Stream layout v1: one draw of
-    standard_normal((4, n)) read row-major feeds the four components, filling
-    `out`, a (4, n) array, if given; the four arrays are its rows, transformed
-    in place, with one temporary borrowed from `work` if given. Each y is
-    theta_y + l_yx*x + l_yy*y with its sums and products only commuted, never
-    regrouped, so the bits match the out-of-place formula.
-
-    Where l_yy is 0 (|rho| = 1) only the first three rows are drawn, the same
-    3n normals that begin the four-row draw, and each y is theta_y + l_yx*x:
-    l_yy*y is a signed zero there, and adding a signed zero leaves a sum's
-    bits alone unless the sum is -0, which needs theta_y = -0.0, so a -0.0
-    theta_y keeps the four-row draw. The generator then stops n normals
-    short of the four-row draw; a risk cell draws once from its own stream,
-    so nothing reads past it.
+    Returns the arrays (x1, y1, x2, y2): `sample_block` for one row, filling
+    `out`, a (4, n) array, if given, and borrowing from `work` if given.
     """
     import numpy as np
 
-    l_xx, l_yx, l_yy = cov.cholesky_factors()
-    affine = l_yy == 0.0 and not any(
-        theta_y == 0.0 and math.copysign(1.0, theta_y) < 0.0
-        for theta_y in (means.theta1[1], means.theta2[1])
-    )
     if out is None:
         out = np.empty((4, n))
     elif out.shape != (4, n):
         raise InvalidParameterError(f"out must have shape (4, {n}), got {out.shape}")
-    rng.standard_normal(out=out[:3] if affine else out)
-    x1, y1, x2, y2 = out
+    x1, y1, x2, y2 = sample_block((means,), cov, (rng,), n, out[np.newaxis], work)
+    return x1[0], y1[0], x2[0], y2[0]
+
+
+def sample_block(
+    means: Sequence[MeanVectorPair],
+    cov: CovarianceSpec,
+    rngs: Sequence[np.random.Generator],
+    n: int,
+    out: Optional[np.ndarray] = None,
+    work: Optional["Workspace"] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`sample_batch` for k rows at once: row i draws from `rngs[i]` at `means[i]`.
+
+    Returns the (k, n) arrays (x1, y1, x2, y2). Uses the lower-triangular
+    factor from CovarianceSpec.cholesky_factors(). Stream layout v1: each
+    row's generator fills row i of `out`, a (k, 4, n) array, with one draw
+    of standard_normal((4, n)) read row-major; the four arrays are views of
+    `out`, transformed in place for all rows at once, with one temporary
+    borrowed from `work` if given. Each y is theta_y + l_yx*x + l_yy*y with
+    its sums and products only commuted, never regrouped, so the bits match
+    the out-of-place formula.
+
+    Where l_yy is 0 (|rho| = 1) a row draws only its first three rows, the
+    same 3n normals that begin the four-row draw, and each y is
+    theta_y + l_yx*x: l_yy*y is a signed zero there, and adding a signed
+    zero leaves a sum's bits alone unless the sum is -0, which needs
+    theta_y = -0.0, so a row with a -0.0 theta_y keeps the four-row draw.
+    The generator then stops n normals short of the four-row draw; a risk
+    cell draws once from its own stream, so nothing reads past it.
+    """
+    import numpy as np
+
+    l_xx, l_yx, l_yy = cov.cholesky_factors()
+    k = len(means)
+    if out is None:
+        out = np.empty((k, 4, n))
+    elif out.shape != (k, 4, n):
+        raise InvalidParameterError(f"out must have shape ({k}, 4, {n}), got {out.shape}")
+    short = [
+        l_yy == 0.0 and not any(
+            theta_y == 0.0 and math.copysign(1.0, theta_y) < 0.0
+            for theta_y in (m.theta1[1], m.theta2[1])
+        )
+        for m in means
+    ]
+    affine = all(short)
+    for row, rng, three in zip(out, rngs, short):
+        rng.standard_normal(out=row[:3] if three else row)
+        if three and not affine:
+            # the full form below reads the undrawn row, times l_yy = 0
+            row[3] = 0.0
+    x1, y1, x2, y2 = out.transpose(1, 0, 2)
     with borrow(work, floats=1) as (t,):
-        for x, y, (theta_x, theta_y) in ((x1, y1, means.theta1), (x2, y2, means.theta2)):
+        if t is not None:
+            t = t.reshape(x1.shape)  # a (n,) workspace serves a block of one
+        for x, y, pop in ((x1, y1, 0), (x2, y2, 1)):
+            # one mean per row, broadcast along the draws
+            theta_x, theta_y = np.array([m.theta2 if pop else m.theta1 for m in means]).T[:, :, None]
             if affine:
                 np.multiply(l_yx, x, out=y)
                 y += theta_y
@@ -390,32 +434,33 @@ def sample_batch(
 
 
 class Workspace:
-    """Arrays of one length that batch kernels borrow instead of allocating.
+    """Arrays of one shape that batch kernels borrow instead of allocating.
 
     A kernel given a workspace as `work` takes its temporaries from here and
     hands them back before it returns, so a caller that runs batch after
-    batch of n draws through one workspace allocates nothing per batch.
-    Kernels calling kernels borrow further arrays; a workspace grows to the
-    most any call needs at once. Not for sharing between threads.
+    batch of n draws (or of k rows of n draws, with shape (k, n)) through
+    one workspace allocates nothing per batch. Kernels calling kernels
+    borrow further arrays; a workspace grows to the most any call needs at
+    once. Not for sharing between threads.
     """
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, shape: int | tuple[int, ...]):
+        self.shape = shape
         self._floats: list[np.ndarray] = []
         self._masks: list[np.ndarray] = []
 
     def borrow(self, floats: int = 0, masks: int = 0) -> "_Loan":
-        """Lend `floats` float arrays, then `masks` bool arrays, of length n until the `with` block ends."""
-        lent = [self._floats.pop() if self._floats else _empty(self.n, float) for _ in range(floats)]
-        lent += [self._masks.pop() if self._masks else _empty(self.n, bool) for _ in range(masks)]
+        """Lend `floats` float arrays, then `masks` bool arrays, of the shape until the `with` block ends."""
+        lent = [self._floats.pop() if self._floats else _empty(self.shape, float) for _ in range(floats)]
+        lent += [self._masks.pop() if self._masks else _empty(self.shape, bool) for _ in range(masks)]
         return _Loan(self, lent, floats)
 
 
-def _empty(n: int, dtype: type) -> np.ndarray:
+def _empty(shape: int | tuple[int, ...], dtype: type) -> np.ndarray:
     # only a workspace's first loans allocate, so only they import numpy
     import numpy as np
 
-    return np.empty(n, dtype)
+    return np.empty(shape, dtype)
 
 
 class _Loan:

@@ -8,9 +8,15 @@ base and its truncation-improved variant share draws, which is exactly the
 common-random-numbers pairing the dominance comparisons need.
 
 One runner runs every cell, the grid's and the one cell of `simulate_risk`,
-`simulate_all` and `paired_risk_difference`: it gives each thread one reused
-`CellWorkspace`, and refuses with a MemoryError, before building any, a run
-whose workspaces would exceed physical memory.
+`simulate_all` and `paired_risk_difference`. It runs cells in blocks: k rows
+of one column group, each drawing its own stream into its row of a
+(k, 4, reps) draw block, then every kernel and the per-row reductions once
+over (k, reps) arrays, with the bits of each cell run alone. k keeps all
+threads' blocks within _BLOCK_REP_CELLS rep-cells, so the 20000-rep tables
+run one row at a time and a single-cell call is a block of one. The runner
+gives each thread one reused `CellWorkspace`, and refuses with a
+MemoryError, before building any, a run whose workspaces would exceed
+physical memory.
 """
 
 from __future__ import annotations
@@ -20,18 +26,19 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .core import (
     CovarianceSpec,
     InvalidParameterError,
+    LinexError,
     LinexParams,
     MeanVectorPair,
     Workspace,
     blend,
     linex_loss,
     rng_stream,
-    sample_batch,
+    sample_block,
 )
 from .estimators import BASE_KINDS, EstimatorSpec, base_phi_batch, evaluate_batch
 from .improvement import applicable_case, case_label
@@ -90,42 +97,64 @@ class RiskEstimate:
 
 
 class CellWorkspace(Workspace):
-    """The arrays of risk cells of `reps` draws, reused cell after cell.
+    """The arrays of blocks of `rows` risk cells of `reps` draws, reused block after block.
 
-    Beyond the kernels' scratch it holds the (4, reps) draw block and what
-    lives through a cell: the selection mask, y_sel, t1, t2, the realized
-    theta_y^S, the base phi (N3's or N4's; N1's and N2's are floats), and the
-    column's estimate, which its loss then overwrites. One thread's alone;
-    dropped when the call that made it returns.
+    Beyond the kernels' scratch it holds the (rows, 4, reps) draw block and
+    what lives through a block, each of shape (rows, reps): the selection
+    mask, y_sel, t1, t2, the realized theta_y^S, the base phi (N3's or N4's;
+    N1's and N2's are floats), and the column's estimate, which its loss
+    then overwrites. One thread's alone; dropped when the call that made it
+    returns, or when a block of another height comes.
     """
 
-    #: what one grows to per rep in a published or CLI grid, rounded up: 14 float
-    #: arrays (the draw block's four rows, six vectors, four borrowed) and five
-    #: bool masks
+    #: what one grows to per rep of one row in a published or CLI grid, rounded
+    #: up: 14 float arrays (the draw block's four rows, six vectors, four
+    #: borrowed) and five bool masks
     BYTES_PER_REP = 15 * 8
 
-    def __init__(self, reps: int):
+    def __init__(self, rows: int, reps: int):
         import numpy as np
 
-        super().__init__(reps)
-        self.draws = np.empty((4, reps))
-        self.sel1 = np.empty(reps, bool)
+        super().__init__((rows, reps))
+        self.draws = np.empty((rows, 4, reps))
+        self.sel1 = np.empty((rows, reps), bool)
         self.y_sel, self.t1, self.t2, self.theta_sel, self.phi, self.est = (
-            np.empty(reps) for _ in range(6)
+            np.empty((rows, reps)) for _ in range(6)
         )
 
 
-def _cell_losses(
-    config: SimConfig, specs: Sequence[EstimatorSpec], stream_key: tuple[int, ...],
-    ws: CellWorkspace,
-) -> Iterator[np.ndarray]:
-    """Each column's losses on the cell's draws in turn, in `ws.est` until the next."""
+class _Cell(NamedTuple):
+    """A risk cell: its config, its columns, its stream key, and each result's name in errors."""
+
+    config: SimConfig
+    specs: Sequence[EstimatorSpec]
+    stream_key: tuple[int, ...]
+    names: Sequence[str]
+
+
+#: rep-cells (one cell's draw at one rep) that a sweep's threads hold at once,
+#: one published-table cell's worth: where reps are fewer, a block runs more
+#: rows. Blocks of 11 rows at 20000 reps ran about 60 % slower once the working
+#: set left a 2 MB L2.
+_BLOCK_REP_CELLS = 20000
+
+
+def _block_losses(block: Sequence[_Cell], ws: CellWorkspace) -> Iterator[np.ndarray]:
+    """Each column's (rows, reps) losses on the block's draws in turn, in `ws.est` until the next.
+
+    The block's cells share their columns, covariance, LINEX parameter and
+    reps; row i holds cell i, drawn from its own stream.
+    """
     import numpy as np
 
-    rng = rng_stream(config.master_seed, *stream_key)
-    x1, y1, x2, y2 = sample_batch(config.means, config.cov, rng, config.reps, ws.draws, ws)
+    config, specs = block[0].config, block[0].specs
+    rngs = [rng_stream(cell.config.master_seed, *cell.stream_key) for cell in block]
+    means = [cell.config.means for cell in block]
+    x1, y1, x2, y2 = sample_block(means, config.cov, rngs, config.reps, ws.draws, ws)
     s = select_batch(x1, y1, x2, y2, (ws.sel1, ws.y_sel, ws.t1, ws.t2), ws)
-    theta_sel = blend(ws.sel1, config.means.theta1[1], config.means.theta2[1], ws.theta_sel, ws)
+    # each row's theta_y of the two populations, broadcast along the draws
+    theta1_y, theta2_y = np.array([(m.theta1[1], m.theta2[1]) for m in means]).T[:, :, None]
+    theta_sel = blend(ws.sel1, theta1_y, theta2_y, ws.theta_sel, ws)
     a, cov = config.a, config.cov
     held = phi = None
     for spec in specs:
@@ -140,50 +169,97 @@ def _cell_losses(
         yield linex_loss(estimate, theta_sel, a, spec.label, ws.est, ws)
 
 
-def _estimate_from_losses(losses: np.ndarray, ws: CellWorkspace) -> RiskEstimate:
-    # the ufuncs of losses.mean() and losses.std(ddof=1), so the bits match,
-    # with the deviations in a borrowed array
+def _estimates(
+    losses: np.ndarray, ws: CellWorkspace, block: Sequence[_Cell], column: int
+) -> list[RiskEstimate]:
+    """Each row's mean loss and standard error; LinexError where either is not finite.
+
+    Per row, the ufuncs of losses.mean() and losses.std(ddof=1), so the bits
+    match, with the deviations in a borrowed array.
+    """
     import numpy as np
 
-    n = len(losses)
-    total = np.add.reduce(losses)
-    se = None
-    if n > 1:
-        with ws.borrow(floats=1) as (dev,):
-            np.subtract(losses, total / n, out=dev)
-            np.square(dev, out=dev)
-            se = float(np.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n))
-    return RiskEstimate(float(total / n), se)
+    n = losses.shape[-1]
+    # a sum or a square past the double range is refused below, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.add.reduce(losses, axis=-1) / n
+        ses = [None] * len(means)
+        if n > 1:
+            with ws.borrow(floats=1) as (dev,):
+                np.subtract(losses, means[:, np.newaxis], out=dev)
+                np.square(dev, out=dev)
+                ses = (np.sqrt(np.add.reduce(dev, axis=-1) / (n - 1)) / math.sqrt(n)).tolist()
+    estimates = [RiskEstimate(mean, se) for mean, se in zip(means.tolist(), ses)]
+    for cell, est in zip(block, estimates):
+        if not (math.isfinite(est.mean_risk) and math.isfinite(est.std_error or 0.0)):
+            se = "none" if est.std_error is None else f"{est.std_error:.6g}"
+            raise LinexError(
+                f"{cell.names[column]}: the risk estimate left the double range "
+                f"(mean {est.mean_risk:.6g}, standard error {se})"
+            )
+    return estimates
 
 
 _R = TypeVar("_R")
-#: a risk cell: its config, its columns and its stream key
-_Cell = tuple[SimConfig, Sequence[EstimatorSpec], tuple[int, ...]]
 
 
-def _column_estimates(losses: Iterator[np.ndarray], ws: CellWorkspace) -> list[RiskEstimate]:
-    return [_estimate_from_losses(column, ws) for column in losses]
+def _column_estimates(
+    losses: Iterator[np.ndarray], ws: CellWorkspace, block: Sequence[_Cell]
+) -> list[list[RiskEstimate]]:
+    columns = [_estimates(column, ws, block, j) for j, column in enumerate(losses)]
+    return [list(row) for row in zip(*columns)]
 
 
-def _paired_difference(losses: Iterator[np.ndarray], ws: CellWorkspace) -> RiskEstimate:
+def _paired_difference(
+    losses: Iterator[np.ndarray], ws: CellWorkspace, block: Sequence[_Cell]
+) -> list[RiskEstimate]:
     loss_a = next(losses).copy()
     loss_a -= next(losses)
-    return _estimate_from_losses(loss_a, ws)
+    return _estimates(loss_a, ws, block, 0)
+
+
+def _blocks(cells: Sequence[_Cell], height: int) -> list[list[int]]:
+    """The cells' indices in blocks of at most `height`, in the order of each block's first cell.
+
+    Cells in order fill the open block of their kind: the very same specs,
+    covariance and LINEX objects, as a grid's cells of one column group
+    share. Identity, not equality: specs equal up to a zero's sign can
+    differ in bits.
+    """
+    open_blocks: dict[tuple, list[int]] = {}
+    blocks = []
+    for i, (config, specs, _, _) in enumerate(cells):
+        kind = (id(specs), id(config.cov), id(config.a), config.master_seed)
+        block = open_blocks.get(kind)
+        if block is None or len(block) == height:
+            block = open_blocks[kind] = []
+            blocks.append(block)
+        block.append(i)
+    return blocks
 
 
 def _run_cells(
     cells: Sequence[_Cell], reps: int, workers: int,
-    reduce: Callable[[Iterator[np.ndarray], CellWorkspace], _R],
+    reduce: Callable[[Iterator[np.ndarray], CellWorkspace, Sequence[_Cell]], list[_R]],
 ) -> list[_R]:
-    """`reduce(column losses, workspace)` of each `(config, specs, stream_key)` cell, in order.
+    """`reduce`'s result for each cell, in order, from blocks of cells run at once.
 
-    The cells run on min(workers, cells) threads, each with one workspace made
-    on its first cell. Raises MemoryError, before any workspace is built, where
-    those threads' workspaces would exceed physical memory: one that cannot fit
-    would pass np.empty under overcommit and get the process killed later.
+    `reduce(column losses, workspace, block)` gives one result per cell of a
+    block. Blocks hold up to _BLOCK_REP_CELLS // (reps * threads) cells, at
+    least one, so that all threads' blocks together hold no more rep-cells
+    than _BLOCK_REP_CELLS unless one cell alone does. They run on
+    min(workers, cells) threads, at most one per block, each with one
+    workspace made on its first block. Raises MemoryError, before any
+    workspace is built, where those threads' workspaces would exceed
+    physical memory: one that cannot fit would pass np.empty under
+    overcommit and get the process killed later. A LinexError is the one
+    that running the cells one by one, in order, raises first.
     """
     threads = min(workers, len(cells))
-    need = threads * reps * CellWorkspace.BYTES_PER_REP
+    blocks = _blocks(cells, max(1, _BLOCK_REP_CELLS // (reps * threads)))
+    threads = min(threads, len(blocks))
+    rows = max(map(len, blocks))
+    need = threads * rows * reps * CellWorkspace.BYTES_PER_REP
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # the OS does not say
@@ -196,20 +272,40 @@ def _run_cells(
     # one workspace per thread of this call, dropped when it returns
     local = threading.local()
 
-    def run(cell: _Cell) -> _R:
-        if not hasattr(local, "ws"):
-            local.ws = CellWorkspace(reps)
-        return reduce(_cell_losses(*cell, local.ws), local.ws)
+    def run(block: list[int]) -> list[_R]:
+        ws = getattr(local, "ws", None)
+        if ws is None or ws.shape[0] != len(block):
+            local.ws = None  # the old one goes before the new one is built
+            local.ws = ws = CellWorkspace(len(block), reps)
+        at = [cells[i] for i in block]
+        return reduce(_block_losses(at, ws), ws, at)
 
-    # one thread runs the cells here, with no pool: a one-thread pool measured 2-26 %
-    # slower on a 64-row, 8-column grid at 5000 reps
-    if threads <= 1:
-        return [run(cell) for cell in cells]
-    # loaded here alone: it pulls in logging and queue, which a serial run never needs
-    from concurrent.futures import ThreadPoolExecutor
+    try:
+        # one thread runs the blocks here, with no pool: a one-thread pool measured
+        # 2-26 % slower on a 64-row, 8-column grid at 5000 reps
+        if threads <= 1:
+            results = [run(block) for block in blocks]
+        else:
+            # loaded here alone: it pulls in logging and queue, which a serial run never needs
+            from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, cells))
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(run, blocks))
+    except LinexError:
+        if rows == 1:
+            raise
+        # a block meets its rows' errors column by column, and rows from later
+        # in the grid's order than another block's: rerun the cells one by one
+        # for the error that comes first
+        results = None
+    if results is None:
+        blocks = [[i] for i in range(len(cells))]
+        results = [run(block) for block in blocks]
+    ordered: list = [None] * len(cells)
+    for block, per_cell in zip(blocks, results):
+        for i, result in zip(block, per_cell):
+            ordered[i] = result
+    return ordered
 
 
 def simulate_risk(
@@ -221,7 +317,8 @@ def simulate_risk(
     the estimator, and scores it against the realized theta_y^S. Deterministic
     for a fixed (master_seed, stream_key).
     """
-    ((est,),) = _run_cells([(config, [spec], stream_key)], config.reps, 1, _column_estimates)
+    cells = [_Cell(config, [spec], stream_key, [spec.label])]
+    ((est,),) = _run_cells(cells, config.reps, 1, _column_estimates)
     return est
 
 
@@ -233,7 +330,8 @@ def simulate_all(config: SimConfig) -> dict[str, RiskEstimate]:
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise InvalidParameterError(f"config.estimators repeat the label {label!r}")
-    (estimates,) = _run_cells([(config, config.estimators, ())], config.reps, 1, _column_estimates)
+    cells = [_Cell(config, config.estimators, (), labels)]
+    (estimates,) = _run_cells(cells, config.reps, 1, _column_estimates)
     return dict(zip(labels, estimates))
 
 
@@ -244,7 +342,7 @@ def paired_risk_difference(
     stream_key: tuple[int, ...] = (),
 ) -> tuple[float, float]:
     """mean(loss_a - loss_b) over identical draws, with the paired standard error (0 at one rep)."""
-    cells = [(config, [spec_a, spec_b], stream_key)]
+    cells = [_Cell(config, [spec_a, spec_b], stream_key, [f"{spec_a.label} - {spec_b.label}"])]
     (est,) = _run_cells(cells, config.reps, 1, _paired_difference)
     return est.mean_risk, est.std_error or 0.0
 
@@ -380,9 +478,10 @@ def risk_grid(
     for j, (_, est_spec) in enumerate(spec.columns):
         groups.setdefault(stream_group(est_spec), []).append(j)
     tasks = [(i, g) for i in range(len(spec.rows)) for g in sorted(groups)]
+    specs = {g: [spec.columns[j][1] for j in groups[g]] for g in groups}
     cells = [
-        (SimConfig(spec.rows[i], spec.cov, spec.a, reps, master_seed),
-         [spec.columns[j][1] for j in groups[g]], (spec.table_id, i, g))
+        _Cell(SimConfig(spec.rows[i], spec.cov, spec.a, reps, master_seed), specs[g],
+              (spec.table_id, i, g), [f"row {i}, column {spec.columns[j][0]}" for j in groups[g]])
         for i, g in tasks
     ]
     table_result = RiskTable(spec=spec, reps=reps, master_seed=master_seed)

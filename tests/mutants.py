@@ -98,6 +98,8 @@ MUTANTS: tuple[Mutant, ...] = (
            "return np.add(s.y_sel, spec.d, out=out)",
            "return np.add(np.add(s.y_sel, spec.d / 3, out=out), 2 * spec.d / 3, out=out)",
            ("test_risksim.py",)),
+    Mutant("prior_m_zero_accepted", "estimators.py",
+           "if self.m <= 0:", "if self.m < 0:", ("test_estimators.py",)),
     Mutant("evaluate_imports_per_call", "estimators.py",
            "    phi = base_phi(spec.base, s, a, cov)\n",
            "    from . import improvement  # noqa: F401\n    phi = base_phi(spec.base, s, a, cov)\n",
@@ -116,8 +118,16 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("clip_band_numbers_take_the_array_path", "oracles.py",
            "if np is None or not isinstance(t1, np.ndarray):", "if np is None or type(t1) is float:",
            ("test_oracles.py",)),
+    Mutant("clip_band_batch_side_lo_weak", "oracles.py",
+           "lo = np.less(side, 0, out=lo)", "lo = np.less_equal(side, 0, out=lo)",
+           ("test_oracles.py",)),
+    Mutant("clip_band_batch_side_hi_weak", "oracles.py",
+           "hi = np.greater(side, 0, out=hi)", "hi = np.greater_equal(side, 0, out=hi)",
+           ("test_oracles.py",)),
     Mutant("clip_tie_strict", "oracles.py",
            "if lo_set and phi <= value:", "if lo_set and phi < value:", ("test_improvement.py",)),
+    Mutant("clip_hi_tie_strict", "oracles.py",
+           "if hi_set and phi >= value:", "if hi_set and phi > value:", ("test_improvement.py",)),
     Mutant("improve_batch_tie_strict", "oracles.py",
            "np.less_equal(phi, value, out=clip)", "np.less(phi, value, out=clip)",
            ("test_improvement.py", "test_oracles.py", "test_estimators.py", "test_risksim.py",
@@ -140,12 +150,13 @@ MUTANTS: tuple[Mutant, ...] = (
            "    if d < d0:\n", "    if d <= d0:\n", ("test_admissibility.py",)),
     # risksim: reductions, flags, the cell runner
     Mutant("se_ddof_0", "risksim.py",
-           "np.add.reduce(dev) / (n - 1)", "np.add.reduce(dev) / n", ("test_risksim.py",)),
-    Mutant("se_sum_by_fsum", "risksim.py",
-           "np.sqrt(np.add.reduce(dev) / (n - 1))", "np.sqrt(math.fsum(dev) / (n - 1))",
+           "np.add.reduce(dev, axis=-1) / (n - 1)", "np.add.reduce(dev, axis=-1) / n",
            ("test_risksim.py",)),
+    Mutant("se_sum_by_fsum", "risksim.py",
+           "np.sqrt(np.add.reduce(dev, axis=-1) / (n - 1))",
+           "np.sqrt(np.array([math.fsum(row) for row in dev]) / (n - 1))", ("test_risksim.py",)),
     Mutant("mean_times_reciprocal", "risksim.py",
-           "RiskEstimate(float(total / n), se)", "RiskEstimate(float(total * (1 / n)), se)",
+           "means = np.add.reduce(losses, axis=-1) / n", "means = np.add.reduce(losses, axis=-1) * (1 / n)",
            ("test_risksim.py",)),
     Mutant("bayes_on_x_min", "risksim.py",
            "x_max=np.maximum(x1, x2)", "x_max=np.minimum(x1, x2)", ("test_risksim.py",)),
@@ -165,8 +176,15 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("pool_shares_one_workspace", "risksim.py",
            "local = threading.local()", "local = type('Shared', (), {})()", ("test_risksim.py",)),
     Mutant("workspace_per_cell", "risksim.py",
-           "        if not hasattr(local, \"ws\"):\n            local.ws = CellWorkspace(reps)\n",
-           "        local.ws = CellWorkspace(reps)\n", ("test_cli.py",)),
+           "if ws is None or ws.shape[0] != len(block):", "if True:", ("test_cli.py",)),
+    Mutant("block_error_not_rerun", "risksim.py",
+           "        if rows == 1:\n            raise\n", "        raise\n", ("test_risksim.py",)),
+    Mutant("block_means_of_the_first_row", "risksim.py",
+           "theta1_y, theta2_y = np.array([(m.theta1[1], m.theta2[1]) for m in means])",
+           "theta1_y, theta2_y = np.array([(m.theta1[1], m.theta2[1]) for m in means[:1]])",
+           ("test_risksim.py",)),
+    Mutant("non_finite_se_kept", "risksim.py",
+           "math.isfinite(est.std_error or 0.0)", "True", ("test_risksim.py",)),
     Mutant("pool_imported_at_module_level", "risksim.py",
            "import threading\n",
            "import threading\n\ntry:\n    import concurrent.futures\nexcept ImportError:\n    pass\n",

@@ -229,6 +229,35 @@ def test_non_finite_report_exits_one(capsys, tmp_path, argv, quantity):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--x", "1,2", "--y", "3,4"),
+    ("admissibility",),
+    ("simulate", "--reps", "10"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("cov", ["0.5,0.0,5e-324", "1e-160,0,1e-160", "1e200,0,1e200"])
+def test_covariance_product_outside_the_normal_range_is_refused(capsys, tmp_path, argv, cov):
+    # rho divides sigma_xy by sqrt(sigma_xx*sigma_yy); a product that underflows
+    # (to 0, or to a subnormal) or overflows is refused as a usage error
+    code, out, err = run(capsys, *argv, "--cov", cov, "--a", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: --cov:") and "not a positive normal double" in err
+    assert "Traceback" not in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_standard_error_exits_one(capsys, tmp_path):
+    # two cells' squared deviations overflow while their means stay finite
+    # (rows 3 and 10); the run names the first and writes nothing
+    code, out, err = run(capsys, "simulate", "--cov",
+                         "8742.683938965236,137.61638511179694,16.789573969110535",
+                         "--a", "37", "--reps", "2", "--out", str(tmp_path))
+    assert code == 1
+    assert err.startswith("runtime error: row 3, column N4: the risk estimate left the double range")
+    assert "standard error inf" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestAdmissibility:
     def test_collapsed_interval(self, capsys, tmp_path):
         code, out, _ = run(
@@ -635,7 +664,7 @@ def test_out_of_memory_exits_one(capsys, tmp_path, monkeypatch, fails):
     if fails == "workspace":
         monkeypatch.setattr(risksim.CellWorkspace, "__init__", no_memory)
     else:
-        monkeypatch.setattr(risksim, "sample_batch", no_memory)
+        monkeypatch.setattr(risksim, "sample_block", no_memory)
     code, out, err = run(capsys, "simulate", "--table", "7", "--reps", "2000", "--out", str(tmp_path))
     assert code == 1
     assert "out of memory sweeping table 7 at 2000 reps" in err
@@ -650,24 +679,27 @@ def test_out_of_memory_exits_one(capsys, tmp_path, monkeypatch, fails):
 ])
 def test_workspace_stays_within_its_bytes_per_rep(capsys, tmp_path, monkeypatch, grid):
     # the memory pre-check weighs a sweep by CellWorkspace.BYTES_PER_REP, a hand
-    # count; every workspace the sweep grows must come to no more than that
+    # count per rep of a block's row; every workspace the sweep grows must come
+    # to no more than that
     from linexsel import risksim
 
     built = []
     init = risksim.CellWorkspace.__init__
 
-    def recorded(self, reps):
-        init(self, reps)
-        built.append(self)
+    def recorded(self, rows, reps):
+        init(self, rows, reps)
+        built.append((self, rows))
 
     monkeypatch.setattr(risksim.CellWorkspace, "__init__", recorded)
     reps = 50
     code, _, _ = run(capsys, "simulate", *grid, "--reps", str(reps), "--out", str(tmp_path))
     assert code == 0 and built
-    for ws in built:
+    # 50 reps leave room for blocks of several rows
+    assert max(rows for _, rows in built) > 1
+    for ws, rows in built:
         arrays = [ws.draws, ws.sel1, ws.y_sel, ws.t1, ws.t2, ws.theta_sel, ws.phi, ws.est,
                   *ws._floats, *ws._masks]
-        assert sum(x.nbytes for x in arrays) <= reps * risksim.CellWorkspace.BYTES_PER_REP
+        assert sum(x.nbytes for x in arrays) <= rows * reps * risksim.CellWorkspace.BYTES_PER_REP
 
 
 @pytest.mark.parametrize("grid", ["table", "custom"])

@@ -31,7 +31,7 @@ from linexsel import (
     std_normal_cdf_batch,
     std_normal_pdf,
 )
-from linexsel.core import log_std_normal_cdf_tail
+from linexsel.core import Workspace, log_std_normal_cdf_tail
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
 
@@ -235,6 +235,15 @@ class TestSampling:
         for a, b in zip(got, expected):
             assert np.array_equal(a, b)
             assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize("rho", [-0.3, 1.0])
+    def test_a_workspace_changes_no_bit(self, rho):
+        cov = CovarianceSpec.from_correlation(2.0, 3.0, rho)
+        means = MeanVectorPair((0.5, 1.0), (0.0, -1.0))
+        plain = sample_batch(means, cov, rng_stream(5, 1), 257)
+        lean = sample_batch(means, cov, rng_stream(5, 1), 257, np.empty((4, 257)), Workspace(257))
+        for a, b in zip(plain, lean):
+            assert a.shape == (257,) and np.array_equal(a, b)
 
     @pytest.mark.parametrize("rho", [-1.0, 1.0])
     @pytest.mark.parametrize("theta_y, rows", [(0.25, 3), (-0.0, 4)])

@@ -163,6 +163,11 @@ class TestBayes:
     unit = CovarianceSpec(sigma_xx=1.0, sigma_yy=1.0, sigma_xy=0.0)
     prior = PriorSpec(mu1=0.0, mu2=0.0, m=1.0)
 
+    @pytest.mark.parametrize("m", [0.0, -0.0, -1.0])
+    def test_prior_scale_must_be_positive(self, m):
+        with pytest.raises(InvalidParameterError, match="m must be positive"):
+            PriorSpec(0.0, 0.0, m)
+
     def test_hand_example(self):
         p, q = bayes_posterior((1.0, 1.0), self.prior, self.unit)
         assert p == pytest.approx(0.5, abs=1e-12)

@@ -103,6 +103,17 @@ class TestImprove:
         assert out.truncated == "clipped_to_phi_inf"
         assert (out.value, out.base_phi) == (s.y_sel, 0.0)
 
+    def test_hi_tie_clips_formally(self):
+        # rho = -0.5, a = 1, syy = 1, t2 = 0.5: side = t1 + t2/2 > 0 and gap = t2 + t1/2 >
+        # margin = -3/8, so phi_sup = t2/2 - a*syy/4 = 0 = N1's phi
+        cov = CovarianceSpec(1.0, 1.0, -0.5)
+        s = select(ObservationPair((1.0, 0.0), (0.9, 0.5)))
+        assert s.t2 == 0.5 and -0.2 < s.t1 < 0
+        assert phi_bounds(s.t1, s.t2, A1, cov) == (-math.inf, 0.0)
+        out = improve(EstimatorSpec.improved(EstimatorSpec.n1()), s, A1, cov)
+        assert out.truncated == "clipped_to_phi_sup"
+        assert (out.value, out.base_phi) == (s.y_sel, 0.0)
+
     def test_clip_containment(self, rng):
         for _ in range(500):
             rho = rng.uniform(-0.95, 0.95)

@@ -286,7 +286,7 @@ class TestVarphiAndBounds:
 
 
 class TestClipAtTheBandEdge:
-    """The band's condition sets are strict in gap: at gap == margin no edge is finite."""
+    """The band's condition sets are strict: at side == 0 or gap == margin no edge is finite."""
 
     @pytest.mark.parametrize("phi, t1, t2, a, cov", [
         # side = t1*xi - rho*t2 = -1 < 0, gap = t2 - xi*rho*t1 = 0.5 = margin: phi_inf's edge
@@ -301,6 +301,23 @@ class TestClipAtTheBandEdge:
         s = select_batch(np.zeros(1), np.zeros(1), np.array([t1]), np.array([t2]))
         assert (s.t1[0], s.t2[0], s.y_sel[0]) == (t1, t2, 0.0)
         assert improve_batch(s, a, cov, phi).tolist() == [phi]
+
+
+    @pytest.mark.parametrize("a", [-1.0, 1.0])
+    def test_side_zero_leaves_phi_unclipped(self, a):
+        # rho = 0, syy = 1 and tied X's: side = t1*xi - rho*t2 = 0, so neither
+        # set holds; gap = t2 = 0 is below margin = 0.5 at a = -1 and above
+        # margin = -0.5 at a = 1, so a weak side test would clip N1's 0 to
+        # value = a*syy/4 (0.25 at a = -1, -0.25 at a = 1)
+        a, cov = LinexParams(a), CovarianceSpec(1.0, 1.0, 0.0)
+        s = select_batch(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1))
+        assert (_signed(s.t1[0]), s.t2[0], s.y_sel[0]) == ("+0.0", 0.0, 0.0)
+        assert clip_component(0.0, s.t1[0], s.t2[0], a, cov) == (0.0, "none")
+        assert improve_batch(s, a, cov, 0.0).tolist() == [0.0]
+
+
+def _signed(zero):
+    return ("-" if math.copysign(1.0, zero) < 0 else "+") + str(abs(float(zero)))
 
 
 class TestShiftRiskQuadrature:

@@ -14,6 +14,7 @@ from linexsel import (
     CovarianceSpec,
     EstimatorSpec,
     InvalidParameterError,
+    LinexError,
     LinexOverflowError,
     LinexParams,
     MeanVectorPair,
@@ -409,6 +410,121 @@ class TestWorkspaceCells:
         assert [(_bits(got[e.label].mean_risk), _bits(got[e.label].std_error)) for e in specs] == [
             (_bits(m), _bits(se)) for m, se in reference_cell(config, list(specs), ())
         ]
+
+
+class TestBlocks:
+    """A grid runs k rows of one column group at once, with the bits of each cell alone."""
+
+    @PROPERTY
+    @given(
+        a=A,
+        sxx=SCALE,
+        syy=SCALE,
+        rho=RHO,
+        rows=st.lists(st.tuples(MEAN, MEAN, MEAN, MEAN), min_size=2, max_size=6),
+        reps=st.sampled_from([1, 2, 257, 5000]),
+        workers=st.sampled_from([1, 2, 3]),
+        seed=SEED,
+    )
+    # 5000 reps: blocks of 4 rows on one thread (4 + 2), of 2 on two (2 + 2 + 1)
+    @example(a=1.0, sxx=2.0, syy=2.0, rho=0.5, rows=[(0.5, 1.0, 0.0, 0.0)] * 6, reps=5000,
+             workers=1, seed=1)
+    @example(a=-1.0, sxx=4.0, syy=4.0, rho=-1.0, rows=[(0.0, -0.0, 1.0, 0.5), (0.3, 0.2, 0.0, 0.1),
+             (0.0, 0.0, -0.0, -0.0), (1.0, 1.0, 0.0, 0.0), (2.0, 0.2, 0.2, 2.0)], reps=5000,
+             workers=2, seed=2)
+    def test_every_cell_matches_the_reference_bit_for_bit(
+        self, a, sxx, syy, rho, rows, reps, workers, seed
+    ):
+        cov = CovarianceSpec.from_correlation(sxx, syy, rho)
+        pairs = tuple(MeanVectorPair(m[:2], m[2:]) for m in rows)
+        bases = [EstimatorSpec.n1(), EstimatorSpec.n2(), EstimatorSpec.n3(), EstimatorSpec.n4(1.0)]
+        groups = [[base, EstimatorSpec.improved(base)] for base in bases]
+        spec = TableSpec(table_id=4, a=LinexParams(a), cov=cov, rows=pairs,
+                         columns=tuple((e.label, e) for group in groups for e in group))
+        table = risk_grid(spec, reps, seed, workers)
+        for i, pair in enumerate(pairs):
+            config = SimConfig(means=pair, cov=cov, a=LinexParams(a), reps=reps, master_seed=seed)
+            expected = [cell for g, group in enumerate(groups)
+                        for cell in reference_cell(config, group, (4, i, g))]
+            got = [table.cell(i, j) for j in range(len(spec.columns))]
+            assert [(_bits(e.mean_risk), _bits(e.std_error)) for e in got] == [
+                (_bits(m), _bits(se)) for m, se in expected
+            ]
+
+    @pytest.mark.parametrize("reps, workers, heights", [
+        (20000, 1, {1}),  # a published-table cell fills the budget alone
+        (2000, 2, {5, 1}),  # 20000 // (2000 * 2) = 5 rows: 5 + 5 + 1
+        (100, 64, {11}),  # 11 cells on min(64, 11) threads: blocks of 18 hold every row
+    ])
+    def test_block_height_spends_the_rep_cell_budget(self, monkeypatch, reps, workers, heights):
+        built = []
+        init = CellWorkspace.__init__
+
+        def recorded(self, rows, reps):
+            init(self, rows, reps)
+            built.append(rows)
+
+        monkeypatch.setattr(CellWorkspace, "__init__", recorded)
+        spec = TableSpec(table_id=0, a=A1, cov=CovarianceSpec.from_correlation(2.0, 2.0, 0.5),
+                         columns=(("N1", EstimatorSpec.n1()),))
+        risk_grid(spec, reps=reps, master_seed=0, workers=workers)
+        assert set(built) == heights
+
+    def test_row_reductions_match_one_row_at_a_time(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, 8, 9, 127, 128, 129, 5000, 20001):
+            block = rng.standard_exponential((3, n)) ** 3
+            assert [_bits(x) for x in np.add.reduce(block, axis=-1)] == [
+                _bits(np.add.reduce(row)) for row in block
+            ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_error_is_the_first_a_cell_by_cell_run_meets(self, workers):
+        # one block holds the N4 group's three rows: row 1 overflows only in
+        # its improved column (x far apart, so N4 is y_sel, but the clip to
+        # t2/2 - a*syy/4 lands near 500), row 2 already in N4 (inside the
+        # window N4 averages y's 1000 apart); a block computes N4 for both rows
+        # first, a cell-by-cell run meets row 1 first
+        a, cov = LinexParams(2.0), CovarianceSpec.from_correlation(1.0, 1.0, -0.5)
+        n1, n4 = EstimatorSpec.n1(), EstimatorSpec.n4(1.0)
+        spec = TableSpec(
+            table_id=0, a=a, cov=cov,
+            columns=(("N1", n1), ("N4", n4), ("N4_I2", EstimatorSpec.improved(n4))),
+            rows=(MeanVectorPair((0.0, 0.0), (0.0, 0.0)),
+                  MeanVectorPair((5000.0, 0.0), (0.0, 1000.0)),
+                  MeanVectorPair((0.0, 0.0), (0.0, 1000.0))),
+        )
+
+        def cell_by_cell():
+            for i, means in enumerate(spec.rows):
+                config = SimConfig(means, cov, a, 100, 5)
+                for _, est in spec.columns:
+                    try:
+                        simulate_risk(config, est, (0, i, stream_group(est)))
+                    except LinexError as exc:
+                        return exc
+            raise AssertionError("no cell failed")
+
+        expected = cell_by_cell()
+        assert isinstance(expected, LinexOverflowError)
+        assert "[Improved[N4(c=1)] rep=" in str(expected)
+        with pytest.raises(LinexError) as info:
+            risk_grid(spec, reps=100, master_seed=5, workers=workers)
+        assert type(info.value) is type(expected)
+        assert str(info.value) == str(expected)
+
+    def test_a_non_finite_standard_error_names_its_row_and_column(self):
+        # the CLI's two-rep example: rows 3 (N4) and 10 (N3) square deviations past
+        # the double range while their means stay finite
+        cov = CovarianceSpec(8742.683938965236, 16.789573969110535, 137.61638511179694)
+        spec = TableSpec(table_id=0, a=LinexParams(37.0), cov=cov,
+                         columns=table_columns(37.0, cov.rho, (), 1.0))
+        for workers in (1, 2):
+            with pytest.raises(LinexError, match=r"^row 3, column N4: .* standard error inf\)$"):
+                risk_grid(spec, reps=2, master_seed=0, workers=workers)
+        config = SimConfig(THETA_CONFIGS[10], cov, LinexParams(37.0), 2, 0)
+        with pytest.raises(LinexError, match=r"^N3: the risk estimate left the double range"):
+            simulate_risk(config, EstimatorSpec.n3(), (0, 10, 2))
 
 
 def test_concurrent_sweeps_keep_their_own_workspaces():
