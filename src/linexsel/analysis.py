@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
-from .core import CovarianceSpec, LinexError, LinexParams, ObservationPair
+# DatasetError is defined in core, beside the other error types; it is read from here too
+from .core import CovarianceSpec, DatasetError, LinexError, LinexParams, ObservationPair
 from .estimators import BASE_KINDS, EstimatorSpec, PriorSpec, evaluate
-from .improvement import applicable_case, improve
+from .improvement import applicable_case, improve, table_columns
 from .oracles import TRUNCATED_NONE
-from .risksim import table_columns
 from .selection import SelectionSummary, select
 
 #: the one corrupt cholesterol value in the published data and its repair
@@ -28,9 +28,14 @@ OUTLIER_REPLACEMENT = 145.46
 #: how `fit` pools the two groups' covariances
 POOLING = "mean of per-group sample covariances, n-1 denominators"
 
+#: from this magnitude on a double's spacing (2^-13 at 1e12) exceeds the fourth
+#: decimal place, so reports print a value in exponent form instead
+FIXED_POINT_LIMIT = 1e12
 
-class DatasetError(ValueError):
-    """Malformed or structurally invalid input data."""
+
+def format_value(value: float) -> str:
+    """`value` to four decimal places, or as `.6e` from FIXED_POINT_LIMIT in magnitude on."""
+    return f"{value:.4f}" if abs(value) < FIXED_POINT_LIMIT else f"{value:.6e}"
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,8 @@ class FittedModel:
     def parameters_csv(self) -> str:
         lines = ["population,measure,mean,variance,covariance"]
         for pop, meas, mean, var, covv in self.parameter_rows():
-            lines.append(f"{pop},{meas},{mean:.4f},{var:.4f},{covv:.4f}")
+            values = ",".join(format_value(v) for v in (mean, var, covv))
+            lines.append(f"{pop},{meas},{values}")
         return "\n".join(lines) + "\n"
 
 
@@ -194,18 +200,21 @@ class AnalysisReport:
             f"{'cleaned' if m.cleaned else 'raw'} data; pooled = {POOLING})",
         ]
         for pop, meas, mean, var, covv in m.parameter_rows():
-            lines.append(f"  {pop:<12} {meas:<12} mean={mean:10.4f}  var={var:10.4f}  cov={covv:9.4f}")
+            lines.append(
+                f"  {pop:<12} {meas:<12} mean={format_value(mean):>10}  "
+                f"var={format_value(var):>10}  cov={format_value(covv):>9}"
+            )
         cov = m.cov_hat
-        lines.append(f"  rho = {cov.rho:.4f}, xi = {cov.xi:.4f}")
+        lines.append(f"  rho = {cov.rho:.4f}, xi = {format_value(cov.xi)}")
         lines.append(
             f"selected population: {self.selected_label} "
-            f"(x_max = {self.summary.x_max:.4f}, t1 = {self.summary.t1:.4f}, "
-            f"t2 = {self.summary.t2:.4f})"
+            f"(x_max = {format_value(self.summary.x_max)}, t1 = {format_value(self.summary.t1)}, "
+            f"t2 = {format_value(self.summary.t2)})"
         )
         lines.append(f"estimates of the selected Y-mean (a = {self.a:g}, c = {self.c:g}):")
         for label, value, note in self.estimates:
             flag = f"  [{note}]" if note else ""
-            lines.append(f"  {label:<8} {value:12.4f}{flag}")
+            lines.append(f"  {label:<8} {format_value(value):>12}{flag}")
         return "\n".join(lines) + "\n"
 
 
@@ -219,7 +228,7 @@ def estimate_rows(
 ) -> list[tuple[str, float, str]]:
     """(label, value, truncation note) rows of an estimate report.
 
-    The columns of a risk table (`risksim.table_columns`) with every improved
+    The columns of a risk table (`improvement.table_columns`) with every improved
     column that applies at (a, rho); the note is empty unless the clip fired.
     The shift Y_[2] + d and the Bayes estimate come last when d or a prior is
     given. Raises LinexError naming a row whose value is not finite.
@@ -247,7 +256,7 @@ def estimate_rows(
 def estimates_csv(rows: list[tuple[str, float, str]]) -> str:
     """The `estimator,estimate,truncated` CSV of `estimate_rows` output."""
     lines = ["estimator,estimate,truncated"]
-    lines += [f"{label},{value:.4f},{note}" for label, value, note in rows]
+    lines += [f"{label},{format_value(value)},{note}" for label, value, note in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -6,6 +6,14 @@ the master seed, and every file written; reruns with equal manifests
 produce byte-identical outputs (nothing time-dependent is emitted).
 
 Exit codes: 0 success, 2 usage error, 1 runtime/numerical error.
+
+Only `core` (the error types, `DatasetError` included, and the parameter
+records) and the standard library are imported when this module loads;
+each subcommand imports the modules it runs, so `admissibility` never loads
+the simulation engine and `simulate` never loads the dataset analysis. The
+parser's `--table` and `--improved` choices are therefore copies of
+`risksim.TABLE_SPECS`'s keys and `estimators.BASE_KINDS`, which a test keeps
+equal.
 """
 
 from __future__ import annotations
@@ -14,15 +22,24 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .admissibility import bounds, classify
-from .analysis import DatasetError, analyze, bundled_dataset_path, fit, load_dataset
-from .analysis import estimate_rows, estimates_csv
-from .core import CovarianceSpec, InvalidParameterError, LinexError, LinexParams, ObservationPair
-from .estimators import BASE_KINDS, PriorSpec
-from .risksim import TABLE_SPECS, TableSpec, risk_grid, table_columns
-from .selection import select
+from .core import (
+    CovarianceSpec,
+    DatasetError,
+    InvalidParameterError,
+    LinexError,
+    LinexParams,
+    ObservationPair,
+)
+
+if TYPE_CHECKING:
+    from .estimators import PriorSpec
+
+#: `simulate --table` and `--improved` choices
+TABLE_IDS = (5, 6, 7, 8, 9, 10)
+BASE_KINDS = ("N1", "N2", "N3", "N4")
 
 
 class UsageError(Exception):
@@ -48,6 +65,8 @@ def _cov_from_flag(text: str) -> CovarianceSpec:
 
 
 def _prior_from_flag(text: str) -> PriorSpec:
+    from .estimators import PriorSpec
+
     mu1, mu2, m = _floats(text, 3, "--prior")
     try:
         return PriorSpec(mu1=mu1, mu2=mu2, m=m)
@@ -74,6 +93,9 @@ def _write_outputs(args: argparse.Namespace, params: dict, files: dict[str, str]
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    from .analysis import estimate_rows, estimates_csv, format_value
+    from .selection import select
+
     x1, x2 = _floats(args.x, 2, "--x")
     y1, y2 = _floats(args.y, 2, "--y")
     cov = _cov_from_flag(args.cov)
@@ -93,7 +115,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         ]
         for label, value, note in rows:
             flag = f"  [{note}]" if note else ""
-            lines.append(f"{label:<12} {value:14.4f}{flag}")
+            lines.append(f"{label:<12} {format_value(value):>14}{flag}")
         report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
 
@@ -109,6 +131,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_admissibility(args: argparse.Namespace) -> int:
+    from .admissibility import bounds, classify
+
     cov = _cov_from_flag(args.cov)
     a = LinexParams(args.a)
     b = bounds(a, cov)
@@ -137,6 +161,8 @@ def cmd_admissibility(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .risksim import TABLE_SPECS, TableSpec, risk_grid, table_columns
+
     # --c and --improved default to None so that an explicit flag is visible here
     c = 1.0 if args.c is None else args.c
     improved = tuple(args.improved or ())
@@ -182,6 +208,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .analysis import analyze, bundled_dataset_path, estimates_csv, fit, load_dataset
+
     path = args.data if args.data else bundled_dataset_path()
     a = LinexParams(args.a)
     prior = _prior_from_flag(args.prior) if args.prior else None
@@ -244,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_admissibility)
 
     p = sub.add_parser("simulate", help="Monte Carlo risk grid (published tables 5-10 or custom)")
-    p.add_argument("--table", type=int, choices=sorted(TABLE_SPECS), default=None)
+    p.add_argument("--table", type=int, choices=TABLE_IDS, default=None)
     p.add_argument("--cov", default=None, help="custom grid: sigma_xx,sigma_xy,sigma_yy")
     p.add_argument("--a", type=float, default=None, help="custom grid: LINEX parameter")
     p.add_argument("--c", type=float, default=None,

@@ -1,14 +1,16 @@
 """Numeric kernels and shared domain types.
 
-Everything downstream builds on the pieces here: the known 2x2 covariance
-and its derived quantities, the LINEX loss, the standard normal cdf (erfc
-for floats, a rational approximation for arrays) and its log (the
+Everything downstream builds on the pieces here: the package's error types
+(`DatasetError`, for malformed input data, among them), the known 2x2
+covariance and its derived quantities, the LINEX loss, the standard normal
+cdf (erfc for floats, a rational approximation for arrays) and its log (the
 admissibility bounds and the hybrid log-estimator take logs of Phi, so both
 need to be accurate in the tails), a stable log-sum-exp, counter-based
 random streams for reproducible simulation, and the `Workspace` that batch
 kernels borrow their temporaries from instead of allocating them. numpy is
 the only dependency, and only the array kernels import it, on first use: the
-scalar API runs without loading it.
+scalar API runs without loading it. This is the one package module that
+`cli` imports when it loads, so every subcommand's start compiles it.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ class InvalidParameterError(LinexError, ValueError):
 
 class SingularCovarianceError(InvalidParameterError):
     """An operation that needs |Sigma| > 0 was given a degenerate covariance."""
+
+
+class DatasetError(ValueError):
+    """Malformed or structurally invalid input data."""
 
 
 class LinexOverflowError(LinexError, OverflowError):
@@ -316,7 +322,8 @@ def linex_loss(
     import numpy as np
 
     with borrow(work, floats=1) as (buf,):
-        z = np.multiply(params.a, np.subtract(delta, theta, out=buf), out=buf)
+        with np.errstate(over="ignore"):  # an exponent that overflows is refused below
+            z = np.multiply(params.a, np.subtract(delta, theta, out=buf), out=buf)
         zmax = np.max(z)
         if not zmax <= EXP_OVERFLOW_LIMIT:
             raise LinexOverflowError(float(zmax), f"{context} rep={np.argmax(z)}".lstrip())

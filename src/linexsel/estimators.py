@@ -165,7 +165,8 @@ def n3_offset_batch(
     with borrow(work, floats=2, masks=2) as (u, p, big, small):
         u = np.divide(t1, math.sqrt(2.0 * cov.sigma_xx), out=u)
         p = std_normal_cdf_batch(u, out=p, work=work)
-        z = out = np.multiply(a.a, t2, out=out)
+        with np.errstate(over="ignore"):  # +-inf takes the branch the float form takes
+            z = out = np.multiply(a.a, t2, out=out)
         big = np.greater(z, N3_LOG_SWITCH, out=big)
         any_big = big.any()
         # out holds z until the small branch overwrites it there

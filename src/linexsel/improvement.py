@@ -5,12 +5,14 @@ band [phi_inf, phi_sup] with positive probability is dominated by the
 version clipped into the band. The clip itself lives in `oracles`, beside
 the band; `improve` applies it to one observation and reports the side
 that clipped. The fifteen named (base, a, rho) regions label the improved
-rows in reports and tables.
+rows in reports and tables, and `table_columns` lists the columns of a table
+or an estimate report with those labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import CovarianceSpec, InvalidParameterError, LinexParams
 from .estimators import EstimatorSpec, base_phi
@@ -80,3 +82,24 @@ def applicable_case(base_kind: str, a: float, rho: float) -> int | None:
         if kind == base_kind and case_in_region(case_id, a, rho):
             return case_id
     return None
+
+
+def table_columns(
+    a: float, rho: float, improved_bases: Sequence[str], c: float
+) -> tuple[tuple[str, EstimatorSpec], ...]:
+    """A table's columns: N1..N4(c), each base in `improved_bases` followed by its improved column.
+
+    The improved column is labelled by the named case covering (a, rho);
+    InvalidParameterError where no case covers it.
+    """
+    cols: list[tuple[str, EstimatorSpec]] = []
+    for spec in (EstimatorSpec.n1(), EstimatorSpec.n2(), EstimatorSpec.n3(), EstimatorSpec.n4(c)):
+        cols.append((spec.kind, spec))
+        if spec.kind in improved_bases:
+            case_id = applicable_case(spec.kind, a, rho)
+            if case_id is None:
+                raise InvalidParameterError(
+                    f"no improvement case covers base {spec.kind} at a={a}, rho={rho}"
+                )
+            cols.append((case_label(case_id), EstimatorSpec.improved(spec)))
+    return tuple(cols)

@@ -41,7 +41,7 @@ from .core import (
     sample_block,
 )
 from .estimators import BASE_KINDS, EstimatorSpec, base_phi_batch, evaluate_batch
-from .improvement import applicable_case, case_label
+from .improvement import table_columns  # re-exported: grid callers read it from here
 from .selection import select_batch
 
 if TYPE_CHECKING:
@@ -361,22 +361,6 @@ class TableSpec:
     def c(self) -> Optional[float]:
         """The hybrid threshold of the grid's N4 column, or None without one."""
         return next((spec.c for _, spec in self.columns if spec.kind == "N4"), None)
-
-
-def table_columns(
-    a: float, rho: float, improved_bases: Sequence[str], c: float
-) -> tuple[tuple[str, EstimatorSpec], ...]:
-    cols: list[tuple[str, EstimatorSpec]] = []
-    for spec in (EstimatorSpec.n1(), EstimatorSpec.n2(), EstimatorSpec.n3(), EstimatorSpec.n4(c)):
-        cols.append((spec.kind, spec))
-        if spec.kind in improved_bases:
-            case_id = applicable_case(spec.kind, a, rho)
-            if case_id is None:
-                raise InvalidParameterError(
-                    f"no improvement case covers base {spec.kind} at a={a}, rho={rho}"
-                )
-            cols.append((case_label(case_id), EstimatorSpec.improved(spec)))
-    return tuple(cols)
 
 
 def _make_table(table_id: int, a: float, sigma: float, rho: float, improved: Sequence[str]) -> TableSpec:

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from linexsel import LinexParams, analysis
+
+# Hypothesis without shrinking (explain works on the shrunk example): a failing
+# property stops at its first counterexample. tests/mutants.py selects it with
+# --hypothesis-profile=verdict, since a mutant needs a verdict, not a minimal
+# example; the suite itself runs under the default profile.
+settings.register_profile(
+    "verdict", phases=[p for p in Phase if p not in (Phase.shrink, Phase.explain)]
+)
 
 
 @pytest.fixture()

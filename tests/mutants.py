@@ -11,7 +11,9 @@ test modules pass there unmutated, then applies each mutant in turn, runs
 its modules (stopping at the first failure) and reports it killed or
 survived with the time taken. It exits 1 when any mutant does not behave as
 catalogued: a survivor not marked equivalent, an equivalent one killed, a
-run over five minutes, or a text not found exactly once. Standard library
+run over five minutes, or a text not found exactly once. Hypothesis runs
+under the `verdict` profile of tests/conftest.py, without shrinking, so a
+property a mutant breaks fails at its first counterexample. Standard library
 only; about five minutes on two cores.
 
 `tests/test_mutants.py` checks in tier-1 that every text still occurs
@@ -76,7 +78,8 @@ MUTANTS: tuple[Mutant, ...] = (
            "if np.min(z) == -math.inf:", "if False:", ("test_core.py",)),
     Mutant("blend_drops_every_7th_mask", "core.py",
            "        np.bitwise_and(mask, ",
-           "        mask[::7] = 0\n        np.bitwise_and(mask, ", ("test_selection.py",)),
+           "        mask[::7] = 0\n        np.bitwise_and(mask, ",
+           ("test_selection.py", "test_core.py")),
     Mutant("core_imports_numpy_at_module_level", "core.py",
            "from contextlib import nullcontext\n",
            "from contextlib import nullcontext\n\nimport numpy\n", ("test_cli.py",)),
@@ -191,6 +194,15 @@ MUTANTS: tuple[Mutant, ...] = (
            ("test_cli.py",)),
     Mutant("repeated_labels_kept", "risksim.py",
            "if label in labels[:i]:", "if label in labels[:0]:", ("test_risksim.py",)),
+    # the cold path: each subcommand loads only the modules it runs
+    Mutant("cli_imports_risksim_eagerly", "cli.py",
+           "if TYPE_CHECKING:\n    from .estimators import PriorSpec\n",
+           "from .risksim import TABLE_SPECS  # noqa: F401\n\n"
+           "if TYPE_CHECKING:\n    from .estimators import PriorSpec\n", ("test_cli.py",)),
+    Mutant("package_imports_a_submodule_eagerly", "__init__.py",
+           '__version__ = "0.1.0"\n',
+           '__version__ = "0.1.0"\n\nfrom . import risksim  # noqa: F401\n',
+           ("test_cli.py",)),
     # analysis
     Mutant("non_utf8_file_uncaught", "analysis.py",
            "except (UnicodeDecodeError, csv.Error) as exc:", "except csv.Error as exc:",
@@ -217,7 +229,7 @@ def run_tests(root: Path, modules: tuple[str, ...]) -> tuple[Optional[bool], flo
     """Whether `modules` pass in the checkout at `root` (None after 5 minutes), and the seconds taken."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-            *(f"tests/{m}" for m in modules)]
+            "--hypothesis-profile=verdict", *(f"tests/{m}" for m in modules)]
     start = time.perf_counter()
     try:
         proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, timeout=300)

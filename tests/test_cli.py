@@ -258,6 +258,19 @@ def test_non_finite_standard_error_exits_one(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_huge_estimate_prints_in_exponent_form(capsys, tmp_path):
+    # the Bayes estimate is about -2.7e288; printed to four decimals it took
+    # about 290 characters
+    argv = ("estimate", "--x", "4.354293685991805,3", "--y", "1e-300,-0.0",
+            "--cov", "2246248.2147097047,0,1e-10", "--a", "-40", "--prior", "0,-1e300,37")
+    for fmt in ("csv", "text"):
+        code, out, _ = run(capsys, *argv, "--format", fmt, "--out", str(tmp_path / fmt))
+        assert code == 0
+        assert max(len(line) for line in out.splitlines()) <= 80
+        bayes = out.splitlines()[-1].replace(",", " ").split()[1]
+        assert bayes == "-2.702703e+288"
+
+
 class TestAdmissibility:
     def test_collapsed_interval(self, capsys, tmp_path):
         code, out, _ = run(
@@ -570,6 +583,87 @@ def test_cli_import_does_not_load_scipy_integrate(tmp_path):
     assert codes == [0] * len(runs)
     assert scipy_modules == []
     assert numpy_modules == [[], [], []]
+
+
+#: the package modules each subcommand loads, in a fresh interpreter that
+#: imports `linexsel.cli` and runs it once
+_ESTIMATORS = {"core", "selection", "admissibility", "oracles", "estimators", "improvement"}
+SUBCOMMAND_MODULES = {
+    "admissibility": {"core", "admissibility"},
+    "estimate": _ESTIMATORS | {"analysis"},
+    "analyze": _ESTIMATORS | {"analysis"},
+    "simulate": _ESTIMATORS | {"risksim"},
+}
+
+#: the cold-start runs of the benchmark's `cli` workload, without --out
+SUBCOMMAND_ARGS = {
+    "admissibility": ["admissibility", "--cov", "2,1,2", "--a", "1", "--d", "-1.2"],
+    "estimate": ["estimate", "--x", "59.0997,58.3516", "--y", "131.4569,195.7275", "--cov", COV,
+                 "--a", "1"],
+    "analyze": ["analyze", "--clean", "--a", "1"],
+    "simulate": ["simulate", "--table", "7", "--reps", "200"],
+}
+
+#: `linexsel.__all__`: every name the lazy namespace must keep serving
+PUBLIC_NAMES = [
+    "ADMISSIBLE_IN_CLASS", "AdmissibilityBounds", "AnalysisReport", "CovarianceSpec",
+    "DOMINATED_BY_D0", "DOMINATED_BY_D1", "DatasetError", "EstimatorSpec", "FittedModel",
+    "GroupedDataset", "ImprovementOutcome", "InvalidParameterError", "LinexError",
+    "LinexOverflowError", "LinexParams", "MeanVectorPair", "ObservationPair", "PriorSpec",
+    "RiskEstimate", "RiskTable", "SelectionSummary", "SimConfig", "SingularCovarianceError",
+    "TABLE_SPECS", "THETA_CONFIGS", "TableSpec", "ThetaStar", "admissibility", "analysis",
+    "analyze", "applicable_case", "base_phi", "base_phi_batch", "bayes_posterior", "bounds",
+    "bundled_dataset_path", "case_label", "classify", "clip_band", "core", "est_bayes",
+    "estimate_rows", "estimates_csv", "estimators", "evaluate", "evaluate_batch", "fit", "h_a",
+    "improve", "improve_batch", "improvement", "linex_loss", "load_dataset", "log_std_normal_cdf",
+    "log_sum_exp", "oracles", "paired_risk_difference", "phi_bounds", "psi", "risk_grid",
+    "risksim", "rng_stream", "sample_batch", "select", "select_batch", "selection", "shift_risk",
+    "simulate_all", "simulate_risk", "std_normal_cdf", "std_normal_cdf_batch", "std_normal_pdf",
+]
+
+
+def _loaded_package_modules(probe_tail, *argv):
+    probe = (
+        "import json, sys\n" + probe_tail +
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'linexsel')))"
+    )
+    return set(json.loads(_fresh_python(probe, *argv)))
+
+
+@pytest.mark.parametrize("sub", sorted(SUBCOMMAND_MODULES))
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, sub):
+    argv = [*SUBCOMMAND_ARGS[sub], "--out", str(tmp_path)]
+    loaded = _loaded_package_modules(
+        "import linexsel.cli\nassert linexsel.cli.main(json.loads(sys.argv[1])) == 0\n",
+        json.dumps(argv),
+    )
+    expected = {"linexsel", "linexsel.cli"} | {f"linexsel.{m}" for m in SUBCOMMAND_MODULES[sub]}
+    assert loaded == expected
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_package_modules("import linexsel\n") == {"linexsel"}
+
+
+def test_lazy_namespace_serves_every_public_name():
+    assert linexsel.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(linexsel))
+    for name in PUBLIC_NAMES:
+        getattr(linexsel, name)  # AttributeError where a name lost its home module
+    from linexsel.analysis import DatasetError
+    from linexsel.risksim import table_columns
+
+    assert DatasetError is linexsel.DatasetError
+    assert table_columns is linexsel.improvement.table_columns
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        linexsel.nope
+
+
+def test_parser_choices_match_the_modules_they_copy():
+    from linexsel import cli, estimators, risksim
+
+    assert list(cli.TABLE_IDS) == sorted(risksim.TABLE_SPECS)
+    assert cli.BASE_KINDS == estimators.BASE_KINDS
 
 
 def test_numpy_first_loaded_inside_the_pool():
