@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .core import (
     CovarianceSpec,
@@ -19,6 +18,7 @@ from .core import (
     LinexError,
     LinexOverflowError,
     LinexParams,
+    Record,
     ThetaStar,
     log_std_normal_cdf,
     log_sum_exp,
@@ -31,12 +31,11 @@ DOMINATED_BY_D0 = "dominated_by_d0"
 DOMINATED_BY_D1 = "dominated_by_d1"
 
 
-@dataclass(frozen=True)
-class AdmissibilityBounds:
+class AdmissibilityBounds(Record):
     """Endpoints of the admissible shift interval."""
 
-    d0: float
-    d1: float
+    def __init__(self, d0: float, d1: float):
+        self.__dict__.update(d0=d0, d1=d1)
 
 
 def h_a(theta_x: float, a: LinexParams, cov: CovarianceSpec) -> float:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
 # DatasetError is defined in core, beside the other error types; it is read from here too
-from .core import CovarianceSpec, DatasetError, LinexError, LinexParams, ObservationPair
+from .core import CovarianceSpec, DatasetError, LinexError, LinexParams, ObservationPair, Record
 from .estimators import BASE_KINDS, EstimatorSpec, PriorSpec, evaluate
 from .improvement import applicable_case, improve, table_columns
 from .oracles import TRUNCATED_NONE
@@ -38,22 +37,31 @@ def format_value(value: float) -> str:
     return f"{value:.4f}" if abs(value) < FIXED_POINT_LIMIT else f"{value:.6e}"
 
 
-@dataclass(frozen=True)
-class GroupedDataset:
-    group1: tuple[tuple[float, float], ...]
-    group2: tuple[tuple[float, float], ...]
-    labels: tuple[str, str]
-    cleaned: bool = False
+class GroupedDataset(Record):
+    def __init__(
+        self,
+        group1: tuple[tuple[float, float], ...],
+        group2: tuple[tuple[float, float], ...],
+        labels: tuple[str, str],
+        cleaned: bool = False,
+    ):
+        self.__dict__.update(group1=group1, group2=group2, labels=labels, cleaned=cleaned)
 
 
-@dataclass(frozen=True)
-class FittedModel:
-    theta_hat_1: tuple[float, float]
-    theta_hat_2: tuple[float, float]
-    cov_hat: CovarianceSpec
-    labels: tuple[str, str]
-    n_per_group: int
-    cleaned: bool
+class FittedModel(Record):
+    def __init__(
+        self,
+        theta_hat_1: tuple[float, float],
+        theta_hat_2: tuple[float, float],
+        cov_hat: CovarianceSpec,
+        labels: tuple[str, str],
+        n_per_group: int,
+        cleaned: bool,
+    ):
+        self.__dict__.update(
+            theta_hat_1=theta_hat_1, theta_hat_2=theta_hat_2, cov_hat=cov_hat, labels=labels,
+            n_per_group=n_per_group, cleaned=cleaned,
+        )
 
     def parameter_rows(self) -> list[tuple[str, str, float, float, float]]:
         """Fitted-parameter table: one row per (population, measure)."""
@@ -178,15 +186,20 @@ def fit(data: GroupedDataset) -> FittedModel:
     )
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(Record, frozen=False):
     """Selection outcome and every applicable estimate at the fitted parameters."""
 
-    model: FittedModel
-    a: float
-    c: float
-    summary: SelectionSummary
-    estimates: list[tuple[str, float, str]] = field(default_factory=list)  # label, value, note
+    def __init__(
+        self,
+        model: FittedModel,
+        a: float,
+        c: float,
+        summary: SelectionSummary,
+        estimates: Optional[list[tuple[str, float, str]]] = None,  # label, value, note
+    ):
+        self.__dict__.update(
+            model=model, a=a, c=c, summary=summary, estimates=[] if estimates is None else estimates
+        )
 
     @property
     def selected_label(self) -> str:

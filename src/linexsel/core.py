@@ -1,16 +1,17 @@
 """Numeric kernels and shared domain types.
 
 Everything downstream builds on the pieces here: the package's error types
-(`DatasetError`, for malformed input data, among them), the known 2x2
-covariance and its derived quantities, the LINEX loss, the standard normal
-cdf (erfc for floats, a rational approximation for arrays) and its log (the
-admissibility bounds and the hybrid log-estimator take logs of Phi, so both
-need to be accurate in the tails), a stable log-sum-exp, counter-based
-random streams for reproducible simulation, and the `Workspace` that batch
-kernels borrow their temporaries from instead of allocating them. numpy is
-the only dependency, and only the array kernels import it, on first use: the
-scalar API runs without loading it. This is the one package module that
-`cli` imports when it loads, so every subcommand's start compiles it.
+(`DatasetError`, for malformed input data, among them), the `Record` base
+of its records, the known 2x2 covariance and its derived quantities, the
+LINEX loss, the standard normal cdf (erfc for floats, a rational
+approximation for arrays) and its log (the admissibility bounds and the
+hybrid log-estimator take logs of Phi, so both need to be accurate in the
+tails), a stable log-sum-exp, counter-based random streams for reproducible
+simulation, and the `Workspace` that batch kernels borrow their temporaries
+from instead of allocating them. numpy is the only dependency, and only the
+array kernels import it, on first use: the scalar API runs without loading
+it. This is the one package module that `cli` imports when it loads, so
+every subcommand's start compiles it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -85,8 +86,58 @@ def _require_finite(name: str, *values: float) -> None:
             raise InvalidParameterError(f"{name} must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
-class CovarianceSpec:
+class Record:
+    """Base of the package's records: equality, hash, repr and `replace` over their fields.
+
+    A record's fields are the parameters of its `__init__`, in order; the
+    `__init__` validates them and stores each in the instance's `__dict__`.
+    Whatever else it stores there (CovarianceSpec's rho and xi) stays outside
+    equality, hash and repr. A record equals only a record of its own class
+    with equal fields and prints as `Name(field=value, ...)`. Records are
+    frozen, refusing assignment and deletion, and hash by their fields; a
+    class declared with `frozen=False` is mutable and unhashable.
+    """
+
+    _fields: tuple[str, ...]
+    #: reads the fields' values in C: a tuple of them, or the value of a lone field
+    _key: attrgetter
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        cls._key = attrgetter(*cls._fields)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(record: Record, /, **changes) -> Record:
+    """A record of `record`'s class with `changes` to its fields, validated as any new one is."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
+
+
+class CovarianceSpec(Record):
     """The common known 2x2 variance-covariance matrix.
 
     rho and xi are always derived from (sigma_xx, sigma_yy, sigma_xy), once,
@@ -96,35 +147,33 @@ class CovarianceSpec:
     rejects it separately.
     """
 
-    sigma_xx: float
-    sigma_yy: float
-    sigma_xy: float
-
-    def __post_init__(self) -> None:
-        _require_finite("covariance entries", self.sigma_xx, self.sigma_yy, self.sigma_xy)
-        if self.sigma_xx <= 0 or self.sigma_yy <= 0:
+    def __init__(self, sigma_xx: float, sigma_yy: float, sigma_xy: float):
+        _require_finite("covariance entries", sigma_xx, sigma_yy, sigma_xy)
+        if sigma_xx <= 0 or sigma_yy <= 0:
             raise InvalidParameterError(
-                f"variances must be positive, got sigma_xx={self.sigma_xx}, "
-                f"sigma_yy={self.sigma_yy}"
+                f"variances must be positive, got sigma_xx={sigma_xx}, "
+                f"sigma_yy={sigma_yy}"
             )
-        bound = self.sigma_xx * self.sigma_yy
+        bound = sigma_xx * sigma_yy
         # rho divides by sqrt(bound): a product that underflows to a subnormal or
         # 0, or overflows, leaves it meaningless
         if not sys.float_info.min <= bound <= sys.float_info.max:
             raise InvalidParameterError(
                 f"sigma_xx*sigma_yy = {bound!r} is not a positive normal double "
-                f"(sigma_xx={self.sigma_xx}, sigma_yy={self.sigma_yy})"
+                f"(sigma_xx={sigma_xx}, sigma_yy={sigma_yy})"
             )
         # tiny relative slack so sigma_xy = sqrt(sigma_xx*sigma_yy) computed in
         # floats still validates as |rho| = 1
-        if self.sigma_xy * self.sigma_xy > bound * (1.0 + 1e-12):
+        if sigma_xy * sigma_xy > bound * (1.0 + 1e-12):
             raise InvalidParameterError(
-                f"|sigma_xy| = {abs(self.sigma_xy)} exceeds sqrt(sigma_xx*sigma_yy) "
+                f"|sigma_xy| = {abs(sigma_xy)} exceeds sqrt(sigma_xx*sigma_yy) "
                 f"= {math.sqrt(bound)}: correlation would leave [-1, 1]"
             )
-        r = self.sigma_xy / math.sqrt(self.sigma_xx * self.sigma_yy)
-        object.__setattr__(self, "rho", max(-1.0, min(1.0, r)))
-        object.__setattr__(self, "xi", math.sqrt(self.sigma_yy / self.sigma_xx))
+        r = sigma_xy / math.sqrt(sigma_xx * sigma_yy)
+        self.__dict__.update(
+            sigma_xx=sigma_xx, sigma_yy=sigma_yy, sigma_xy=sigma_xy,
+            rho=max(-1.0, min(1.0, r)), xi=math.sqrt(sigma_yy / sigma_xx),
+        )
 
     @classmethod
     def from_correlation(cls, sigma_xx: float, sigma_yy: float, rho: float) -> "CovarianceSpec":
@@ -158,53 +207,42 @@ class CovarianceSpec:
         return l_xx, l_yx, l_yy
 
 
-@dataclass(frozen=True)
-class MeanVectorPair:
+class MeanVectorPair(Record):
     """Mean vectors (theta_x, theta_y) of the two populations."""
 
-    theta1: tuple[float, float]
-    theta2: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        _require_finite("mean components", *self.theta1, *self.theta2)
+    def __init__(self, theta1: tuple[float, float], theta2: tuple[float, float]):
+        _require_finite("mean components", *theta1, *theta2)
+        self.__dict__.update(theta1=theta1, theta2=theta2)
 
 
-@dataclass(frozen=True)
-class ThetaStar:
+class ThetaStar(Record):
     """Nonnegative component gaps (theta_x, theta_y) between the two means."""
 
-    theta_x: float
-    theta_y: float
-
-    def __post_init__(self) -> None:
-        _require_finite("theta gaps", self.theta_x, self.theta_y)
-        if self.theta_x < 0 or self.theta_y < 0:
+    def __init__(self, theta_x: float, theta_y: float):
+        _require_finite("theta gaps", theta_x, theta_y)
+        if theta_x < 0 or theta_y < 0:
             raise InvalidParameterError(
-                f"theta gaps must be nonnegative, got ({self.theta_x}, {self.theta_y})"
+                f"theta gaps must be nonnegative, got ({theta_x}, {theta_y})"
             )
+        self.__dict__.update(theta_x=theta_x, theta_y=theta_y)
 
 
-@dataclass(frozen=True)
-class LinexParams:
+class LinexParams(Record):
     """Shape/location parameter of the asymmetric loss; a = 0 is excluded."""
 
-    a: float
-
-    def __post_init__(self) -> None:
-        _require_finite("a", self.a)
-        if self.a == 0:
+    def __init__(self, a: float):
+        _require_finite("a", a)
+        if a == 0:
             raise InvalidParameterError("LINEX parameter a must be nonzero")
+        self.__dict__.update(a=a)
 
 
-@dataclass(frozen=True)
-class ObservationPair:
+class ObservationPair(Record):
     """One observation (x, y) from each population."""
 
-    z1: tuple[float, float]
-    z2: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        _require_finite("observations", *self.z1, *self.z2)
+    def __init__(self, z1: tuple[float, float], z2: tuple[float, float]):
+        _require_finite("observations", *z1, *z2)
+        self.__dict__.update(z1=z1, z2=z2)
 
 
 def std_normal_pdf(u: float) -> float:

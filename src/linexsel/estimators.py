@@ -14,13 +14,13 @@ side. The float forms stay plain Python: size-1 arrays cost ~10x per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .core import (
     CovarianceSpec,
     InvalidParameterError,
     LinexParams,
+    Record,
     SingularCovarianceError,
     Workspace,
     blend,
@@ -40,19 +40,15 @@ if TYPE_CHECKING:
 N3_LOG_SWITCH = 30.0  # switch the N3 component to the log-domain rearrangement
 
 
-@dataclass(frozen=True)
-class PriorSpec:
+class PriorSpec(Record):
     """Conjugate normal prior N2((mu1, mu2), m * I) on each mean vector."""
 
-    mu1: float
-    mu2: float
-    m: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu1) and math.isfinite(self.mu2) and math.isfinite(self.m)):
+    def __init__(self, mu1: float, mu2: float, m: float):
+        if not (math.isfinite(mu1) and math.isfinite(mu2) and math.isfinite(m)):
             raise InvalidParameterError("prior parameters must be finite")
-        if self.m <= 0:
-            raise InvalidParameterError(f"prior variance scale m must be positive, got {self.m}")
+        if m <= 0:
+            raise InvalidParameterError(f"prior variance scale m must be positive, got {m}")
+        self.__dict__.update(mu1=mu1, mu2=mu2, m=m)
 
 
 #: the kinds with an equivariant component, which an Improved spec can take as its base
@@ -60,39 +56,37 @@ BASE_KINDS = ("N1", "N2", "N3", "N4")
 _KINDS = (*BASE_KINDS, "Bayes", "Shift", "Improved")
 
 
-@dataclass(frozen=True)
-class EstimatorSpec:
+class EstimatorSpec(Record):
     """Tagged description of which estimator to evaluate.
 
     Exactly the fields relevant to `kind` may be set: c for N4, d for Shift,
     prior for Bayes, base (one of N1..N4) for Improved.
     """
 
-    kind: str
-    c: Optional[float] = None
-    d: Optional[float] = None
-    prior: Optional[PriorSpec] = None
-    base: Optional["EstimatorSpec"] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise InvalidParameterError(f"unknown estimator kind {self.kind!r}")
-        wants = {"N4": "c", "Shift": "d", "Bayes": "prior", "Improved": "base"}
-        for field_name in ("c", "d", "prior", "base"):
-            val = getattr(self, field_name)
+    def __init__(
+        self,
+        kind: str,
+        c: Optional[float] = None,
+        d: Optional[float] = None,
+        prior: Optional[PriorSpec] = None,
+        base: Optional["EstimatorSpec"] = None,
+    ):
+        if kind not in _KINDS:
+            raise InvalidParameterError(f"unknown estimator kind {kind!r}")
+        wants = {"N4": "c", "Shift": "d", "Bayes": "prior", "Improved": "base"}.get(kind)
+        for field_name, val in (("c", c), ("d", d), ("prior", prior), ("base", base)):
             if val is None:
-                if wants.get(self.kind) == field_name:
-                    raise InvalidParameterError(f"{self.kind} spec requires {field_name}")
-            elif wants.get(self.kind) != field_name:
-                raise InvalidParameterError(f"{self.kind} spec must not set {field_name}")
-        if self.kind == "N4" and not (math.isfinite(self.c) and self.c >= 0):
-            raise InvalidParameterError(f"hybrid threshold c must be finite and >= 0, got {self.c}")
-        if self.kind == "Shift" and not math.isfinite(self.d):
+                if wants == field_name:
+                    raise InvalidParameterError(f"{kind} spec requires {field_name}")
+            elif wants != field_name:
+                raise InvalidParameterError(f"{kind} spec must not set {field_name}")
+        if kind == "N4" and not (math.isfinite(c) and c >= 0):
+            raise InvalidParameterError(f"hybrid threshold c must be finite and >= 0, got {c}")
+        if kind == "Shift" and not math.isfinite(d):
             raise InvalidParameterError("shift constant d must be finite")
-        if self.kind == "Improved" and self.base.kind not in BASE_KINDS:
-            raise InvalidParameterError(
-                f"Improved base must be one of N1..N4, got {self.base.kind!r}"
-            )
+        if kind == "Improved" and base.kind not in BASE_KINDS:
+            raise InvalidParameterError(f"Improved base must be one of N1..N4, got {base.kind!r}")
+        self.__dict__.update(kind=kind, c=c, d=d, prior=prior, base=base)
 
     @classmethod
     def n1(cls) -> "EstimatorSpec":

@@ -11,20 +11,17 @@ or an estimate report with those labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CovarianceSpec, InvalidParameterError, LinexParams
+from .core import CovarianceSpec, InvalidParameterError, LinexParams, Record
 from .estimators import EstimatorSpec, base_phi
 from .oracles import clip_component
 from .selection import SelectionSummary
 
 
-@dataclass(frozen=True)
-class ImprovementOutcome:
-    value: float
-    truncated: str
-    base_phi: float
+class ImprovementOutcome(Record):
+    def __init__(self, value: float, truncated: str, base_phi: float):
+        self.__dict__.update(value=value, truncated=truncated, base_phi=base_phi)
 
 
 def improve(

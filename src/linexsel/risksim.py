@@ -25,7 +25,6 @@ import io
 import math
 import os
 import threading
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .core import (
@@ -34,9 +33,11 @@ from .core import (
     LinexError,
     LinexParams,
     MeanVectorPair,
+    Record,
     Workspace,
     blend,
     linex_loss,
+    replace,
     rng_stream,
     sample_block,
 )
@@ -74,26 +75,35 @@ def stream_group(spec: EstimatorSpec) -> int:
     return _GROUP_IDS[kind]
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    means: MeanVectorPair
-    cov: CovarianceSpec
-    a: LinexParams
-    reps: int = 20000
-    master_seed: int = 0
-    estimators: tuple[EstimatorSpec, ...] = ()
+class SimConfig(Record):
+    def __init__(
+        self,
+        means: MeanVectorPair,
+        cov: CovarianceSpec,
+        a: LinexParams,
+        reps: int = 20000,
+        master_seed: int = 0,
+        estimators: tuple[EstimatorSpec, ...] = (),
+    ):
+        # a float would fail late, in numpy's sampler or SeedSequence; a bool would pass as 0 or 1
+        if isinstance(reps, bool) or not isinstance(reps, int):
+            raise InvalidParameterError(f"reps must be an integer, got {reps!r}")
+        if reps < 1:
+            raise InvalidParameterError(f"reps must be >= 1, got {reps}")
+        if isinstance(master_seed, bool) or not isinstance(master_seed, int):
+            raise InvalidParameterError(f"master seed must be an integer, got {master_seed!r}")
+        if master_seed < 0:
+            raise InvalidParameterError("master seed must be nonnegative")
+        self.__dict__.update(
+            means=means, cov=cov, a=a, reps=reps, master_seed=master_seed, estimators=estimators
+        )
 
-    def __post_init__(self) -> None:
-        if self.reps < 1:
-            raise InvalidParameterError(f"reps must be >= 1, got {self.reps}")
 
-
-@dataclass(frozen=True)
-class RiskEstimate:
+class RiskEstimate(Record):
     """Monte Carlo mean LINEX risk with its standard error (None at one rep)."""
 
-    mean_risk: float
-    std_error: Optional[float]
+    def __init__(self, mean_risk: float, std_error: Optional[float]):
+        self.__dict__.update(mean_risk=mean_risk, std_error=std_error)
 
 
 class CellWorkspace(Workspace):
@@ -347,15 +357,18 @@ def paired_risk_difference(
     return est.mean_risk, est.std_error or 0.0
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(Record):
     """Config of one published risk table (or a custom grid shaped like one)."""
 
-    table_id: int
-    a: LinexParams
-    cov: CovarianceSpec
-    columns: tuple[tuple[str, EstimatorSpec], ...]
-    rows: tuple[MeanVectorPair, ...] = THETA_CONFIGS
+    def __init__(
+        self,
+        table_id: int,
+        a: LinexParams,
+        cov: CovarianceSpec,
+        columns: tuple[tuple[str, EstimatorSpec], ...],
+        rows: tuple[MeanVectorPair, ...] = THETA_CONFIGS,
+    ):
+        self.__dict__.update(table_id=table_id, a=a, cov=cov, columns=columns, rows=rows)
 
     @property
     def c(self) -> Optional[float]:
@@ -384,14 +397,20 @@ TABLE_SPECS: dict[int, TableSpec] = {
 }
 
 
-@dataclass
-class RiskTable:
+class RiskTable(Record, frozen=False):
     """Results of one grid sweep, in canonical row-major order."""
 
-    spec: TableSpec
-    reps: int
-    master_seed: int
-    estimates: dict[tuple[int, int], RiskEstimate] = field(default_factory=dict)
+    def __init__(
+        self,
+        spec: TableSpec,
+        reps: int,
+        master_seed: int,
+        estimates: Optional[dict[tuple[int, int], RiskEstimate]] = None,
+    ):
+        self.__dict__.update(
+            spec=spec, reps=reps, master_seed=master_seed,
+            estimates={} if estimates is None else estimates,
+        )
 
     def cell(self, row: int, col: int) -> RiskEstimate:
         return self.estimates[(row, col)]

@@ -9,14 +9,12 @@ pair (`select`) or for arrays of draws (`select_batch`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import InvalidParameterError, ObservationPair, Workspace, blend
+from .core import InvalidParameterError, ObservationPair, Record, Workspace, blend
 
 
-@dataclass(frozen=True)
-class SelectionSummary:
+class SelectionSummary(Record):
     """Order statistics of X, their Y concomitants, and the differences.
 
     t1 = X_(1) - X_(2) <= 0 and t2 = Y_[1] - Y_[2]; y_sel is the concomitant
@@ -24,13 +22,14 @@ class SelectionSummary:
     y_sel, t1 and t2 are arrays with one entry per draw and the rest is None.
     """
 
-    selected: int
-    x_max: float
-    x_min: float
-    y_sel: float
-    y_other: float
-    t1: float
-    t2: float
+    def __init__(
+        self, selected: int, x_max: float, x_min: float, y_sel: float, y_other: float,
+        t1: float, t2: float,
+    ):
+        self.__dict__.update(
+            selected=selected, x_max=x_max, x_min=x_min, y_sel=y_sel, y_other=y_other,
+            t1=t1, t2=t2,
+        )
 
 
 def select(obs: ObservationPair) -> SelectionSummary:

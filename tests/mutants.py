@@ -83,6 +83,10 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("core_imports_numpy_at_module_level", "core.py",
            "from contextlib import nullcontext\n",
            "from contextlib import nullcontext\n\nimport numpy\n", ("test_cli.py",)),
+    # core: the record base
+    Mutant("record_equal_across_classes", "core.py",
+           "if other.__class__ is not self.__class__:", "if not isinstance(other, Record):",
+           ("test_records.py",)),
     # estimators
     Mutant("n3_log_switch_drops_t2", "estimators.py",
            "            return t2 + math.log(inner) / a.a\n",
@@ -102,7 +106,7 @@ MUTANTS: tuple[Mutant, ...] = (
            "return np.add(np.add(s.y_sel, spec.d / 3, out=out), 2 * spec.d / 3, out=out)",
            ("test_risksim.py",)),
     Mutant("prior_m_zero_accepted", "estimators.py",
-           "if self.m <= 0:", "if self.m < 0:", ("test_estimators.py",)),
+           "if m <= 0:", "if m < 0:", ("test_estimators.py",)),
     Mutant("evaluate_imports_per_call", "estimators.py",
            "    phi = base_phi(spec.base, s, a, cov)\n",
            "    from . import improvement  # noqa: F401\n    phi = base_phi(spec.base, s, a, cov)\n",

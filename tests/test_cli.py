@@ -622,27 +622,37 @@ PUBLIC_NAMES = [
 ]
 
 
-def _loaded_package_modules(probe_tail, *argv):
-    probe = (
-        "import json, sys\n" + probe_tail +
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'linexsel')))"
-    )
+#: standard-library modules that no start of a subcommand without numpy pays for:
+#: `dataclasses` loads `inspect`, and `inspect` loads `ast`, `dis` and `tokenize`
+#: (numpy loads `inspect` itself, so `simulate` loads it all the same)
+SCALAR_START_BANNED = {"dataclasses", "inspect"}
+
+
+def _loaded_modules(probe_tail, *argv):
+    """The names in sys.modules after `probe_tail` runs in a new interpreter."""
+    probe = "import json, sys\n" + probe_tail + "print(json.dumps(sorted(sys.modules)))"
     return set(json.loads(_fresh_python(probe, *argv)))
+
+
+def _package_modules(modules):
+    return {m for m in modules if m.split(".")[0] == "linexsel"}
 
 
 @pytest.mark.parametrize("sub", sorted(SUBCOMMAND_MODULES))
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, sub):
     argv = [*SUBCOMMAND_ARGS[sub], "--out", str(tmp_path)]
-    loaded = _loaded_package_modules(
+    loaded = _loaded_modules(
         "import linexsel.cli\nassert linexsel.cli.main(json.loads(sys.argv[1])) == 0\n",
         json.dumps(argv),
     )
     expected = {"linexsel", "linexsel.cli"} | {f"linexsel.{m}" for m in SUBCOMMAND_MODULES[sub]}
-    assert loaded == expected
+    assert _package_modules(loaded) == expected
+    if sub != "simulate":
+        assert loaded.isdisjoint(SCALAR_START_BANNED)
 
 
 def test_package_import_loads_no_submodule():
-    assert _loaded_package_modules("import linexsel\n") == {"linexsel"}
+    assert _package_modules(_loaded_modules("import linexsel\n")) == {"linexsel"}
 
 
 def test_lazy_namespace_serves_every_public_name():

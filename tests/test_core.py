@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from linexsel import (
     std_normal_cdf_batch,
     std_normal_pdf,
 )
-from linexsel.core import Workspace, log_std_normal_cdf_tail
+from linexsel.core import Workspace, log_std_normal_cdf_tail, replace
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
 

@@ -5,7 +5,9 @@ a cycle, so no module needs a late import to see a name, and every public
 function, class and method is used by the package itself or by the
 benchmark in `perfbench/`; code that only the tests call lives in `tests/`.
 A method counts as used only where it is read as an attribute (`x.name`),
-so a local variable or parameter of the same name does not keep it.
+so a local variable or parameter of the same name does not keep it. No
+module imports `dataclasses`: it loads `inspect` on every start, and the
+records build on `core.Record` instead.
 """
 
 import ast
@@ -108,3 +110,23 @@ def test_every_public_name_has_a_runtime_or_benchmark_use():
         if qualified.rpartition(".")[2] not in (attributes if "." in qualified else names)
     ]
     assert not unused, "only the tests use these; move them to tests/: " + ", ".join(unused)
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    """The absolute modules an import statement names; none for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def test_no_module_imports_dataclasses():
+    offenders = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in _trees(PACKAGE).items()
+        for node in ast.walk(tree)
+        for module in _imported_modules(node)
+        if module.split(".")[0] == "dataclasses"
+    ]
+    assert not offenders, "imports dataclasses: " + ", ".join(offenders)

@@ -3,7 +3,6 @@ import os
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from linexsel import (
     simulate_all,
     simulate_risk,
 )
+from linexsel.core import replace
 from linexsel.risksim import (
     THETA_CONFIGS, CellWorkspace, RiskEstimate, RiskTable, TableSpec, stream_group, table_columns,
 )
@@ -335,6 +335,23 @@ def test_simulate_all_refuses_repeated_labels():
     ))
     with pytest.raises(InvalidParameterError, match=r"repeat the label 'N4\(c=1\)'"):
         simulate_all(cfg)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"reps": 2.5}, r"^reps must be an integer, got 2\.5$"),
+    ({"reps": True}, r"^reps must be an integer, got True$"),
+    ({"reps": 0}, r"^reps must be >= 1, got 0$"),
+    ({"master_seed": 1.5}, r"^master seed must be an integer, got 1\.5$"),
+    ({"master_seed": False}, r"^master seed must be an integer, got False$"),
+    ({"master_seed": -1}, r"^master seed must be nonnegative$"),
+])
+def test_config_refuses_reps_and_seeds_that_are_not_valid_ints(change, message):
+    # a float once reached numpy's sampler or SeedSequence and failed there with a TypeError
+    with pytest.raises(InvalidParameterError, match=message):
+        replace(config(reps=10), **change)
+    args = {"reps": 10, "master_seed": 0, **change}
+    with pytest.raises(InvalidParameterError, match=message):
+        risk_grid(7, args["reps"], args["master_seed"], workers=1)
 
 
 def test_theta_configs_are_the_published_grid():
