@@ -186,7 +186,7 @@ def fit(data: GroupedDataset) -> FittedModel:
     )
 
 
-class AnalysisReport(Record, frozen=False):
+class AnalysisReport(Record):
     """Selection outcome and every applicable estimate at the fitted parameters."""
 
     def __init__(

@@ -94,23 +94,19 @@ class Record:
     Whatever else it stores there (CovarianceSpec's rho and xi) stays outside
     equality, hash and repr. A record equals only a record of its own class
     with equal fields and prints as `Name(field=value, ...)`. Records are
-    frozen, refusing assignment and deletion, and hash by their fields; a
-    class declared with `frozen=False` is mutable and unhashable.
+    frozen, refusing assignment and deletion, and hash by their fields where
+    those hash (a dict or list field does not).
     """
 
     _fields: tuple[str, ...]
     #: reads the fields' values in C: a tuple of them, or the value of a lone field
     _key: attrgetter
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
         cls._key = attrgetter(*cls._fields)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -429,13 +425,14 @@ def sample_block(
     its sums and products only commuted, never regrouped, so the bits match
     the out-of-place formula.
 
-    Where l_yy is 0 (|rho| = 1) a row draws only its first three rows, the
-    same 3n normals that begin the four-row draw, and each y is
+    Where l_yy is 0 (|rho| = 1) each row draws only its first three rows,
+    the same 3n normals that begin the four-row draw, and each y is
     theta_y + l_yx*x: l_yy*y is a signed zero there, and adding a signed
     zero leaves a sum's bits alone unless the sum is -0, which needs
-    theta_y = -0.0, so a row with a -0.0 theta_y keeps the four-row draw.
-    The generator then stops n normals short of the four-row draw; a risk
-    cell draws once from its own stream, so nothing reads past it.
+    theta_y = -0.0. So a block with a -0.0 theta_y in any row draws four
+    rows for every row, with the same bits in the others. A three-row
+    generator stops n normals short of the four-row draw; a risk cell
+    draws once from its own stream, so nothing reads past it.
     """
     import numpy as np
 
@@ -445,19 +442,12 @@ def sample_block(
         out = np.empty((k, 4, n))
     elif out.shape != (k, 4, n):
         raise InvalidParameterError(f"out must have shape ({k}, 4, {n}), got {out.shape}")
-    short = [
-        l_yy == 0.0 and not any(
-            theta_y == 0.0 and math.copysign(1.0, theta_y) < 0.0
-            for theta_y in (m.theta1[1], m.theta2[1])
-        )
-        for m in means
-    ]
-    affine = all(short)
-    for row, rng, three in zip(out, rngs, short):
-        rng.standard_normal(out=row[:3] if three else row)
-        if three and not affine:
-            # the full form below reads the undrawn row, times l_yy = 0
-            row[3] = 0.0
+    affine = l_yy == 0.0 and not any(
+        theta_y == 0.0 and math.copysign(1.0, theta_y) < 0.0
+        for m in means for theta_y in (m.theta1[1], m.theta2[1])
+    )
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row[:3] if affine else row)
     x1, y1, x2, y2 = out.transpose(1, 0, 2)
     with borrow(work, floats=1) as (t,):
         if t is not None:

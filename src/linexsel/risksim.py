@@ -7,16 +7,17 @@ columns are added later. A column group is the base-estimator family; the
 base and its truncation-improved variant share draws, which is exactly the
 common-random-numbers pairing the dominance comparisons need.
 
-One runner runs every cell, the grid's and the one cell of `simulate_risk`,
-`simulate_all` and `paired_risk_difference`. It runs cells in blocks: k rows
-of one column group, each drawing its own stream into its row of a
-(k, 4, reps) draw block, then every kernel and the per-row reductions once
-over (k, reps) arrays, with the bits of each cell run alone. k keeps all
-threads' blocks within _BLOCK_REP_CELLS rep-cells, so the 20000-rep tables
-run one row at a time and a single-cell call is a block of one. The runner
-gives each thread one reused `CellWorkspace`, and refuses with a
+One runner runs the blocks of cells it is given: `risk_grid` cuts each
+column group's rows into blocks of k, and `simulate_risk`, `simulate_all`
+and `paired_risk_difference` pass a block of their one cell. Each cell of a
+block draws its own stream into its row of a (k, 4, reps) draw block, then
+every kernel and the per-row reductions run once over (k, reps) arrays,
+with the bits of each cell run alone. k keeps all threads' blocks within
+_BLOCK_REP_CELLS rep-cells, so the 20000-rep tables run one row at a time.
+The runner gives each thread one reused `CellWorkspace`, refuses with a
 MemoryError, before building any, a run whose workspaces would exceed
-physical memory.
+physical memory, and reruns the cells one by one, in stream-key order,
+where a block meets an error.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ THETA_CONFIGS: tuple[MeanVectorPair, ...] = tuple(
     ]
 )
 
-_GROUP_IDS = {"N1": 0, "N2": 1, "N3": 2, "N4": 3, "Bayes": 4, "Shift": 5, "Improved": 6}
+_GROUP_IDS = {"N1": 0, "N2": 1, "N3": 2, "N4": 3, "Bayes": 4, "Shift": 5}
 
 
 def stream_group(spec: EstimatorSpec) -> int:
@@ -228,46 +229,22 @@ def _paired_difference(
     return _estimates(loss_a, ws, block, 0)
 
 
-def _blocks(cells: Sequence[_Cell], height: int) -> list[list[int]]:
-    """The cells' indices in blocks of at most `height`, in the order of each block's first cell.
-
-    Cells in order fill the open block of their kind: the very same specs,
-    covariance and LINEX objects, as a grid's cells of one column group
-    share. Identity, not equality: specs equal up to a zero's sign can
-    differ in bits.
-    """
-    open_blocks: dict[tuple, list[int]] = {}
-    blocks = []
-    for i, (config, specs, _, _) in enumerate(cells):
-        kind = (id(specs), id(config.cov), id(config.a), config.master_seed)
-        block = open_blocks.get(kind)
-        if block is None or len(block) == height:
-            block = open_blocks[kind] = []
-            blocks.append(block)
-        block.append(i)
-    return blocks
-
-
 def _run_cells(
-    cells: Sequence[_Cell], reps: int, workers: int,
+    blocks: Sequence[Sequence[_Cell]], reps: int, workers: int,
     reduce: Callable[[Iterator[np.ndarray], CellWorkspace, Sequence[_Cell]], list[_R]],
-) -> list[_R]:
-    """`reduce`'s result for each cell, in order, from blocks of cells run at once.
+) -> list[list[_R]]:
+    """`reduce`'s results for each block, in order, from the block's cells run at once.
 
-    `reduce(column losses, workspace, block)` gives one result per cell of a
-    block. Blocks hold up to _BLOCK_REP_CELLS // (reps * threads) cells, at
-    least one, so that all threads' blocks together hold no more rep-cells
-    than _BLOCK_REP_CELLS unless one cell alone does. They run on
-    min(workers, cells) threads, at most one per block, each with one
+    A block's cells share their columns, covariance, LINEX parameter, seed
+    and reps; `reduce(column losses, workspace, block)` gives one result per
+    cell. The blocks run on min(workers, blocks) threads, each with one
     workspace made on its first block. Raises MemoryError, before any
     workspace is built, where those threads' workspaces would exceed
     physical memory: one that cannot fit would pass np.empty under
     overcommit and get the process killed later. A LinexError is the one
-    that running the cells one by one, in order, raises first.
+    that running the cells one by one, in stream-key order, raises first.
     """
-    threads = min(workers, len(cells))
-    blocks = _blocks(cells, max(1, _BLOCK_REP_CELLS // (reps * threads)))
-    threads = min(threads, len(blocks))
+    threads = min(workers, len(blocks))
     rows = max(map(len, blocks))
     need = threads * rows * reps * CellWorkspace.BYTES_PER_REP
     try:
@@ -282,40 +259,33 @@ def _run_cells(
     # one workspace per thread of this call, dropped when it returns
     local = threading.local()
 
-    def run(block: list[int]) -> list[_R]:
+    def run(block: Sequence[_Cell]) -> list[_R]:
         ws = getattr(local, "ws", None)
         if ws is None or ws.shape[0] != len(block):
             local.ws = None  # the old one goes before the new one is built
             local.ws = ws = CellWorkspace(len(block), reps)
-        at = [cells[i] for i in block]
-        return reduce(_block_losses(at, ws), ws, at)
+        return reduce(_block_losses(block, ws), ws, block)
 
     try:
         # one thread runs the blocks here, with no pool: a one-thread pool measured
         # 2-26 % slower on a 64-row, 8-column grid at 5000 reps
         if threads <= 1:
-            results = [run(block) for block in blocks]
-        else:
-            # loaded here alone: it pulls in logging and queue, which a serial run never needs
-            from concurrent.futures import ThreadPoolExecutor
+            return [run(block) for block in blocks]
+        # loaded here alone: it pulls in logging and queue, which a serial run never needs
+        from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run, blocks))
-    except LinexError:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, blocks))
+    except LinexError as exc:
         if rows == 1:
             raise
-        # a block meets its rows' errors column by column, and rows from later
-        # in the grid's order than another block's: rerun the cells one by one
-        # for the error that comes first
-        results = None
-    if results is None:
-        blocks = [[i] for i in range(len(cells))]
-        results = [run(block) for block in blocks]
-    ordered: list = [None] * len(cells)
-    for block, per_cell in zip(blocks, results):
-        for i, result in zip(block, per_cell):
-            ordered[i] = result
-    return ordered
+        error = exc
+    # a block meets its rows' errors column by column, and rows from later in
+    # the grid's order than another block's; a cell's bits are the same alone,
+    # so the cells one by one raise the error that comes first
+    for cell in sorted((cell for block in blocks for cell in block), key=lambda c: c.stream_key):
+        run([cell])
+    raise error
 
 
 def simulate_risk(
@@ -328,7 +298,7 @@ def simulate_risk(
     for a fixed (master_seed, stream_key).
     """
     cells = [_Cell(config, [spec], stream_key, [spec.label])]
-    ((est,),) = _run_cells(cells, config.reps, 1, _column_estimates)
+    [[(est,)]] = _run_cells([cells], config.reps, 1, _column_estimates)
     return est
 
 
@@ -341,7 +311,7 @@ def simulate_all(config: SimConfig) -> dict[str, RiskEstimate]:
         if label in labels[:i]:
             raise InvalidParameterError(f"config.estimators repeat the label {label!r}")
     cells = [_Cell(config, config.estimators, (), labels)]
-    (estimates,) = _run_cells(cells, config.reps, 1, _column_estimates)
+    [[estimates]] = _run_cells([cells], config.reps, 1, _column_estimates)
     return dict(zip(labels, estimates))
 
 
@@ -353,7 +323,7 @@ def paired_risk_difference(
 ) -> tuple[float, float]:
     """mean(loss_a - loss_b) over identical draws, with the paired standard error (0 at one rep)."""
     cells = [_Cell(config, [spec_a, spec_b], stream_key, [f"{spec_a.label} - {spec_b.label}"])]
-    (est,) = _run_cells(cells, config.reps, 1, _paired_difference)
+    [[est]] = _run_cells([cells], config.reps, 1, _paired_difference)
     return est.mean_risk, est.std_error or 0.0
 
 
@@ -368,6 +338,10 @@ class TableSpec(Record):
         columns: tuple[tuple[str, EstimatorSpec], ...],
         rows: tuple[MeanVectorPair, ...] = THETA_CONFIGS,
     ):
+        if not rows or not columns:
+            raise InvalidParameterError(
+                f"a grid needs rows and columns, got {len(rows)} rows and {len(columns)} columns"
+            )
         self.__dict__.update(table_id=table_id, a=a, cov=cov, columns=columns, rows=rows)
 
     @property
@@ -397,7 +371,7 @@ TABLE_SPECS: dict[int, TableSpec] = {
 }
 
 
-class RiskTable(Record, frozen=False):
+class RiskTable(Record):
     """Results of one grid sweep, in canonical row-major order."""
 
     def __init__(
@@ -457,9 +431,11 @@ def risk_grid(
     Cells are independent tasks; draws for a cell come from the stream keyed
     (master_seed, table_id, row, column-group), so the output is byte-identical
     for any worker count and unchanged when columns from other groups are added.
-    `workers` defaults to `available_cpus()`; the sweep runs on min(workers,
-    cells) threads. Raises MemoryError, before any workspace is built, where
-    those threads' workspaces would exceed physical memory.
+    `workers` defaults to `available_cpus()`. The sweep runs blocks of k rows
+    of one column group, k = max(1, _BLOCK_REP_CELLS // (reps * min(workers,
+    cells))), on min(workers, blocks) threads. Raises MemoryError, before any
+    workspace is built, where those threads' workspaces would exceed
+    physical memory.
     """
     if isinstance(table, int):
         if table not in TABLE_SPECS:
@@ -469,26 +445,33 @@ def risk_grid(
         spec = TABLE_SPECS[table]
     else:
         spec = table
-    if reps < 1:
-        raise InvalidParameterError(f"reps must be >= 1, got {reps}")
     if workers is None:
         workers = available_cpus()
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise InvalidParameterError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
 
-    # one cell per (row, column-group): all columns in a group share draws
+    # one cell per (row, column group): all columns in a group share draws
     groups: dict[int, list[int]] = {}
     for j, (_, est_spec) in enumerate(spec.columns):
         groups.setdefault(stream_group(est_spec), []).append(j)
-    tasks = [(i, g) for i in range(len(spec.rows)) for g in sorted(groups)]
-    specs = {g: [spec.columns[j][1] for j in groups[g]] for g in groups}
-    cells = [
-        _Cell(SimConfig(spec.rows[i], spec.cov, spec.a, reps, master_seed), specs[g],
-              (spec.table_id, i, g), [f"row {i}, column {spec.columns[j][0]}" for j in groups[g]])
-        for i, g in tasks
-    ]
-    table_result = RiskTable(spec=spec, reps=reps, master_seed=master_seed)
-    for (i, g), estimates in zip(tasks, _run_cells(cells, reps, workers, _column_estimates)):
-        for j, est in zip(groups[g], estimates):
-            table_result.estimates[(i, j)] = est
-    return table_result
+    cells = {}
+    for g in sorted(groups):
+        specs = [spec.columns[j][1] for j in groups[g]]
+        cells[g] = [
+            _Cell(SimConfig(means, spec.cov, spec.a, reps, master_seed), specs, (spec.table_id, i, g),
+                  [f"row {i}, column {spec.columns[j][0]}" for j in groups[g]])
+            for i, means in enumerate(spec.rows)
+        ]
+    # row chunk by row chunk, one block per column group: all threads' blocks
+    # together hold no more than _BLOCK_REP_CELLS rep-cells unless one cell does
+    k = max(1, _BLOCK_REP_CELLS // (reps * min(workers, len(spec.rows) * len(groups))))
+    blocks = [column[r : r + k] for r in range(0, len(spec.rows), k) for column in cells.values()]
+    estimates = {}
+    for block, results in zip(blocks, _run_cells(blocks, reps, workers, _column_estimates)):
+        for cell, row in zip(block, results):
+            _, i, g = cell.stream_key
+            estimates.update(((i, j), est) for j, est in zip(groups[g], row))
+    # row-major, so the order does not follow the block height, which the workers set
+    return RiskTable(spec, reps, master_seed, dict(sorted(estimates.items())))

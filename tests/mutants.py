@@ -177,7 +177,7 @@ MUTANTS: tuple[Mutant, ...] = (
            "    def c(self) -> Optional[float]:", "    def c_old(self) -> Optional[float]:",
            ("test_perfbench_api.py",)),
     Mutant("threads_not_capped_by_cells", "risksim.py",
-           "threads = min(workers, len(cells))", "threads = workers", ("test_risksim.py",)),
+           "min(workers, len(spec.rows) * len(groups))", "workers", ("test_risksim.py",)),
     Mutant("memory_check_dropped", "risksim.py",
            "if 0 < have < need:", "if False:", ("test_risksim.py",)),
     Mutant("pool_shares_one_workspace", "risksim.py",
@@ -198,6 +198,11 @@ MUTANTS: tuple[Mutant, ...] = (
            ("test_cli.py",)),
     Mutant("repeated_labels_kept", "risksim.py",
            "if label in labels[:i]:", "if label in labels[:0]:", ("test_risksim.py",)),
+    Mutant("empty_grid_accepted", "risksim.py",
+           "if not rows or not columns:", "if False:", ("test_risksim.py",)),
+    Mutant("workers_not_an_int", "risksim.py",
+           "if isinstance(workers, bool) or not isinstance(workers, int):", "if False:",
+           ("test_risksim.py",)),
     # the cold path: each subcommand loads only the modules it runs
     Mutant("cli_imports_risksim_eagerly", "cli.py",
            "if TYPE_CHECKING:\n    from .estimators import PriorSpec\n",

@@ -30,7 +30,7 @@ from linexsel import (
     std_normal_cdf_batch,
     std_normal_pdf,
 )
-from linexsel.core import Workspace, log_std_normal_cdf_tail, replace
+from linexsel.core import Workspace, log_std_normal_cdf_tail, replace, sample_block
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
 
@@ -295,6 +295,31 @@ class TestSampling:
             assert np.array_equal(np.signbit(y), np.signbit(expected))
             # the three-row shortcut would have kept a -0 here
             assert np.signbit(theta_y + l_yx * g[x_row]).sum() > np.signbit(expected).sum()
+
+    @pytest.mark.parametrize("rho", [-1.0, 1.0])
+    @pytest.mark.parametrize("theta_y, rows", [(0.25, 3), (-0.0, 4)])
+    def test_a_block_decides_its_draw_once_with_each_row_alone_bits(self, rho, theta_y, rows):
+        # a -0.0 theta_y in one row makes every row of the block draw four rows;
+        # a row that alone draws three gets the same bits from four
+        cov = CovarianceSpec.from_correlation(2.0, 3.0, rho)
+        means = [MeanVectorPair((0.5, 1.0), (-1.5, 0.5)), MeanVectorPair((0.5, 0.0), (-1.5, theta_y))]
+        drawn = []
+
+        class Recording:
+            def __init__(self, key):
+                self.gen = rng_stream(5, key)
+
+            def standard_normal(self, out):
+                drawn.append(out.shape)
+                return self.gen.standard_normal(out=out)
+
+        block = sample_block(means, cov, [Recording(key) for key in (1, 2)], 257)
+        assert drawn == [(rows, 257)] * 2
+        for i, m in enumerate(means):
+            alone = sample_batch(m, cov, rng_stream(5, i + 1), 257)
+            for a, b in zip(block, alone):
+                assert np.array_equal(a[i], b)
+                assert np.array_equal(np.signbit(a[i]), np.signbit(b))
 
     def test_independent_case_correlation(self):
         cov = CovarianceSpec.from_correlation(2.0, 3.0, 0.0)

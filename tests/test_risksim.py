@@ -354,6 +354,28 @@ def test_config_refuses_reps_and_seeds_that_are_not_valid_ints(change, message):
         risk_grid(7, args["reps"], args["master_seed"], workers=1)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"rows": ()}, r"^a grid needs rows and columns, got 0 rows and 5 columns$"),
+    ({"columns": ()}, r"^a grid needs rows and columns, got 11 rows and 0 columns$"),
+], ids=["rows", "columns"])
+def test_an_empty_grid_is_refused(change, message):
+    # an empty grid once reached the block height and divided by zero
+    with pytest.raises(InvalidParameterError, match=message):
+        replace(TABLE_SPECS[7], **change)
+
+
+@pytest.mark.parametrize("workers, message", [
+    (2.5, r"^workers must be an integer, got 2\.5$"),
+    (True, r"^workers must be an integer, got True$"),
+    ("2", r"^workers must be an integer, got '2'$"),
+    (0, r"^workers must be >= 1, got 0$"),
+], ids=["float", "bool", "str", "zero"])
+def test_grid_refuses_workers_that_are_not_valid_ints(workers, message):
+    # 2.5 once ran on a pool of max_workers=2.5, True as 1, and "2" failed comparing with 1
+    with pytest.raises(InvalidParameterError, match=message):
+        risk_grid(7, reps=10, master_seed=0, workers=workers)
+
+
 def test_theta_configs_are_the_published_grid():
     assert len(THETA_CONFIGS) == 11
     assert THETA_CONFIGS[5].theta1 == (0.0, 0.0)
