@@ -100,10 +100,17 @@ def shift_risk(d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceS
 
 
 def _end_correction(a: LinexParams, cov: CovarianceSpec) -> float:
-    # -a*syy/2 - [ln 2 + ln Phi(a*sxy/sqrt(2*sxx))]/a, the theta_x -> 0 limit;
-    # log Phi stays finite where Phi underflows to 0 (arg below about -38.5)
+    # -a*syy/2 - ln(2 Phi(arg))/a at arg = a*sxy/sqrt(2*sxx), the theta_x -> 0
+    # limit. ln 2 + ln Phi(arg) cancels as arg -> 0 (1e-13 relative error at
+    # |arg| = 2^-10, d0 = -5e-17 for -0.28 at a = 1e-16), so |arg| < 1/4 takes
+    # ln(1 + erf(arg/sqrt 2)), within 4e-16; beyond, ln 2 + log Phi is as
+    # accurate and stays finite where Phi underflows (arg below about -38.5)
     arg = a.a * cov.sigma_xy / math.sqrt(2.0 * cov.sigma_xx)
-    return -a.a * cov.sigma_yy / 2.0 - (math.log(2.0) + log_std_normal_cdf(arg)) / a.a
+    if abs(arg) < 0.25:
+        log_2phi = math.log1p(math.erf(arg / math.sqrt(2.0)))
+    else:
+        log_2phi = math.log(2.0) + log_std_normal_cdf(arg)
+    return -a.a * cov.sigma_yy / 2.0 - log_2phi / a.a
 
 
 def _interval(a: LinexParams, cov: CovarianceSpec) -> tuple[float, float]:

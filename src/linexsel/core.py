@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import nullcontext
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -84,6 +84,20 @@ def _require_finite(name: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
             raise InvalidParameterError(f"{name} must be finite, got {v!r}")
+
+
+def nonnegative_int(name: str, value: int) -> int:
+    """`value` as an int; InvalidParameterError unless it is a nonnegative integer.
+
+    numpy integers pass; a bool, which would pass as 0 or 1, and a float,
+    which `int()` would truncate, do not.
+    """
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    value = index(value)
+    if value < 0:
+        raise InvalidParameterError(f"{name} must be nonnegative")
+    return value
 
 
 class Record:
@@ -373,36 +387,24 @@ def rng_stream(master_seed: int, *key: int) -> np.random.Generator:
 
     Philox generators seeded through SeedSequence spawn keys: streams for
     distinct keys are independent and reproducible regardless of the order
-    in which they are created or consumed.
+    in which they are created or consumed. The seed and each key part must
+    be nonnegative integers (numpy's included, bools not).
     """
     import numpy as np
 
-    if master_seed < 0:
-        raise InvalidParameterError("master seed must be nonnegative")
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
+    key = tuple(nonnegative_int("stream key part", k) for k in key)
+    ss = np.random.SeedSequence(nonnegative_int("master seed", master_seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
 def sample_batch(
-    means: MeanVectorPair,
-    cov: CovarianceSpec,
-    rng: np.random.Generator,
-    n: int,
-    out: Optional[np.ndarray] = None,
-    work: Optional["Workspace"] = None,
+    means: MeanVectorPair, cov: CovarianceSpec, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw Z1, Z2 independently, each N2(theta_i, Sigma), n times over.
 
-    Returns the arrays (x1, y1, x2, y2): `sample_block` for one row, filling
-    `out`, a (4, n) array, if given, and borrowing from `work` if given.
+    Returns the arrays (x1, y1, x2, y2): row 0 of `sample_block` for one row.
     """
-    import numpy as np
-
-    if out is None:
-        out = np.empty((4, n))
-    elif out.shape != (4, n):
-        raise InvalidParameterError(f"out must have shape (4, {n}), got {out.shape}")
-    x1, y1, x2, y2 = sample_block((means,), cov, (rng,), n, out[np.newaxis], work)
+    x1, y1, x2, y2 = sample_block((means,), cov, (rng,), n)
     return x1[0], y1[0], x2[0], y2[0]
 
 
@@ -421,7 +423,7 @@ def sample_block(
     row's generator fills row i of `out`, a (k, 4, n) array, with one draw
     of standard_normal((4, n)) read row-major; the four arrays are views of
     `out`, transformed in place for all rows at once, with one temporary
-    borrowed from `work` if given. Each y is theta_y + l_yx*x + l_yy*y with
+    borrowed from `work`, a workspace of shape (k, n), if given. Each y is theta_y + l_yx*x + l_yy*y with
     its sums and products only commuted, never regrouped, so the bits match
     the out-of-place formula.
 
@@ -450,8 +452,6 @@ def sample_block(
         rng.standard_normal(out=row[:3] if affine else row)
     x1, y1, x2, y2 = out.transpose(1, 0, 2)
     with borrow(work, floats=1) as (t,):
-        if t is not None:
-            t = t.reshape(x1.shape)  # a (n,) workspace serves a block of one
         for x, y, pop in ((x1, y1, 0), (x2, y2, 1)):
             # one mean per row, broadcast along the draws
             theta_x, theta_y = np.array([m.theta2 if pop else m.theta1 for m in means]).T[:, :, None]

@@ -38,6 +38,7 @@ from .core import (
     Workspace,
     blend,
     linex_loss,
+    nonnegative_int,
     replace,
     rng_stream,
     sample_block,
@@ -86,15 +87,12 @@ class SimConfig(Record):
         master_seed: int = 0,
         estimators: tuple[EstimatorSpec, ...] = (),
     ):
-        # a float would fail late, in numpy's sampler or SeedSequence; a bool would pass as 0 or 1
+        # a float would fail late, in numpy's sampler; a bool would pass as 0 or 1
         if isinstance(reps, bool) or not isinstance(reps, int):
             raise InvalidParameterError(f"reps must be an integer, got {reps!r}")
         if reps < 1:
             raise InvalidParameterError(f"reps must be >= 1, got {reps}")
-        if isinstance(master_seed, bool) or not isinstance(master_seed, int):
-            raise InvalidParameterError(f"master seed must be an integer, got {master_seed!r}")
-        if master_seed < 0:
-            raise InvalidParameterError("master seed must be nonnegative")
+        master_seed = nonnegative_int("master seed", master_seed)
         self.__dict__.update(
             means=means, cov=cov, a=a, reps=reps, master_seed=master_seed, estimators=estimators
         )
@@ -135,7 +133,7 @@ class CellWorkspace(Workspace):
 
 
 class _Cell(NamedTuple):
-    """A risk cell: its config, its columns, its stream key, and each result's name in errors."""
+    """A risk cell: its config, its columns, its stream key, and each column's name in errors."""
 
     config: SimConfig
     specs: Sequence[EstimatorSpec]
@@ -154,7 +152,9 @@ def _block_losses(block: Sequence[_Cell], ws: CellWorkspace) -> Iterator[np.ndar
     """Each column's (rows, reps) losses on the block's draws in turn, in `ws.est` until the next.
 
     The block's cells share their columns, covariance, LINEX parameter and
-    reps; row i holds cell i, drawn from its own stream.
+    reps; row i holds cell i, drawn from its own stream. A loss error names
+    the first cell's column: `_run_cells` reruns the cells of a block that
+    meets an error one by one, so the error raised is a one-row block's.
     """
     import numpy as np
 
@@ -168,7 +168,7 @@ def _block_losses(block: Sequence[_Cell], ws: CellWorkspace) -> Iterator[np.ndar
     theta_sel = blend(ws.sel1, theta1_y, theta2_y, ws.theta_sel, ws)
     a, cov = config.a, config.cov
     held = phi = None
-    for spec in specs:
+    for spec, name in zip(specs, block[0].names):
         if spec.kind == "Bayes" and s.x_max is None:
             # only Bayes reads x_max, so only a Bayes column builds it
             s = replace(s, x_max=np.maximum(x1, x2))
@@ -177,13 +177,11 @@ def _block_losses(block: Sequence[_Cell], ws: CellWorkspace) -> Iterator[np.ndar
         if base != held and base.kind in BASE_KINDS:
             held, phi = base, base_phi_batch(base, s, a, cov, ws.phi, ws)
         estimate = evaluate_batch(spec, s, a, cov, phi if base == held else None, ws.est, ws)
-        yield linex_loss(estimate, theta_sel, a, spec.label, ws.est, ws)
+        yield linex_loss(estimate, theta_sel, a, name, ws.est, ws)
 
 
-def _estimates(
-    losses: np.ndarray, ws: CellWorkspace, block: Sequence[_Cell], column: int
-) -> list[RiskEstimate]:
-    """Each row's mean loss and standard error; LinexError where either is not finite.
+def _estimates(losses: np.ndarray, ws: CellWorkspace, names: Sequence[str]) -> list[RiskEstimate]:
+    """Each row's mean loss and standard error; LinexError, naming the row, where either is not finite.
 
     Per row, the ufuncs of losses.mean() and losses.std(ddof=1), so the bits
     match, with the deviations in a borrowed array.
@@ -201,11 +199,11 @@ def _estimates(
                 np.square(dev, out=dev)
                 ses = (np.sqrt(np.add.reduce(dev, axis=-1) / (n - 1)) / math.sqrt(n)).tolist()
     estimates = [RiskEstimate(mean, se) for mean, se in zip(means.tolist(), ses)]
-    for cell, est in zip(block, estimates):
+    for name, est in zip(names, estimates):
         if not (math.isfinite(est.mean_risk) and math.isfinite(est.std_error or 0.0)):
             se = "none" if est.std_error is None else f"{est.std_error:.6g}"
             raise LinexError(
-                f"{cell.names[column]}: the risk estimate left the double range "
+                f"{name}: the risk estimate left the double range "
                 f"(mean {est.mean_risk:.6g}, standard error {se})"
             )
     return estimates
@@ -217,7 +215,7 @@ _R = TypeVar("_R")
 def _column_estimates(
     losses: Iterator[np.ndarray], ws: CellWorkspace, block: Sequence[_Cell]
 ) -> list[list[RiskEstimate]]:
-    columns = [_estimates(column, ws, block, j) for j, column in enumerate(losses)]
+    columns = [_estimates(column, ws, [cell.names[j] for cell in block]) for j, column in enumerate(losses)]
     return [list(row) for row in zip(*columns)]
 
 
@@ -226,7 +224,7 @@ def _paired_difference(
 ) -> list[RiskEstimate]:
     loss_a = next(losses).copy()
     loss_a -= next(losses)
-    return _estimates(loss_a, ws, block, 0)
+    return _estimates(loss_a, ws, [" - ".join(cell.names) for cell in block])
 
 
 def _run_cells(
@@ -277,8 +275,6 @@ def _run_cells(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run, blocks))
     except LinexError as exc:
-        if rows == 1:
-            raise
         error = exc
     # a block meets its rows' errors column by column, and rows from later in
     # the grid's order than another block's; a cell's bits are the same alone,
@@ -286,6 +282,14 @@ def _run_cells(
     for cell in sorted((cell for block in blocks for cell in block), key=lambda c: c.stream_key):
         run([cell])
     raise error
+
+
+def _refuse_repeats(labels: Sequence[str], owner: str) -> None:
+    # labels print c and d with :g, so close thresholds can share one, and a
+    # result keyed or printed by label would lose or confuse a column
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise InvalidParameterError(f"{owner} repeat the label {label!r}")
 
 
 def simulate_risk(
@@ -307,9 +311,7 @@ def simulate_all(config: SimConfig) -> dict[str, RiskEstimate]:
     if not config.estimators:
         raise InvalidParameterError("config.estimators must be nonempty")
     labels = [spec.label for spec in config.estimators]
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise InvalidParameterError(f"config.estimators repeat the label {label!r}")
+    _refuse_repeats(labels, "config.estimators")
     cells = [_Cell(config, config.estimators, (), labels)]
     [[estimates]] = _run_cells([cells], config.reps, 1, _column_estimates)
     return dict(zip(labels, estimates))
@@ -322,7 +324,7 @@ def paired_risk_difference(
     stream_key: tuple[int, ...] = (),
 ) -> tuple[float, float]:
     """mean(loss_a - loss_b) over identical draws, with the paired standard error (0 at one rep)."""
-    cells = [_Cell(config, [spec_a, spec_b], stream_key, [f"{spec_a.label} - {spec_b.label}"])]
+    cells = [_Cell(config, [spec_a, spec_b], stream_key, [spec_a.label, spec_b.label])]
     [[est]] = _run_cells([cells], config.reps, 1, _paired_difference)
     return est.mean_risk, est.std_error or 0.0
 
@@ -342,6 +344,9 @@ class TableSpec(Record):
             raise InvalidParameterError(
                 f"a grid needs rows and columns, got {len(rows)} rows and {len(columns)} columns"
             )
+        # the table id keys every cell's stream, so 1.5 or True must not alias table 1
+        table_id = nonnegative_int("table id", table_id)
+        _refuse_repeats([label for label, _ in columns], "columns")
         self.__dict__.update(table_id=table_id, a=a, cov=cov, columns=columns, rows=rows)
 
     @property

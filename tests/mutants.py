@@ -74,6 +74,9 @@ MUTANTS: tuple[Mutant, ...] = (
            ("test_core.py",)),
     Mutant("loss_lets_nan_through", "core.py",
            "if not zmax <= EXP_OVERFLOW_LIMIT:", "if zmax > EXP_OVERFLOW_LIMIT:", ("test_core.py",)),
+    Mutant("stream_key_parts_truncated", "core.py",
+           'key = tuple(nonnegative_int("stream key part", k) for k in key)',
+           "key = tuple(int(k) for k in key)", ("test_core.py",)),
     Mutant("loss_lets_minus_inf_through", "core.py",
            "if np.min(z) == -math.inf:", "if False:", ("test_core.py",)),
     Mutant("blend_drops_every_7th_mask", "core.py",
@@ -155,6 +158,8 @@ MUTANTS: tuple[Mutant, ...] = (
     # admissibility
     Mutant("classify_d0_dominated", "admissibility.py",
            "    if d < d0:\n", "    if d <= d0:\n", ("test_admissibility.py",)),
+    Mutant("end_correction_cancels_at_small_arg", "admissibility.py",
+           "    if abs(arg) < 0.25:\n", "    if False:\n", ("test_admissibility.py",)),
     # risksim: reductions, flags, the cell runner
     Mutant("se_ddof_0", "risksim.py",
            "np.add.reduce(dev, axis=-1) / (n - 1)", "np.add.reduce(dev, axis=-1) / n",
@@ -185,7 +190,10 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("workspace_per_cell", "risksim.py",
            "if ws is None or ws.shape[0] != len(block):", "if True:", ("test_cli.py",)),
     Mutant("block_error_not_rerun", "risksim.py",
-           "        if rows == 1:\n            raise\n", "        raise\n", ("test_risksim.py",)),
+           "        error = exc\n", "        raise\n", ("test_risksim.py",)),
+    Mutant("loss_error_drops_the_cell_name", "risksim.py",
+           "linex_loss(estimate, theta_sel, a, name, ws.est, ws)",
+           'linex_loss(estimate, theta_sel, a, "", ws.est, ws)', ("test_risksim.py",)),
     Mutant("block_means_of_the_first_row", "risksim.py",
            "theta1_y, theta2_y = np.array([(m.theta1[1], m.theta2[1]) for m in means])",
            "theta1_y, theta2_y = np.array([(m.theta1[1], m.theta2[1]) for m in means[:1]])",
@@ -198,6 +206,11 @@ MUTANTS: tuple[Mutant, ...] = (
            ("test_cli.py",)),
     Mutant("repeated_labels_kept", "risksim.py",
            "if label in labels[:i]:", "if label in labels[:0]:", ("test_risksim.py",)),
+    Mutant("grid_repeated_labels_kept", "risksim.py",
+           '        _refuse_repeats([label for label, _ in columns], "columns")\n', "",
+           ("test_risksim.py",)),
+    Mutant("table_id_unchecked", "risksim.py",
+           '        table_id = nonnegative_int("table id", table_id)\n', "", ("test_risksim.py",)),
     Mutant("empty_grid_accepted", "risksim.py",
            "if not rows or not columns:", "if False:", ("test_risksim.py",)),
     Mutant("workers_not_an_int", "risksim.py",

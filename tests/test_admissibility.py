@@ -114,6 +114,24 @@ class TestBounds:
         # = -1.324200765... (ln(1.3829249) = 0.3242008)
         assert b.d0 == pytest.approx(-1.32420076527, abs=1e-9)
 
+    def test_end_correction_at_tiny_a_against_mpmath(self):
+        # ln 2 + ln Phi(arg) cancels as arg = a*sxy/sqrt(2*sxx) -> 0: d0 read -5e-17
+        # for -0.2820948 at a = 1e-16 until small |arg| took ln(1 + erf(arg/sqrt 2));
+        # |a| = 1 and 0.1 put |arg| on both sides of the switch at 1/4
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        for sxx, syy, sxy in ((1.0, 1.0, 0.5), (2.0, 3.0, -1.5), (0.3, 4.0, 0.9)):
+            cov = CovarianceSpec(sxx, syy, sxy)
+            for sign in (1.0, -1.0):
+                for a in (sign * 10.0**-k for k in range(17)):
+                    arg = mp.mpf(a) * sxy / mp.sqrt(2 * mp.mpf(sxx))
+                    end = -mp.mpf(a) * syy / 2 - mp.log(2 * mp.ncdf(arg)) / a
+                    b = bounds(LinexParams(a), cov)
+                    got = b.d0 if sxy > 0 else b.d1
+                    # relative to end, but for a last rounding of -a*syy/2 where
+                    # the two terms cancel (d0 = 2 - 1.405 at a = -1)
+                    assert abs(got - end) <= 4e-16 * (abs(end) + abs(a) * syy / 2), (cov, a)
+
     def test_sign_flip_mirrors(self):
         from linexsel import std_normal_cdf
 

@@ -307,6 +307,16 @@ class TestAdmissibility:
         assert "classification(0),dominated_by_d1" in out
         assert (tmp_path / "admissibility_report.csv").exists()
 
+    def test_tiny_a_keeps_the_interval(self, capsys, tmp_path):
+        # ln 2 + ln Phi(a*sxy/sqrt(2*sxx)) cancelled to d0 = -5e-17, which dominated -0.1
+        code, out, _ = run(
+            capsys, "admissibility", "--cov", "1,0.5,1", "--a", "1e-16",
+            "--d", "-0.1", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert "d0 = -0.2820948" in out
+        assert "d = -0.1: admissible_in_class" in out
+
     def test_phi_underflow_gives_finite_bounds(self, capsys, tmp_path):
         # a*sxy/sqrt(2*sxx) = -42.4, where Phi underflows to 0 in doubles
         code, _, _ = run(
@@ -498,6 +508,8 @@ def test_numerical_overflow_exits_one(capsys, tmp_path):
     )
     assert code == 1
     assert "exceeds exp() range" in err
+    # a grid's loss error names its cell as a non-finite estimate does
+    assert "[row 0, column N1 rep=" in err
 
 
 def _fresh_python(probe, *argv):

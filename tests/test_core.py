@@ -30,7 +30,7 @@ from linexsel import (
     std_normal_cdf_batch,
     std_normal_pdf,
 )
-from linexsel.core import Workspace, log_std_normal_cdf_tail, replace, sample_block
+from linexsel.core import log_std_normal_cdf_tail, replace, sample_block
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
 
@@ -235,15 +235,6 @@ class TestSampling:
             assert np.array_equal(a, b)
             assert np.array_equal(np.signbit(a), np.signbit(b))
 
-    @pytest.mark.parametrize("rho", [-0.3, 1.0])
-    def test_a_workspace_changes_no_bit(self, rho):
-        cov = CovarianceSpec.from_correlation(2.0, 3.0, rho)
-        means = MeanVectorPair((0.5, 1.0), (0.0, -1.0))
-        plain = sample_batch(means, cov, rng_stream(5, 1), 257)
-        lean = sample_batch(means, cov, rng_stream(5, 1), 257, np.empty((4, 257)), Workspace(257))
-        for a, b in zip(plain, lean):
-            assert a.shape == (257,) and np.array_equal(a, b)
-
     @pytest.mark.parametrize("rho", [-1.0, 1.0])
     @pytest.mark.parametrize("theta_y, rows", [(0.25, 3), (-0.0, 4)])
     def test_unit_correlation_reads_three_rows_of_the_stream(self, rho, theta_y, rows):
@@ -355,6 +346,25 @@ class TestSampling:
         assert seq1 == seq2
         other = pairs(1, 3)
         assert other != seq1
+
+    @pytest.mark.parametrize("args, message", [
+        ((1.5,), r"^master seed must be an integer, got 1\.5$"),
+        ((True,), r"^master seed must be an integer, got True$"),
+        ((-1,), r"^master seed must be nonnegative$"),
+        ((0, 2.9), r"^stream key part must be an integer, got 2\.9$"),
+        ((0, False), r"^stream key part must be an integer, got False$"),
+        ((0, "3"), r"^stream key part must be an integer, got '3'$"),
+        ((0, 1, -1), r"^stream key part must be nonnegative$"),
+    ], ids=["seed-float", "seed-bool", "seed-negative", "key-float", "key-bool", "key-str",
+            "key-negative"])
+    def test_stream_seeds_and_keys_are_nonnegative_ints(self, args, message):
+        # int() once truncated 2.9 to stream 2; a float seed failed in numpy with a TypeError
+        with pytest.raises(InvalidParameterError, match=message):
+            rng_stream(*args)
+
+    def test_numpy_integers_key_the_same_stream(self):
+        got = rng_stream(np.uint32(42), np.int64(1), np.int8(2)).standard_normal(4)
+        assert np.array_equal(got, rng_stream(42, 1, 2).standard_normal(4))
 
     @PROPERTY
     @given(

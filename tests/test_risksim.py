@@ -364,6 +364,41 @@ def test_an_empty_grid_is_refused(change, message):
         replace(TABLE_SPECS[7], **change)
 
 
+@pytest.mark.parametrize("table_id, message", [
+    (1.5, r"^table id must be an integer, got 1\.5$"),
+    (True, r"^table id must be an integer, got True$"),
+    ("3", r"^table id must be an integer, got '3'$"),
+    (-1, r"^table id must be nonnegative$"),
+], ids=["float", "bool", "str", "negative"])
+def test_a_grid_refuses_table_ids_that_are_not_nonnegative_ints(table_id, message):
+    # the id keys every cell's stream: 1.5 and True once drew table 1's cells,
+    # "3" table 3's, and -1 failed in numpy with a bare ValueError
+    with pytest.raises(InvalidParameterError, match=message):
+        replace(TABLE_SPECS[7], table_id=table_id)
+
+
+def test_a_numpy_integer_table_id_is_its_int():
+    spec = replace(TABLE_SPECS[7], table_id=np.int64(7))
+    assert type(spec.table_id) is int and spec == TABLE_SPECS[7]
+
+
+def test_a_grid_refuses_repeated_labels():
+    # two N1 rows per mean row in the CSV, which `flagged` could not tell apart
+    cols = TABLE_SPECS[7].columns
+    with pytest.raises(InvalidParameterError, match=r"^columns repeat the label 'N1'$"):
+        replace(TABLE_SPECS[7], columns=cols + cols[:1])
+
+
+def test_a_stream_key_part_must_be_a_nonnegative_int():
+    # 2.9 once drew stream (2,)
+    cfg = config(reps=10)
+    with pytest.raises(InvalidParameterError, match=r"^stream key part must be an integer, got 2\.9$"):
+        simulate_risk(cfg, EstimatorSpec.n1(), (2.9,))
+    assert simulate_risk(cfg, EstimatorSpec.n1(), (np.int64(2),)) == simulate_risk(
+        cfg, EstimatorSpec.n1(), (2,)
+    )
+
+
 @pytest.mark.parametrize("workers, message", [
     (2.5, r"^workers must be an integer, got 2\.5$"),
     (True, r"^workers must be an integer, got True$"),
@@ -519,11 +554,12 @@ class TestBlocks:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_an_error_is_the_first_a_cell_by_cell_run_meets(self, workers):
-        # one block holds the N4 group's three rows: row 1 overflows only in
-        # its improved column (x far apart, so N4 is y_sel, but the clip to
-        # t2/2 - a*syy/4 lands near 500), row 2 already in N4 (inside the
+        # at 100 reps one block holds the N4 group's three rows: row 1 overflows
+        # only in its improved column (x far apart, so N4 is y_sel, but the clip
+        # to t2/2 - a*syy/4 lands near 500), row 2 already in N4 (inside the
         # window N4 averages y's 1000 apart); a block computes N4 for both rows
-        # first, a cell-by-cell run meets row 1 first
+        # first, a cell-by-cell run meets row 1 first. At 20000 reps the blocks
+        # hold one row each and take the same path.
         a, cov = LinexParams(2.0), CovarianceSpec.from_correlation(1.0, 1.0, -0.5)
         n1, n4 = EstimatorSpec.n1(), EstimatorSpec.n4(1.0)
         spec = TableSpec(
@@ -534,9 +570,9 @@ class TestBlocks:
                   MeanVectorPair((0.0, 0.0), (0.0, 1000.0))),
         )
 
-        def cell_by_cell():
+        def cell_by_cell(reps):
             for i, means in enumerate(spec.rows):
-                config = SimConfig(means, cov, a, 100, 5)
+                config = SimConfig(means, cov, a, reps, 5)
                 for _, est in spec.columns:
                     try:
                         simulate_risk(config, est, (0, i, stream_group(est)))
@@ -544,13 +580,18 @@ class TestBlocks:
                         return exc
             raise AssertionError("no cell failed")
 
-        expected = cell_by_cell()
-        assert isinstance(expected, LinexOverflowError)
-        assert "[Improved[N4(c=1)] rep=" in str(expected)
-        with pytest.raises(LinexError) as info:
-            risk_grid(spec, reps=100, master_seed=5, workers=workers)
-        assert type(info.value) is type(expected)
-        assert str(info.value) == str(expected)
+        for reps in (100, 20000):
+            expected = cell_by_cell(reps)
+            assert isinstance(expected, LinexOverflowError)
+            assert "[Improved[N4(c=1)] rep=" in str(expected)
+            with pytest.raises(LinexError) as info:
+                risk_grid(spec, reps=reps, master_seed=5, workers=workers)
+            assert type(info.value) is type(expected)
+            # the grid names the cell by its row and column, the lone cell by its label
+            assert info.value.exponent == expected.exponent
+            assert str(info.value) == str(expected).replace(
+                "[Improved[N4(c=1)] rep=", "[row 1, column N4_I2 rep="
+            )
 
     def test_a_non_finite_standard_error_names_its_row_and_column(self):
         # the CLI's two-rep example: rows 3 (N4) and 10 (N3) square deviations past
