@@ -10,8 +10,9 @@ truncation improvement operator, and a seeded Monte Carlo risk engine.
 The package namespace is lazy (PEP 562): `import linexsel` loads no
 submodule, and each public name below is imported from its home module on
 first access, so a caller pays only for the modules it uses. `DatasetError`
-lives in `core` (`analysis` re-exports it) and `table_columns` in
-`improvement` (`risksim` re-exports it).
+lives in `core` (`analysis` re-exports it), and `table_columns` and the
+estimate report's `estimate_rows` and `estimates_csv` in `improvement`
+(`risksim` re-exports `table_columns`).
 """
 
 import importlib
@@ -25,8 +26,8 @@ _HOMES: dict[str, tuple[str, ...]] = {
         "bounds", "classify", "h_a", "psi", "shift_risk",
     ),
     "analysis": (
-        "AnalysisReport", "FittedModel", "GroupedDataset", "analyze", "bundled_dataset_path",
-        "estimate_rows", "estimates_csv", "fit", "load_dataset",
+        "AnalysisReport", "FittedModel", "GroupedDataset", "analyze", "bundled_dataset_path", "fit",
+        "load_dataset",
     ),
     "core": (
         "CovarianceSpec", "DatasetError", "InvalidParameterError", "LinexError",
@@ -38,7 +39,10 @@ _HOMES: dict[str, tuple[str, ...]] = {
         "EstimatorSpec", "PriorSpec", "base_phi", "base_phi_batch", "bayes_posterior",
         "est_bayes", "evaluate", "evaluate_batch",
     ),
-    "improvement": ("ImprovementOutcome", "applicable_case", "case_label", "improve"),
+    "improvement": (
+        "ImprovementOutcome", "applicable_case", "case_label", "estimate_rows", "estimates_csv",
+        "improve",
+    ),
     "oracles": ("clip_band", "improve_batch", "phi_bounds"),
     "risksim": (
         "TABLE_SPECS", "THETA_CONFIGS", "RiskEstimate", "RiskTable", "SimConfig", "TableSpec",

@@ -3,7 +3,9 @@
 Fits per-group sample means and an equal-weight pooled covariance (n-1
 denominators in each group), then treats the fitted mean vectors as the
 observed pair and runs the selection rule and every applicable estimator,
-reproducing the worked example's parameter and estimate tables.
+reproducing the worked example's parameter and estimate tables. The
+estimate rows and the value format come from `improvement`, where the
+`estimate` subcommand reads them without loading this module.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from importlib import resources
 from typing import Optional
 
 # DatasetError is defined in core, beside the other error types; it is read from here too
-from .core import CovarianceSpec, DatasetError, LinexError, LinexParams, ObservationPair, Record
-from .estimators import BASE_KINDS, EstimatorSpec, PriorSpec, evaluate
-from .improvement import applicable_case, improve, table_columns
-from .oracles import TRUNCATED_NONE
+from .core import CovarianceSpec, DatasetError, LinexParams, ObservationPair, Record
+from .estimators import PriorSpec
+from .improvement import estimate_rows, format_value
 from .selection import SelectionSummary, select
 
 #: the one corrupt cholesterol value in the published data and its repair
@@ -26,16 +27,6 @@ OUTLIER_REPLACEMENT = 145.46
 
 #: how `fit` pools the two groups' covariances
 POOLING = "mean of per-group sample covariances, n-1 denominators"
-
-#: from this magnitude on a double's spacing (2^-13 at 1e12) exceeds the fourth
-#: decimal place, so reports print a value in exponent form instead
-FIXED_POINT_LIMIT = 1e12
-
-
-def format_value(value: float) -> str:
-    """`value` to four decimal places, or as `.6e` from FIXED_POINT_LIMIT in magnitude on."""
-    return f"{value:.4f}" if abs(value) < FIXED_POINT_LIMIT else f"{value:.6e}"
-
 
 class GroupedDataset(Record):
     def __init__(
@@ -229,48 +220,6 @@ class AnalysisReport(Record):
             flag = f"  [{note}]" if note else ""
             lines.append(f"  {label:<8} {format_value(value):>12}{flag}")
         return "\n".join(lines) + "\n"
-
-
-def estimate_rows(
-    s: SelectionSummary,
-    a: LinexParams,
-    cov: CovarianceSpec,
-    c: float = 1.0,
-    prior: Optional[PriorSpec] = None,
-    d: Optional[float] = None,
-) -> list[tuple[str, float, str]]:
-    """(label, value, truncation note) rows of an estimate report.
-
-    The columns of a risk table (`improvement.table_columns`) with every improved
-    column that applies at (a, rho); the note is empty unless the clip fired.
-    The shift Y_[2] + d and the Bayes estimate come last when d or a prior is
-    given. Raises LinexError naming a row whose value is not finite.
-    """
-    bases = [k for k in BASE_KINDS if applicable_case(k, a.a, cov.rho) is not None]
-    rows = []
-    for label, spec in table_columns(a.a, cov.rho, bases, c):
-        if spec.kind == "Improved":
-            outcome = improve(spec, s, a, cov)
-            note = "" if outcome.truncated == TRUNCATED_NONE else outcome.truncated
-            rows.append((label, outcome.value, note))
-        else:
-            rows.append((label, evaluate(spec, s, a, cov), ""))
-    if d is not None:
-        shift = EstimatorSpec.shift(d)
-        rows.append((shift.label, evaluate(shift, s, a, cov), ""))
-    if prior is not None:
-        rows.append(("Bayes", evaluate(EstimatorSpec.bayes(prior), s, a, cov), ""))
-    for label, value, _ in rows:
-        if not math.isfinite(value):
-            raise LinexError(f"the {label} estimate is {value}, not finite")
-    return rows
-
-
-def estimates_csv(rows: list[tuple[str, float, str]]) -> str:
-    """The `estimator,estimate,truncated` CSV of `estimate_rows` output."""
-    lines = ["estimator,estimate,truncated"]
-    lines += [f"{label},{format_value(value)},{note}" for label, value, note in rows]
-    return "\n".join(lines) + "\n"
 
 
 def analyze(

@@ -10,7 +10,9 @@ Exit codes: 0 success, 2 usage error, 1 runtime/numerical error.
 Only `core` (the error types, `DatasetError` included, and the parameter
 records) and the standard library are imported when this module loads;
 each subcommand imports the modules it runs, so `admissibility` never loads
-the simulation engine and `simulate` never loads the dataset analysis. The
+the simulation engine, `estimate` takes its report from `improvement` and
+loads neither the dataset analysis nor `admissibility`, and `simulate`
+never loads the dataset analysis. The
 parser's `--table` and `--improved` choices are therefore copies of
 `risksim.TABLE_SPECS`'s keys and `estimators.BASE_KINDS`, which a test keeps
 equal.
@@ -93,7 +95,7 @@ def _write_outputs(args: argparse.Namespace, params: dict, files: dict[str, str]
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    from .analysis import estimate_rows, estimates_csv, format_value
+    from .improvement import estimate_rows, estimates_csv, format_value
     from .selection import select
 
     x1, x2 = _floats(args.x, 2, "--x")
@@ -208,7 +210,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .analysis import analyze, bundled_dataset_path, estimates_csv, fit, load_dataset
+    from .analysis import analyze, bundled_dataset_path, fit, load_dataset
+    from .improvement import estimates_csv
 
     path = args.data if args.data else bundled_dataset_path()
     a = LinexParams(args.a)

@@ -6,16 +6,20 @@ version clipped into the band. The clip itself lives in `oracles`, beside
 the band; `improve` applies it to one observation and reports the side
 that clipped. The fifteen named (base, a, rho) regions label the improved
 rows in reports and tables, and `table_columns` lists the columns of a table
-or an estimate report with those labels.
+or an estimate report with those labels. The estimate report itself lives
+here too: `estimate_rows` evaluates those columns at one observation,
+`estimates_csv` writes them and `format_value` prints a value, so the
+`estimate` subcommand loads no dataset analysis.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import Optional, Sequence
 
-from .core import CovarianceSpec, InvalidParameterError, LinexParams, Record
-from .estimators import EstimatorSpec, base_phi
-from .oracles import clip_component
+from .core import CovarianceSpec, InvalidParameterError, LinexError, LinexParams, Record
+from .estimators import BASE_KINDS, EstimatorSpec, PriorSpec, base_phi, evaluate
+from .oracles import TRUNCATED_NONE, clip_component
 from .selection import SelectionSummary
 
 
@@ -100,3 +104,55 @@ def table_columns(
                 )
             cols.append((case_label(case_id), EstimatorSpec.improved(spec)))
     return tuple(cols)
+
+
+#: from this magnitude on a double's spacing (2^-13 at 1e12) exceeds the fourth
+#: decimal place, so reports print a value in exponent form instead
+FIXED_POINT_LIMIT = 1e12
+
+
+def format_value(value: float) -> str:
+    """`value` to four decimal places, or as `.6e` from FIXED_POINT_LIMIT in magnitude on."""
+    return f"{value:.4f}" if abs(value) < FIXED_POINT_LIMIT else f"{value:.6e}"
+
+
+def estimate_rows(
+    s: SelectionSummary,
+    a: LinexParams,
+    cov: CovarianceSpec,
+    c: float = 1.0,
+    prior: Optional[PriorSpec] = None,
+    d: Optional[float] = None,
+) -> list[tuple[str, float, str]]:
+    """(label, value, truncation note) rows of an estimate report.
+
+    The columns of a risk table (`table_columns`) with every improved
+    column that applies at (a, rho); the note is empty unless the clip fired.
+    The shift Y_[2] + d and the Bayes estimate come last when d or a prior is
+    given. Raises LinexError naming a row whose value is not finite.
+    """
+    bases = [k for k in BASE_KINDS if applicable_case(k, a.a, cov.rho) is not None]
+    rows = []
+    for label, spec in table_columns(a.a, cov.rho, bases, c):
+        if spec.kind == "Improved":
+            outcome = improve(spec, s, a, cov)
+            note = "" if outcome.truncated == TRUNCATED_NONE else outcome.truncated
+            rows.append((label, outcome.value, note))
+        else:
+            rows.append((label, evaluate(spec, s, a, cov), ""))
+    if d is not None:
+        shift = EstimatorSpec.shift(d)
+        rows.append((shift.label, evaluate(shift, s, a, cov), ""))
+    if prior is not None:
+        rows.append(("Bayes", evaluate(EstimatorSpec.bayes(prior), s, a, cov), ""))
+    for label, value, _ in rows:
+        if not math.isfinite(value):
+            raise LinexError(f"the {label} estimate is {value}, not finite")
+    return rows
+
+
+def estimates_csv(rows: list[tuple[str, float, str]]) -> str:
+    """The `estimator,estimate,truncated` CSV of `estimate_rows` output."""
+    lines = ["estimator,estimate,truncated"]
+    lines += [f"{label},{format_value(value)},{note}" for label, value, note in rows]
+    return "\n".join(lines) + "\n"

@@ -433,23 +433,25 @@ def risk_grid(
 ) -> RiskTable:
     """Sweep a table's full factorial of mean configurations x estimator columns.
 
-    Cells are independent tasks; draws for a cell come from the stream keyed
-    (master_seed, table_id, row, column-group), so the output is byte-identical
-    for any worker count and unchanged when columns from other groups are added.
-    `workers` defaults to `available_cpus()`. The sweep runs blocks of k rows
-    of one column group, k = max(1, _BLOCK_REP_CELLS // (reps * min(workers,
-    cells))), on min(workers, blocks) threads. Raises MemoryError, before any
-    workspace is built, where those threads' workspaces would exceed
-    physical memory.
+    `table` is a TableSpec or a published table's id, of any integer type but
+    bool. Cells are independent tasks; draws for a cell come from the stream
+    keyed (master_seed, table_id, row, column-group), so the output is
+    byte-identical for any worker count and unchanged when columns from other
+    groups are added. `workers` defaults to `available_cpus()`. The sweep runs
+    blocks of k rows of one column group, k = max(1, _BLOCK_REP_CELLS //
+    (reps * min(workers, cells))), on min(workers, blocks) threads. Raises
+    MemoryError, before any workspace is built, where those threads'
+    workspaces would exceed physical memory.
     """
-    if isinstance(table, int):
-        if table not in TABLE_SPECS:
-            raise InvalidParameterError(
-                f"table id must be one of {sorted(TABLE_SPECS)}, got {table}"
-            )
-        spec = TABLE_SPECS[table]
-    else:
+    if isinstance(table, TableSpec):
         spec = table
+    else:
+        table_id = nonnegative_int("table id", table)
+        if table_id not in TABLE_SPECS:
+            raise InvalidParameterError(
+                f"table id must be one of {sorted(TABLE_SPECS)}, got {table_id}"
+            )
+        spec = TABLE_SPECS[table_id]
     if workers is None:
         workers = available_cpus()
     if isinstance(workers, bool) or not isinstance(workers, int):

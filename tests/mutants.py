@@ -153,7 +153,7 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("improve_batch_hi_clip_dropped", "oracles.py",
            "        clip |= hi_set\n", "", ("test_risksim.py",)),
     Mutant("perfbench_alias_renamed", "oracles.py",
-           "shift_risk_quadrature = shift_risk", "shift_risk_quadrature_old = shift_risk",
+           'if name == "shift_risk_quadrature":', 'if name == "shift_risk_quadrature_old":',
            ("test_perfbench_api.py",)),
     # admissibility
     Mutant("classify_d0_dominated", "admissibility.py",
@@ -211,6 +211,9 @@ MUTANTS: tuple[Mutant, ...] = (
            ("test_risksim.py",)),
     Mutant("table_id_unchecked", "risksim.py",
            '        table_id = nonnegative_int("table id", table_id)\n', "", ("test_risksim.py",)),
+    Mutant("grid_table_id_unchecked", "risksim.py",
+           'table_id = nonnegative_int("table id", table)', "table_id = table",
+           ("test_risksim.py",)),
     Mutant("empty_grid_accepted", "risksim.py",
            "if not rows or not columns:", "if False:", ("test_risksim.py",)),
     Mutant("workers_not_an_int", "risksim.py",
@@ -221,6 +224,14 @@ MUTANTS: tuple[Mutant, ...] = (
            "if TYPE_CHECKING:\n    from .estimators import PriorSpec\n",
            "from .risksim import TABLE_SPECS  # noqa: F401\n\n"
            "if TYPE_CHECKING:\n    from .estimators import PriorSpec\n", ("test_cli.py",)),
+    Mutant("estimate_loads_analysis", "cli.py",
+           "    from .improvement import estimate_rows, estimates_csv, format_value\n",
+           "    from .improvement import estimate_rows, estimates_csv, format_value\n"
+           "    from . import analysis  # noqa: F401\n", ("test_cli.py",)),
+    Mutant("oracles_import_admissibility_eagerly", "oracles.py",
+           "from .selection import SelectionSummary\n",
+           "from .admissibility import shift_risk  # noqa: F401\n"
+           "from .selection import SelectionSummary\n", ("test_cli.py",)),
     Mutant("package_imports_a_submodule_eagerly", "__init__.py",
            '__version__ = "0.1.0"\n',
            '__version__ = "0.1.0"\n\nfrom . import risksim  # noqa: F401\n',

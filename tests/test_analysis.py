@@ -8,7 +8,8 @@ from linexsel import (
     fit,
     load_dataset,
 )
-from linexsel.analysis import GroupedDataset, OUTLIER_VALUE, estimates_csv
+from linexsel.analysis import GroupedDataset, OUTLIER_VALUE
+from linexsel.improvement import estimates_csv
 
 A1 = LinexParams(1.0)
 AM1 = LinexParams(-1.0)

@@ -599,10 +599,10 @@ def test_cli_import_does_not_load_scipy_integrate(tmp_path):
 
 #: the package modules each subcommand loads, in a fresh interpreter that
 #: imports `linexsel.cli` and runs it once
-_ESTIMATORS = {"core", "selection", "admissibility", "oracles", "estimators", "improvement"}
+_ESTIMATORS = {"core", "selection", "oracles", "estimators", "improvement"}
 SUBCOMMAND_MODULES = {
     "admissibility": {"core", "admissibility"},
-    "estimate": _ESTIMATORS | {"analysis"},
+    "estimate": _ESTIMATORS,
     "analyze": _ESTIMATORS | {"analysis"},
     "simulate": _ESTIMATORS | {"risksim"},
 }
@@ -661,10 +661,24 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, sub):
     assert _package_modules(loaded) == expected
     if sub != "simulate":
         assert loaded.isdisjoint(SCALAR_START_BANNED)
+    if sub == "estimate":  # the dataset reader's csv is analyze's alone
+        assert "csv" not in loaded
 
 
 def test_package_import_loads_no_submodule():
     assert _package_modules(_loaded_modules("import linexsel\n")) == {"linexsel"}
+
+
+def test_oracles_load_admissibility_only_for_the_benchmark_alias():
+    loaded = _loaded_modules("import linexsel.oracles\n")
+    assert "linexsel.oracles" in loaded
+    assert "linexsel.admissibility" not in loaded
+    from linexsel import admissibility
+    from linexsel.oracles import shift_risk_quadrature
+
+    assert shift_risk_quadrature is admissibility.shift_risk
+    with pytest.raises(AttributeError, match="module 'linexsel.oracles' has no attribute 'nope'"):
+        linexsel.oracles.nope
 
 
 def test_lazy_namespace_serves_every_public_name():

@@ -382,6 +382,25 @@ def test_a_numpy_integer_table_id_is_its_int():
     assert type(spec.table_id) is int and spec == TABLE_SPECS[7]
 
 
+def test_a_grid_runs_a_numpy_integer_table_id():
+    table = risk_grid(np.int64(7), reps=10, workers=1)
+    assert table.spec is TABLE_SPECS[7]
+    assert table.to_csv() == risk_grid(7, reps=10, workers=1).to_csv()
+
+
+@pytest.mark.parametrize("table, message", [
+    (7.0, r"^table id must be an integer, got 7\.0$"),
+    ("7", r"^table id must be an integer, got '7'$"),
+    (True, r"^table id must be an integer, got True$"),
+    (None, r"^table id must be an integer, got None$"),
+    (-1, r"^table id must be nonnegative$"),
+    (np.int64(4), r"^table id must be one of \[5, 6, 7, 8, 9, 10\], got 4$"),
+])
+def test_a_grid_refuses_a_table_that_is_no_table_id(table, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        risk_grid(table, reps=10, workers=1)
+
+
 def test_a_grid_refuses_repeated_labels():
     # two N1 rows per mean row in the CSV, which `flagged` could not tell apart
     cols = TABLE_SPECS[7].columns
