@@ -1,10 +1,10 @@
 """Admissibility of constant-shift estimators Y_[2] + d.
 
 Within the shift class, the risk at a parameter gap theta_x has a closed
-form (`shift_risk`) and is minimized by a closed-form shift psi(theta*);
-sweeping theta_x over [0, inf) sweeps psi over an interval [d0, d1], and
-exactly the shifts inside that interval are admissible within the class.
-Shifts outside are dominated by the nearer endpoint.
+form (`shift_risk`), minimized by a closed-form shift psi(theta*). As theta_x
+sweeps [0, inf), psi sweeps [d0, d1], from its own value at a zero gap to its
+limit -a*syy/2; exactly the shifts inside are admissible within the class,
+and shifts outside are dominated by the nearer endpoint.
 """
 
 from __future__ import annotations
@@ -49,12 +49,23 @@ def h_a(theta_x: float, a: LinexParams, cov: CovarianceSpec) -> float:
 
 
 def _log_h_a(theta_x: float, a: LinexParams, cov: CovarianceSpec) -> float:
-    # ln h_a; where h_a is subnormal or 0 in doubles, the log-sum-exp of the
-    # two log Phi terms instead
+    """ln h_a, finite where h_a underflows: then the log-sum-exp of its two log Phi terms.
+
+    At theta_x = 0, h_a = 2 Phi(arg), arg = a*sxy/sqrt(2*sxx), where ln 2 +
+    ln Phi(arg) cancels as arg -> 0 (d0 read -5e-17 for -0.28 at a = 1e-16),
+    so |arg| < 1/4 takes ln(1 + erf(arg/sqrt 2)), within 4e-16, and 0.0 at
+    sxy = 0 (-0.0 included, so the end is -a*syy/2 bit for bit); beyond, ln 2
+    + log Phi is as accurate and finite where Phi underflows (arg < -38.5).
+    """
+    s = math.sqrt(2.0 * cov.sigma_xx)
+    if theta_x == 0.0:
+        arg = a.a * cov.sigma_xy / s
+        if abs(arg) < 0.25:
+            return math.log1p(math.erf(arg / math.sqrt(2.0))) if cov.sigma_xy else 0.0
+        return math.log(2.0) + log_std_normal_cdf(arg)
     h = h_a(theta_x, a, cov)
     if h >= sys.float_info.min:
         return math.log(h)
-    s = math.sqrt(2.0 * cov.sigma_xx)
     return log_sum_exp((
         log_std_normal_cdf((a.a * cov.sigma_xy + theta_x) / s),
         log_std_normal_cdf((a.a * cov.sigma_xy - theta_x) / s),
@@ -65,7 +76,7 @@ def psi(theta_star: ThetaStar, a: LinexParams, cov: CovarianceSpec) -> float:
     """The risk-minimizing shift at a fixed gap: -a*syy/2 - ln(h_a)/a.
 
     Depends on theta* only through theta_x; ln(h_a) stays finite where h_a
-    underflows.
+    underflows, and at a zero gap psi is the admissible interval's end, bit for bit.
     """
     return -a.a * cov.sigma_yy / 2.0 - _log_h_a(theta_star.theta_x, a, cov) / a.a
 
@@ -99,28 +110,12 @@ def shift_risk(d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceS
     return tilt - a.a * (d + mean_w) - 1.0
 
 
-def _end_correction(a: LinexParams, cov: CovarianceSpec) -> float:
-    # -a*syy/2 - ln(2 Phi(arg))/a at arg = a*sxy/sqrt(2*sxx), the theta_x -> 0
-    # limit. ln 2 + ln Phi(arg) cancels as arg -> 0 (1e-13 relative error at
-    # |arg| = 2^-10, d0 = -5e-17 for -0.28 at a = 1e-16), so |arg| < 1/4 takes
-    # ln(1 + erf(arg/sqrt 2)), within 4e-16; beyond, ln 2 + log Phi is as
-    # accurate and stays finite where Phi underflows (arg below about -38.5)
-    arg = a.a * cov.sigma_xy / math.sqrt(2.0 * cov.sigma_xx)
-    if abs(arg) < 0.25:
-        log_2phi = math.log1p(math.erf(arg / math.sqrt(2.0)))
-    else:
-        log_2phi = math.log(2.0) + log_std_normal_cdf(arg)
-    return -a.a * cov.sigma_yy / 2.0 - log_2phi / a.a
-
-
 def _interval(a: LinexParams, cov: CovarianceSpec) -> tuple[float, float]:
+    """psi's range over theta_x in [0, inf): psi at a zero gap and its limit -a*syy/2, in order."""
     base = -a.a * cov.sigma_yy / 2.0
-    if cov.sigma_xy > 0:
-        d0, d1 = _end_correction(a, cov), base
-    elif cov.sigma_xy < 0:
-        d0, d1 = base, _end_correction(a, cov)
-    else:
-        d0 = d1 = base
+    end = base - _log_h_a(0.0, a, cov) / a.a
+    # psi rises with theta_x where sxy > 0 and falls where sxy < 0; at sxy = 0, end is base
+    d0, d1 = (end, base) if cov.sigma_xy > 0 else (base, end)
     # a*syy/2 past the double range gives an endpoint of +-inf (or nan), which
     # would classify every shift as dominated
     for name, value in (("d0", d0), ("d1", d1)):
@@ -130,9 +125,8 @@ def _interval(a: LinexParams, cov: CovarianceSpec) -> tuple[float, float]:
 
 
 def bounds(a: LinexParams, cov: CovarianceSpec) -> AdmissibilityBounds:
-    """Closed-form [d0, d1], branching on the sign of sigma_xy.
+    """Closed-form [d0, d1], the range of psi; the single point -a*sigma_yy/2 when sigma_xy = 0.
 
-    The interval collapses to the single point -a*sigma_yy/2 when sigma_xy = 0.
     Raises LinexError naming an endpoint that is not finite.
     """
     return AdmissibilityBounds(*_interval(a, cov))

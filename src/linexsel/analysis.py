@@ -78,8 +78,9 @@ def bundled_dataset_path() -> str:
 
 
 def load_dataset(path: str, clean: bool = False) -> GroupedDataset:
-    """Read `group,weight,cholesterol` rows into two equal-size groups.
+    """Read `group,weight,cholesterol` rows of a UTF-8 file into two equal-size groups.
 
+    A leading byte-order mark, which Excel's "CSV UTF-8" writes, is skipped.
     Group labels are taken in order of first appearance; exactly two are
     required and both must have the same size. `clean` replaces the known
     corrupt value 1745.46 by 145.46 (off by a factor-of-10 digit slip; the
@@ -88,7 +89,7 @@ def load_dataset(path: str, clean: bool = False) -> GroupedDataset:
     groups: dict[str, list[tuple[float, float]]] = {}
     order: list[str] = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"{path}: {exc}") from None

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import nullcontext
 from operator import attrgetter, index
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -86,17 +85,19 @@ def _require_finite(name: str, *values: float) -> None:
             raise InvalidParameterError(f"{name} must be finite, got {v!r}")
 
 
-def nonnegative_int(name: str, value: int) -> int:
-    """`value` as an int; InvalidParameterError unless it is a nonnegative integer.
+def nonnegative_int(name: str, value: int, least: int = 0) -> int:
+    """`value` as an int; InvalidParameterError unless it is an integer of at least `least`.
 
+    The one check of seeds, table ids, stream key parts, reps and workers:
     numpy integers pass; a bool, which would pass as 0 or 1, and a float,
     which `int()` would truncate, do not.
     """
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     value = index(value)
-    if value < 0:
-        raise InvalidParameterError(f"{name} must be nonnegative")
+    if value < least:
+        bound = f">= {least}, got {value}" if least else "nonnegative"
+        raise InvalidParameterError(f"{name} must be {bound}")
     return value
 
 
@@ -471,24 +472,18 @@ def sample_block(
 class Workspace:
     """Arrays of one shape that batch kernels borrow instead of allocating.
 
-    A kernel given a workspace as `work` takes its temporaries from here and
-    hands them back before it returns, so a caller that runs batch after
-    batch of n draws (or of k rows of n draws, with shape (k, n)) through
-    one workspace allocates nothing per batch. Kernels calling kernels
-    borrow further arrays; a workspace grows to the most any call needs at
-    once. Not for sharing between threads.
+    A kernel given a workspace as `work` takes its temporaries from here
+    through `borrow` and hands them back before it returns, so a caller that
+    runs batch after batch of n draws (or of k rows of n draws, with shape
+    (k, n)) through one workspace allocates nothing per batch. Kernels
+    calling kernels borrow further arrays; a workspace grows to the most any
+    call needs at once. Not for sharing between threads.
     """
 
     def __init__(self, shape: int | tuple[int, ...]):
         self.shape = shape
         self._floats: list[np.ndarray] = []
         self._masks: list[np.ndarray] = []
-
-    def borrow(self, floats: int = 0, masks: int = 0) -> "_Loan":
-        """Lend `floats` float arrays, then `masks` bool arrays, of the shape until the `with` block ends."""
-        lent = [self._floats.pop() if self._floats else _empty(self.shape, float) for _ in range(floats)]
-        lent += [self._masks.pop() if self._masks else _empty(self.shape, bool) for _ in range(masks)]
-        return _Loan(self, lent, floats)
 
 
 def _empty(shape: int | tuple[int, ...], dtype: type) -> np.ndarray:
@@ -498,29 +493,31 @@ def _empty(shape: int | tuple[int, ...], dtype: type) -> np.ndarray:
     return np.empty(shape, dtype)
 
 
-class _Loan:
+class borrow:
+    """`floats` float arrays, then `masks` bool arrays, lent by `work` until the `with` block ends.
+
+    As many Nones when `work` is None: a kernel passes each borrowed array as
+    a ufunc's `out`, so without a workspace the ufunc allocates, as it would have anyway.
+    """
+
     __slots__ = ("work", "lent", "floats")
 
-    def __init__(self, work: Workspace, lent: list[np.ndarray], floats: int):
-        self.work, self.lent, self.floats = work, lent, floats
+    def __init__(self, work: Optional[Workspace], floats: int = 0, masks: int = 0):
+        self.work, self.floats = work, floats
+        if work is None:
+            self.lent = [None] * (floats + masks)
+        else:
+            f, m = work._floats, work._masks
+            self.lent = [f.pop() if f else _empty(work.shape, float) for _ in range(floats)]
+            self.lent += [m.pop() if m else _empty(work.shape, bool) for _ in range(masks)]
 
-    def __enter__(self) -> list[np.ndarray]:
+    def __enter__(self) -> list:
         return self.lent
 
     def __exit__(self, *exc) -> None:
-        self.work._floats += self.lent[: self.floats]
-        self.work._masks += self.lent[self.floats :]
-
-
-def borrow(work: Optional[Workspace], floats: int = 0, masks: int = 0):
-    """`work.borrow(floats, masks)`, or as many Nones when `work` is None.
-
-    A kernel passes each borrowed array as a ufunc's `out`, so without a
-    workspace the ufunc allocates, as it would have anyway.
-    """
-    if work is None:
-        return nullcontext([None] * (floats + masks))
-    return work.borrow(floats, masks)
+        if self.work is not None:
+            self.work._floats += self.lent[: self.floats]
+            self.work._masks += self.lent[self.floats :]
 
 
 def _bits(v) -> np.ndarray | np.int64:

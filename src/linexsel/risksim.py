@@ -37,6 +37,7 @@ from .core import (
     Record,
     Workspace,
     blend,
+    borrow,
     linex_loss,
     nonnegative_int,
     replace,
@@ -87,11 +88,7 @@ class SimConfig(Record):
         master_seed: int = 0,
         estimators: tuple[EstimatorSpec, ...] = (),
     ):
-        # a float would fail late, in numpy's sampler; a bool would pass as 0 or 1
-        if isinstance(reps, bool) or not isinstance(reps, int):
-            raise InvalidParameterError(f"reps must be an integer, got {reps!r}")
-        if reps < 1:
-            raise InvalidParameterError(f"reps must be >= 1, got {reps}")
+        reps = nonnegative_int("reps", reps, least=1)
         master_seed = nonnegative_int("master seed", master_seed)
         self.__dict__.update(
             means=means, cov=cov, a=a, reps=reps, master_seed=master_seed, estimators=estimators
@@ -194,7 +191,7 @@ def _estimates(losses: np.ndarray, ws: CellWorkspace, names: Sequence[str]) -> l
         means = np.add.reduce(losses, axis=-1) / n
         ses = [None] * len(means)
         if n > 1:
-            with ws.borrow(floats=1) as (dev,):
+            with borrow(ws, floats=1) as (dev,):
                 np.subtract(losses, means[:, np.newaxis], out=dev)
                 np.square(dev, out=dev)
                 ses = (np.sqrt(np.add.reduce(dev, axis=-1) / (n - 1)) / math.sqrt(n)).tolist()
@@ -452,12 +449,9 @@ def risk_grid(
                 f"table id must be one of {sorted(TABLE_SPECS)}, got {table_id}"
             )
         spec = TABLE_SPECS[table_id]
-    if workers is None:
-        workers = available_cpus()
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise InvalidParameterError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    workers = nonnegative_int("workers", available_cpus() if workers is None else workers, least=1)
+    # Python ints: the workspace's size below cannot wrap as an int64's would, and the table holds plain ints
+    reps, master_seed = nonnegative_int("reps", reps, least=1), nonnegative_int("master seed", master_seed)
 
     # one cell per (row, column group): all columns in a group share draws
     groups: dict[int, list[int]] = {}

@@ -4,10 +4,12 @@
 Each mutant replaces one exact text in one file under src/linexsel by
 another and names the test modules expected to fail on it. Run:
 
-    python tests/mutants.py
+    python tests/mutants.py [FILE ...]
 
-It copies the checkout to a temporary directory, checks that the named
-test modules pass there unmutated, then applies each mutant in turn, runs
+Given file names under src/linexsel (`admissibility.py core.py`), it runs
+only those files' mutants. It copies the checkout to a temporary directory,
+checks that the test modules of the mutants it runs pass there unmutated,
+then applies each mutant in turn, runs
 its modules (stopping at the first failure) and reports it killed or
 survived with the time taken. It exits 1 when any mutant does not behave as
 catalogued: a survivor not marked equivalent, an equivalent one killed, a
@@ -30,7 +32,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,8 +86,8 @@ MUTANTS: tuple[Mutant, ...] = (
            "        mask[::7] = 0\n        np.bitwise_and(mask, ",
            ("test_selection.py", "test_core.py")),
     Mutant("core_imports_numpy_at_module_level", "core.py",
-           "from contextlib import nullcontext\n",
-           "from contextlib import nullcontext\n\nimport numpy\n", ("test_cli.py",)),
+           "from operator import attrgetter, index\n",
+           "from operator import attrgetter, index\n\nimport numpy\n", ("test_cli.py",)),
     # core: the record base
     Mutant("record_equal_across_classes", "core.py",
            "if other.__class__ is not self.__class__:", "if not isinstance(other, Record):",
@@ -159,7 +161,12 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("classify_d0_dominated", "admissibility.py",
            "    if d < d0:\n", "    if d <= d0:\n", ("test_admissibility.py",)),
     Mutant("end_correction_cancels_at_small_arg", "admissibility.py",
-           "    if abs(arg) < 0.25:\n", "    if False:\n", ("test_admissibility.py",)),
+           "        if abs(arg) < 0.25:\n", "        if False:\n", ("test_admissibility.py",)),
+    Mutant("zero_gap_takes_log_h", "admissibility.py",
+           "    if theta_x == 0.0:\n", "    if False:\n", ("test_admissibility.py",)),
+    Mutant("interval_ends_swapped", "admissibility.py",
+           "d0, d1 = (end, base) if cov.sigma_xy > 0 else (base, end)",
+           "d0, d1 = (base, end) if cov.sigma_xy > 0 else (end, base)", ("test_admissibility.py",)),
     # risksim: reductions, flags, the cell runner
     Mutant("se_ddof_0", "risksim.py",
            "np.add.reduce(dev, axis=-1) / (n - 1)", "np.add.reduce(dev, axis=-1) / n",
@@ -217,8 +224,12 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("empty_grid_accepted", "risksim.py",
            "if not rows or not columns:", "if False:", ("test_risksim.py",)),
     Mutant("workers_not_an_int", "risksim.py",
-           "if isinstance(workers, bool) or not isinstance(workers, int):", "if False:",
-           ("test_risksim.py",)),
+           'workers = nonnegative_int("workers", available_cpus() if workers is None else workers, least=1)',
+           "workers = available_cpus() if workers is None else workers", ("test_risksim.py",)),
+    Mutant("numpy_integer_reps_refused", "risksim.py",
+           '        reps = nonnegative_int("reps", reps, least=1)\n        master_seed',
+           '        reps = nonnegative_int("reps", reps if isinstance(reps, int) else float(reps), least=1)\n'
+           "        master_seed", ("test_risksim.py",)),
     # the cold path: each subcommand loads only the modules it runs
     Mutant("cli_imports_risksim_eagerly", "cli.py",
            "if TYPE_CHECKING:\n    from .estimators import PriorSpec\n",
@@ -246,6 +257,14 @@ MUTANTS: tuple[Mutant, ...] = (
 )
 
 
+def select(files: Sequence[str] = ()) -> tuple[Mutant, ...]:
+    """The mutants of `files`, names under src/linexsel, or all without any; ValueError for a file with none."""
+    unknown = sorted(set(files) - {m.file for m in MUTANTS})
+    if unknown:
+        raise ValueError(f"no mutants in {', '.join(unknown)}")
+    return tuple(m for m in MUTANTS if not files or m.file in files)
+
+
 def source(mutant: Mutant, root: Path = ROOT) -> Path:
     return root / "src" / "linexsel" / mutant.file
 
@@ -271,18 +290,23 @@ def run_tests(root: Path, modules: tuple[str, ...]) -> tuple[Optional[bool], flo
     return proc.returncode == 0, time.perf_counter() - start
 
 
-def main() -> int:
+def main(files: Sequence[str] = ()) -> int:
+    try:
+        mutants = select(files)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "_out")
     with tempfile.TemporaryDirectory(prefix="linexsel-mutants-") as tmp:
         root = Path(tmp) / "repo"
         shutil.copytree(ROOT, root, ignore=ignore)
-        modules = tuple(sorted({m for mutant in MUTANTS for m in mutant.tests}))
+        modules = tuple(sorted({m for mutant in mutants for m in mutant.tests}))
         passed, seconds = run_tests(root, modules)
         print(f"unmutated: {'pass' if passed else 'FAIL'} ({seconds:.1f} s)", flush=True)
         if not passed:
             return 1
         bad = 0
-        for mutant in MUTANTS:
+        for mutant in mutants:
             path = source(mutant, root)
             original = path.read_text()
             try:
@@ -306,9 +330,9 @@ def main() -> int:
             else:
                 verdict = "killed"
             print(f"{mutant.name:40s} {seconds:6.1f} s  {verdict}", flush=True)
-        print(f"{len(MUTANTS)} mutants, {bad} not as catalogued")
+        print(f"{len(mutants)} mutants, {bad} not as catalogued")
         return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

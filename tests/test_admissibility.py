@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
 from linexsel import (
@@ -20,11 +21,14 @@ from linexsel import (
     h_a,
     paired_risk_difference,
     psi,
+    shift_risk,
 )
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE
 
 A1 = LinexParams(1.0)
+#: |a| small enough that ln 2 + ln Phi(arg) would cancel at a zero gap
+TINY_A = st.sampled_from([1e-16, -1e-16, 1e-9, -1e-9])
 
 
 def rand_cov(rng):
@@ -116,7 +120,8 @@ class TestBounds:
 
     def test_end_correction_at_tiny_a_against_mpmath(self):
         # ln 2 + ln Phi(arg) cancels as arg = a*sxy/sqrt(2*sxx) -> 0: d0 read -5e-17
-        # for -0.2820948 at a = 1e-16 until small |arg| took ln(1 + erf(arg/sqrt 2));
+        # for -0.2820948 at a = 1e-16 until small |arg| took ln(1 + erf(arg/sqrt 2)),
+        # and psi at a zero gap read it until it took the same ln h_a;
         # |a| = 1 and 0.1 put |arg| on both sides of the switch at 1/4
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50
@@ -127,10 +132,21 @@ class TestBounds:
                     arg = mp.mpf(a) * sxy / mp.sqrt(2 * mp.mpf(sxx))
                     end = -mp.mpf(a) * syy / 2 - mp.log(2 * mp.ncdf(arg)) / a
                     b = bounds(LinexParams(a), cov)
-                    got = b.d0 if sxy > 0 else b.d1
                     # relative to end, but for a last rounding of -a*syy/2 where
                     # the two terms cancel (d0 = 2 - 1.405 at a = -1)
-                    assert abs(got - end) <= 4e-16 * (abs(end) + abs(a) * syy / 2), (cov, a)
+                    tol = 4e-16 * (abs(end) + abs(a) * syy / 2)
+                    assert abs((b.d0 if sxy > 0 else b.d1) - end) <= tol, (cov, a)
+                    assert abs(psi(ThetaStar(0.0, 0.0), LinexParams(a), cov) - end) <= tol, (cov, a)
+
+    @PROPERTY
+    @given(a=st.one_of(A, TINY_A), sigma_xx=SCALE, sigma_yy=SCALE, rho=RHO,
+           theta_y=st.floats(0.0, 20.0))
+    def test_psi_at_a_zero_gap_is_the_interval_end(self, a, sigma_xx, sigma_yy, rho, theta_y):
+        # the end is psi's own value, not a second formula that a fix can miss
+        cov = CovarianceSpec.from_correlation(sigma_xx, sigma_yy, rho)
+        b = bounds(LinexParams(a), cov)
+        end = b.d0 if cov.sigma_xy > 0 else b.d1
+        assert psi(ThetaStar(0.0, theta_y), LinexParams(a), cov).hex() == end.hex()
 
     def test_sign_flip_mirrors(self):
         from linexsel import std_normal_cdf
@@ -159,6 +175,27 @@ class TestBounds:
             vals = [psi(ThetaStar(t, 0.0), a, cov) for t in np.linspace(0, hi, 4001)]
             assert min(vals) == pytest.approx(b.d0, abs=1e-6)
             assert max(vals) == pytest.approx(b.d1, abs=1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: psi at a positive gap takes log(h_a) next to -a*syy/2 and loses "
+    "precision as |a| -> 0 (relative error 6e-4 at a = 1e-12)"))
+def test_psi_at_a_positive_gap_and_tiny_a_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    a, cov, tx = 1e-12, CovarianceSpec(1.0, 1.0, 0.5), 1.0
+    with mp.workdps(50):
+        s = mp.sqrt(2 * mp.mpf(cov.sigma_xx))
+        h = mp.ncdf((mp.mpf(a) * cov.sigma_xy + tx) / s) + mp.ncdf((mp.mpf(a) * cov.sigma_xy - tx) / s)
+        exact = float(-mp.mpf(a) * cov.sigma_yy / 2 - mp.log(h) / a)
+    assert psi(ThetaStar(tx, 0.0), LinexParams(a), cov) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: shift_risk loses precision as |a| -> 0 and reads -1.1e-16, a negative "
+    "LINEX risk, at a = 1e-12"))
+def test_shift_risk_at_tiny_a_is_positive():
+    cov = CovarianceSpec(1.0, 1.0, 0.5)
+    assert shift_risk(-0.28, ThetaStar(0.0, 0.0), LinexParams(1e-12), cov) > 0
 
 
 class TestClassify:

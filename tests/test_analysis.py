@@ -44,6 +44,12 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=r":3:"):
             load_dataset(str(p))
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, poultry_model):
+        # Excel's "CSV UTF-8" starts the file with one; the header once read '\ufeffgroup'
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + open(bundled_dataset_path(), "rb").read())
+        assert fit(load_dataset(str(p), clean=True)) == poultry_model
+
     def test_unequal_sizes_report_counts(self, tmp_path):
         p = tmp_path / "uneq.csv"
         p.write_text("group,weight,cholesterol\na,1,2\na,2,3\nb,1,2\n")

@@ -463,6 +463,17 @@ class TestAnalyze:
         manifest = json.loads((tmp_path / "given" / "analyze_manifest.json").read_text())
         assert manifest["parameters"]["data"] == str(data)
 
+    def test_a_byte_order_marked_copy_writes_the_bundled_report(self, capsys, tmp_path):
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + Path(linexsel.bundled_dataset_path()).read_bytes())
+        bundled = run(capsys, "analyze", "--clean", "--a", "1", "--out", str(tmp_path / "bundled"))
+        bom = run(
+            capsys, "analyze", "--data", str(data), "--clean", "--a", "1", "--out", str(tmp_path / "bom")
+        )
+        assert bom == bundled and bom[0] == 0
+        for name in ("analysis_report.txt", "analysis_parameters.csv", "analysis_estimates.csv"):
+            assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "bundled" / name).read_bytes()
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "analyze", "--data", str(tmp_path / "nope.csv"), "--a", "1",

@@ -430,6 +430,19 @@ def test_grid_refuses_workers_that_are_not_valid_ints(workers, message):
         risk_grid(7, reps=10, master_seed=0, workers=workers)
 
 
+def test_a_grid_runs_numpy_integer_reps_workers_and_seed():
+    # reps and workers once had their own isinstance(..., int) check, which refused
+    # np.int64(100), and the table kept an np.int64 seed, which json cannot write
+    table = risk_grid(7, reps=np.int64(100), master_seed=np.int64(3), workers=np.int64(1))
+    assert type(table.reps) is int and type(table.master_seed) is int
+    assert table.to_csv() == risk_grid(7, reps=100, master_seed=3, workers=1).to_csv()
+
+
+def test_config_takes_numpy_integer_reps_as_their_int():
+    cfg = replace(config(reps=10), reps=np.int64(5))
+    assert type(cfg.reps) is int and cfg == config(reps=5)
+
+
 def test_theta_configs_are_the_published_grid():
     assert len(THETA_CONFIGS) == 11
     assert THETA_CONFIGS[5].theta1 == (0.0, 0.0)
