@@ -18,6 +18,14 @@ The runner gives each thread one reused `CellWorkspace`, refuses with a
 MemoryError, before building any, a run whose workspaces would exceed
 physical memory, and reruns the cells one by one, in stream-key order,
 where a block meets an error.
+
+A sweep's threads draw their blocks at the same time, numpy sampling with
+the GIL released, and take turns at the rest of a block. That rest is
+mostly numpy calls of a few us each on 20000 doubles, and two threads
+handing the GIL back and forth around each call lose more than they gain:
+fed canned draws, the six tables' non-sampling half ran slower on two
+threads than on one (about 135 against 127 ms at 20000 reps, 32 against
+21 ms at 2000, on two cores).
 """
 
 from __future__ import annotations
@@ -145,20 +153,22 @@ class _Cell(NamedTuple):
 _BLOCK_REP_CELLS = 20000
 
 
-def _block_losses(block: Sequence[_Cell], ws: CellWorkspace) -> Iterator[np.ndarray]:
+def _block_losses(
+    block: Sequence[_Cell], ws: CellWorkspace, draws: tuple[np.ndarray, ...]
+) -> Iterator[np.ndarray]:
     """Each column's (rows, reps) losses on the block's draws in turn, in `ws.est` until the next.
 
     The block's cells share their columns, covariance, LINEX parameter and
-    reps; row i holds cell i, drawn from its own stream. A loss error names
-    the first cell's column: `_run_cells` reruns the cells of a block that
-    meets an error one by one, so the error raised is a one-row block's.
+    reps; row i holds cell i, and `draws` is the block's (x1, y1, x2, y2),
+    row i drawn from cell i's own stream. A loss error names the first
+    cell's column: `_run_cells` reruns the cells of a block that meets an
+    error one by one, so the error raised is a one-row block's.
     """
     import numpy as np
 
     config, specs = block[0].config, block[0].specs
-    rngs = [rng_stream(cell.config.master_seed, *cell.stream_key) for cell in block]
     means = [cell.config.means for cell in block]
-    x1, y1, x2, y2 = sample_block(means, config.cov, rngs, config.reps, ws.draws, ws)
+    x1, y1, x2, y2 = draws
     s = select_batch(x1, y1, x2, y2, (ws.sel1, ws.y_sel, ws.t1, ws.t2), ws)
     # each row's theta_y of the two populations, broadcast along the draws
     theta1_y, theta2_y = np.array([(m.theta1[1], m.theta2[1]) for m in means]).T[:, :, None]
@@ -233,9 +243,11 @@ def _run_cells(
     A block's cells share their columns, covariance, LINEX parameter, seed
     and reps; `reduce(column losses, workspace, block)` gives one result per
     cell. The blocks run on min(workers, blocks) threads, each with one
-    workspace made on its first block. Raises MemoryError, before any
-    workspace is built, where those threads' workspaces would exceed
-    physical memory: one that cannot fit would pass np.empty under
+    workspace made on its first block. A thread draws its block while the
+    others run theirs, then waits for the turn, which one thread at a time
+    holds through the block's kernels and `reduce`. Raises MemoryError,
+    before any workspace is built, where those threads' workspaces would
+    exceed physical memory: one that cannot fit would pass np.empty under
     overcommit and get the process killed later. A LinexError is the one
     that running the cells one by one, in stream-key order, raises first.
     """
@@ -253,13 +265,20 @@ def _run_cells(
         )
     # one workspace per thread of this call, dropped when it returns
     local = threading.local()
+    # the rest of a block after its draw, taken by one thread at a time
+    turn = threading.Lock()
 
     def run(block: Sequence[_Cell]) -> list[_R]:
         ws = getattr(local, "ws", None)
         if ws is None or ws.shape[0] != len(block):
             local.ws = None  # the old one goes before the new one is built
             local.ws = ws = CellWorkspace(len(block), reps)
-        return reduce(_block_losses(block, ws), ws, block)
+        rngs = [rng_stream(cell.config.master_seed, *cell.stream_key) for cell in block]
+        means = [cell.config.means for cell in block]
+        draws = sample_block(means, block[0].config.cov, rngs, reps, ws.draws, ws)
+        # held here, not in the generator: one suspended in a traceback would keep it
+        with turn:
+            return reduce(_block_losses(block, ws, draws), ws, block)
 
     try:
         # one thread runs the blocks here, with no pool: a one-thread pool measured

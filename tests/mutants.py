@@ -194,8 +194,15 @@ MUTANTS: tuple[Mutant, ...] = (
            "if 0 < have < need:", "if False:", ("test_risksim.py",)),
     Mutant("pool_shares_one_workspace", "risksim.py",
            "local = threading.local()", "local = type('Shared', (), {})()", ("test_risksim.py",)),
+    Mutant("draw_in_the_turn", "risksim.py",
+           "        draws = sample_block(",
+           "        with turn:\n            draws = sample_block(", ("test_risksim.py",)),
+    Mutant("turn_dropped", "risksim.py",
+           "turn = threading.Lock()", "turn = threading.BoundedSemaphore(threads)",
+           ("test_risksim.py",)),
     Mutant("workspace_per_cell", "risksim.py",
-           "if ws is None or ws.shape[0] != len(block):", "if True:", ("test_cli.py",)),
+           "if ws is None or ws.shape[0] != len(block):", "if True:",
+           ("test_risksim.py", "test_cli.py")),
     Mutant("block_error_not_rerun", "risksim.py",
            "        error = exc\n", "        raise\n", ("test_risksim.py",)),
     Mutant("loss_error_drops_the_cell_name", "risksim.py",

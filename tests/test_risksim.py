@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import sys
@@ -26,6 +27,7 @@ from linexsel import (
     simulate_all,
     simulate_risk,
 )
+from linexsel import risksim
 from linexsel.core import replace
 from linexsel.risksim import (
     THETA_CONFIGS, CellWorkspace, RiskEstimate, RiskTable, TableSpec, stream_group, table_columns,
@@ -518,6 +520,18 @@ class TestWorkspaceCells:
         ]
 
 
+def _overflowing_grid() -> TableSpec:
+    """Three rows: row 1 overflows in its improved N4 column alone, row 2 already in N4."""
+    n4 = EstimatorSpec.n4(1.0)
+    return TableSpec(
+        table_id=0, a=LinexParams(2.0), cov=CovarianceSpec.from_correlation(1.0, 1.0, -0.5),
+        columns=(("N1", EstimatorSpec.n1()), ("N4", n4), ("N4_I2", EstimatorSpec.improved(n4))),
+        rows=(MeanVectorPair((0.0, 0.0), (0.0, 0.0)),
+              MeanVectorPair((5000.0, 0.0), (0.0, 1000.0)),
+              MeanVectorPair((0.0, 0.0), (0.0, 1000.0))),
+    )
+
+
 class TestBlocks:
     """A grid runs k rows of one column group at once, with the bits of each cell alone."""
 
@@ -576,6 +590,20 @@ class TestBlocks:
         risk_grid(spec, reps=reps, master_seed=0, workers=workers)
         assert set(built) == heights
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_thread_builds_one_workspace(self, monkeypatch, workers):
+        # blocks of one row at 20000 reps: every thread reuses the one it built
+        built = []
+        init = CellWorkspace.__init__
+
+        def recorded(self, rows, reps):
+            init(self, rows, reps)
+            built.append(threading.get_ident())
+
+        monkeypatch.setattr(CellWorkspace, "__init__", recorded)
+        risk_grid(7, reps=20000, master_seed=0, workers=workers)
+        assert 1 <= len(built) == len(set(built)) <= workers
+
     def test_row_reductions_match_one_row_at_a_time(self):
         rng = np.random.default_rng(3)
         for n in (1, 2, 7, 8, 9, 127, 128, 129, 5000, 20001):
@@ -592,19 +620,11 @@ class TestBlocks:
         # window N4 averages y's 1000 apart); a block computes N4 for both rows
         # first, a cell-by-cell run meets row 1 first. At 20000 reps the blocks
         # hold one row each and take the same path.
-        a, cov = LinexParams(2.0), CovarianceSpec.from_correlation(1.0, 1.0, -0.5)
-        n1, n4 = EstimatorSpec.n1(), EstimatorSpec.n4(1.0)
-        spec = TableSpec(
-            table_id=0, a=a, cov=cov,
-            columns=(("N1", n1), ("N4", n4), ("N4_I2", EstimatorSpec.improved(n4))),
-            rows=(MeanVectorPair((0.0, 0.0), (0.0, 0.0)),
-                  MeanVectorPair((5000.0, 0.0), (0.0, 1000.0)),
-                  MeanVectorPair((0.0, 0.0), (0.0, 1000.0))),
-        )
+        spec = _overflowing_grid()
 
         def cell_by_cell(reps):
             for i, means in enumerate(spec.rows):
-                config = SimConfig(means, cov, a, reps, 5)
+                config = SimConfig(means, spec.cov, spec.a, reps, 5)
                 for _, est in spec.columns:
                     try:
                         simulate_risk(config, est, (0, i, stream_group(est)))
@@ -663,6 +683,101 @@ def test_concurrent_sweeps_keep_their_own_workspaces():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert got == serial
+
+
+def test_one_row_blocks_on_two_threads_give_the_serial_bytes():
+    # 10000 reps on two threads: blocks of one row, as the published tables run,
+    # each thread's draw overlapping the other's turn, switching often
+    serial = risk_grid(9, reps=10000, master_seed=42, workers=1).to_csv()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = risk_grid(9, reps=10000, master_seed=42, workers=2).to_csv()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def _in_a_thread(sweep) -> dict:
+    """What `sweep()` returned or raised, run in a thread that must end within a minute.
+
+    Every thread the sweep started must have ended with it.
+    """
+    out = {}
+    threads = threading.active_count()
+
+    def target():
+        try:
+            out["result"] = sweep()
+        except Exception as exc:
+            out["error"] = exc
+
+    th = threading.Thread(target=target)
+    th.start()
+    th.join(timeout=60)
+    assert not th.is_alive(), "a sweep's thread still waits for its turn"
+    assert threading.active_count() == threads
+    return out
+
+
+class TestTurn:
+    """A sweep's threads draw at once and take turns at the rest of a block."""
+
+    def test_an_error_releases_the_turn(self, monkeypatch):
+        serial = risk_grid(7, reps=2000, master_seed=3, workers=1).to_csv()
+        kernel = risksim.evaluate_batch
+        calls = itertools.count(1)
+
+        def third_call_fails(*args):
+            if next(calls) == 3:
+                raise RuntimeError("a kernel failed")
+            return kernel(*args)
+
+        monkeypatch.setattr(risksim, "evaluate_batch", third_call_fails)
+        out = _in_a_thread(lambda: risk_grid(7, reps=2000, master_seed=3, workers=2))
+        assert str(out["error"]) == "a kernel failed"
+        monkeypatch.undo()
+        assert risk_grid(7, reps=2000, master_seed=3, workers=2).to_csv() == serial
+
+    def test_a_loss_error_at_one_row_blocks_is_the_serial_one(self):
+        # 10000 reps on two threads: 20000 // (10000 * 2) = 1 row a block
+        spec = _overflowing_grid()
+        with pytest.raises(LinexOverflowError) as serial:
+            risk_grid(spec, reps=10000, master_seed=5, workers=1)
+        out = _in_a_thread(lambda: risk_grid(spec, reps=10000, master_seed=5, workers=2))
+        assert type(out["error"]) is LinexOverflowError
+        assert str(out["error"]) == str(serial.value)
+        assert "[row 1, column N4_I2 rep=" in str(serial.value)
+
+    def test_draws_overlap(self, monkeypatch):
+        # each pool thread's first draw waits for the other's: only draws taken
+        # outside the turn can meet
+        draw, both = risksim.sample_block, threading.Barrier(2, timeout=10)
+        drawn = threading.local()
+
+        def meet_first(*args):
+            if not getattr(drawn, "once", False):
+                drawn.once = True
+                both.wait()
+            return draw(*args)
+
+        monkeypatch.setattr(risksim, "sample_block", meet_first)
+        out = _in_a_thread(lambda: risk_grid(7, reps=2000, master_seed=3, workers=2))
+        monkeypatch.undo()
+        assert out["result"] == risk_grid(7, reps=2000, master_seed=3, workers=1)
+
+    def test_kernel_passes_never_overlap(self, monkeypatch):
+        # two blocks' passes would meet at the barrier; taking turns, the first
+        # waits alone until it breaks
+        select, both = risksim.select_batch, threading.Barrier(2, timeout=1)
+
+        def meet(*args):
+            both.wait()
+            return select(*args)
+
+        monkeypatch.setattr(risksim, "select_batch", meet)
+        out = _in_a_thread(lambda: risk_grid(7, reps=2000, master_seed=3, workers=2))
+        assert isinstance(out.get("error"), threading.BrokenBarrierError)
 
 
 def test_no_buffer_outlives_the_call():
