@@ -19,13 +19,13 @@ MemoryError, before building any, a run whose workspaces would exceed
 physical memory, and reruns the cells one by one, in stream-key order,
 where a block meets an error.
 
-A sweep's threads draw their blocks at the same time, numpy sampling with
-the GIL released, and take turns at the rest of a block. That rest is
-mostly numpy calls of a few us each on 20000 doubles, and two threads
-handing the GIL back and forth around each call lose more than they gain:
-fed canned draws, the six tables' non-sampling half ran slower on two
-threads than on one (about 135 against 127 ms at 20000 reps, 32 against
-21 ms at 2000, on two cores).
+The calling thread and up to workers - 1 helpers take the blocks from one
+iterator, draw them at once, numpy sampling with the GIL released, and
+take turns at the rest of a block. That rest is mostly numpy calls of a
+few us each on 20000 doubles, and two threads handing the GIL back and
+forth around each call lose more than they gain: fed canned draws, the six
+tables' non-sampling half ran slower on two threads than on one (about 135
+against 127 ms at 20000 reps, 32 against 21 ms at 2000, on two cores).
 """
 
 from __future__ import annotations
@@ -242,14 +242,16 @@ def _run_cells(
 
     A block's cells share their columns, covariance, LINEX parameter, seed
     and reps; `reduce(column losses, workspace, block)` gives one result per
-    cell. The blocks run on min(workers, blocks) threads, each with one
-    workspace made on its first block. A thread draws its block while the
-    others run theirs, then waits for the turn, which one thread at a time
-    holds through the block's kernels and `reduce`. Raises MemoryError,
-    before any workspace is built, where those threads' workspaces would
-    exceed physical memory: one that cannot fit would pass np.empty under
-    overcommit and get the process killed later. A LinexError is the one
-    that running the cells one by one, in stream-key order, raises first.
+    cell. The calling thread and min(workers, blocks) - 1 helpers take the
+    blocks from one iterator, each building one workspace on its first
+    block. A thread draws its block while the others run theirs, then waits
+    for the turn, which one thread at a time holds through the block's
+    kernels and `reduce`; an error stops every thread after its block.
+    Raises MemoryError, before any workspace is built, where those threads'
+    workspaces would exceed physical memory: one that cannot fit would pass
+    np.empty under overcommit and get the process killed later. A LinexError
+    is the one that running the cells one by one, in stream-key order,
+    raises first.
     """
     threads = min(workers, len(blocks))
     rows = max(map(len, blocks))
@@ -263,41 +265,48 @@ def _run_cells(
             f"needs about {need / 2**20:.0f} MiB of workspace on {threads} threads, "
             f"more than the {have / 2**20:.0f} MiB of physical memory"
         )
-    # one workspace per thread of this call, dropped when it returns
-    local = threading.local()
     # the rest of a block after its draw, taken by one thread at a time
     turn = threading.Lock()
+    results: dict[int, list[_R]] = {}
+    errors: list[BaseException] = []
 
-    def run(block: Sequence[_Cell]) -> list[_R]:
-        ws = getattr(local, "ws", None)
-        if ws is None or ws.shape[0] != len(block):
-            local.ws = None  # the old one goes before the new one is built
-            local.ws = ws = CellWorkspace(len(block), reps)
-        rngs = [rng_stream(cell.config.master_seed, *cell.stream_key) for cell in block]
-        means = [cell.config.means for cell in block]
-        draws = sample_block(means, block[0].config.cov, rngs, reps, ws.draws, ws)
-        # held here, not in the generator: one suspended in a traceback would keep it
-        with turn:
-            return reduce(_block_losses(block, ws, draws), ws, block)
+    def work(todo: Iterator[tuple[int, Sequence[_Cell]]]) -> Optional[CellWorkspace]:
+        ws = None
+        try:
+            for i, block in todo:
+                if ws is None or ws.shape[0] != len(block):
+                    ws = draws = None  # the old one goes before the new one is built
+                    ws = CellWorkspace(len(block), reps)
+                rngs = [rng_stream(cell.config.master_seed, *cell.stream_key) for cell in block]
+                means = [cell.config.means for cell in block]
+                draws = sample_block(means, block[0].config.cov, rngs, reps, ws.draws, ws)
+                # held here, not in the generator: one suspended in a traceback would keep it
+                with turn:
+                    results[i] = reduce(_block_losses(block, ws, draws), ws, block)
+        except BaseException as exc:  # a Ctrl-C too: every thread stops after the block it holds
+            errors.append(exc)
+            for _ in todo:
+                pass
+        return ws
 
-    try:
-        # one thread runs the blocks here, with no pool: a one-thread pool measured
-        # 2-26 % slower on a 64-row, 8-column grid at 5000 reps
-        if threads <= 1:
-            return [run(block) for block in blocks]
-        # loaded here alone: it pulls in logging and queue, which a serial run never needs
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, blocks))
-    except LinexError as exc:
-        error = exc
-    # a block meets its rows' errors column by column, and rows from later in
-    # the grid's order than another block's; a cell's bits are the same alone,
-    # so the cells one by one raise the error that comes first
-    for cell in sorted((cell for block in blocks for cell in block), key=lambda c: c.stream_key):
-        run([cell])
-    raise error
+    # each next() on the one C iterator holds the GIL, so each block goes to one thread
+    todo = iter(enumerate(blocks))
+    helpers = [threading.Thread(target=work, args=(todo,)) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    ws = work(todo)  # kept to the return: freed in `work`, it moved perfbench's numpy probe 5 %
+    for helper in helpers:
+        helper.join()
+    if errors and all(isinstance(exc, LinexError) for exc in errors):
+        # a block meets its rows' errors column by column, and rows from later in
+        # the grid's order than another block's; a cell's bits are the same alone,
+        # so the cells one by one raise the error that comes first
+        ws = None  # the one-row workspaces are built with the old one gone
+        cells = sorted((cell for block in blocks for cell in block), key=lambda c: c.stream_key)
+        work(enumerate([cell] for cell in cells))
+    if errors:
+        raise next((exc for exc in errors if not isinstance(exc, LinexError)), errors[-1])
+    return [results[i] for i in range(len(blocks))]
 
 
 def _refuse_repeats(labels: Sequence[str], owner: str) -> None:

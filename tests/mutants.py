@@ -193,10 +193,12 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("memory_check_dropped", "risksim.py",
            "if 0 < have < need:", "if False:", ("test_risksim.py",)),
     Mutant("pool_shares_one_workspace", "risksim.py",
-           "local = threading.local()", "local = type('Shared', (), {})()", ("test_risksim.py",)),
+           "                    ws = CellWorkspace(len(block), reps)\n",
+           "                    ws = vars(work).get(len(block)) or vars(work).setdefault(\n"
+           "                        len(block), CellWorkspace(len(block), reps))\n", ("test_risksim.py",)),
     Mutant("draw_in_the_turn", "risksim.py",
-           "        draws = sample_block(",
-           "        with turn:\n            draws = sample_block(", ("test_risksim.py",)),
+           "                draws = sample_block(",
+           "                with turn:\n                    draws = sample_block(", ("test_risksim.py",)),
     Mutant("turn_dropped", "risksim.py",
            "turn = threading.Lock()", "turn = threading.BoundedSemaphore(threads)",
            ("test_risksim.py",)),
@@ -204,7 +206,14 @@ MUTANTS: tuple[Mutant, ...] = (
            "if ws is None or ws.shape[0] != len(block):", "if True:",
            ("test_risksim.py", "test_cli.py")),
     Mutant("block_error_not_rerun", "risksim.py",
-           "        error = exc\n", "        raise\n", ("test_risksim.py",)),
+           "if errors and all(isinstance(exc, LinexError) for exc in errors):", "if False:",
+           ("test_risksim.py",)),
+    Mutant("error_does_not_drain", "risksim.py",
+           "            for _ in todo:\n                pass\n", "", ("test_risksim.py",)),
+    Mutant("calling_thread_idles", "risksim.py",
+           "range(threads - 1)]\n    for helper in helpers:\n        helper.start()\n    ws = work(todo)",
+           "range(threads)]\n    for helper in helpers:\n        helper.start()\n    ws = None",
+           ("test_risksim.py",)),
     Mutant("loss_error_drops_the_cell_name", "risksim.py",
            "linex_loss(estimate, theta_sel, a, name, ws.est, ws)",
            'linex_loss(estimate, theta_sel, a, "", ws.est, ws)', ("test_risksim.py",)),

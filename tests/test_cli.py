@@ -535,7 +535,7 @@ def _fresh_python(probe, *argv):
 
 
 #: modules that no module of the package may import at module level: numpy is
-#: loaded by the array kernels on first use, the thread pool by a threaded sweep
+#: loaded by the array kernels on first use, and no sweep needs a thread pool
 COLD_PATH_BANNED = ("numpy", "concurrent.futures")
 
 
@@ -714,8 +714,8 @@ def test_parser_choices_match_the_modules_they_copy():
 
 
 def test_numpy_first_loaded_inside_the_pool():
-    # numpy's first import can happen on two pool threads at once, as the first
-    # cells start; the sweep still gives the golden CSV
+    # numpy's first import can happen on two of a sweep's threads at once, as
+    # the first cells start; the sweep still gives the golden CSV
     probe = (
         "import hashlib, sys\n"
         "from linexsel.risksim import risk_grid\n"
@@ -726,9 +726,24 @@ def test_numpy_first_loaded_inside_the_pool():
     assert _fresh_python(probe) == GOLDEN_TABLE_SHA256[7]
 
 
+def test_threaded_sweep_loads_no_thread_pool():
+    # a sweep's helpers are plain threads: neither concurrent.futures nor the
+    # logging it pulls in is loaded
+    probe = (
+        "import hashlib, json, sys\n"
+        "from linexsel.risksim import risk_grid\n"
+        "csv = risk_grid(7, reps=2000, master_seed=42, workers=2).to_csv()\n"
+        "loaded = [m for m in ('concurrent.futures', 'logging') if m in sys.modules]\n"
+        "print(json.dumps([loaded, hashlib.sha256(csv.encode()).hexdigest()]))"
+    )
+    loaded, digest = json.loads(_fresh_python(probe))
+    assert loaded == []
+    assert digest == GOLDEN_TABLE_SHA256[7]
+
+
 def test_runs_without_scipy(tmp_path):
     # numpy is the only runtime dependency: with scipy unimportable every
-    # subcommand succeeds, and a sweep on a thread pool gives the golden CSV
+    # subcommand succeeds, and a sweep on four threads gives the golden CSV
     runs = [
         ["estimate", "--x", "59.0997,58.3516", "--y", "131.4569,195.7275", "--cov", COV,
          "--a", "1", "--out", str(tmp_path / "estimate")],

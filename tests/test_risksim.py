@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -603,6 +604,27 @@ class TestBlocks:
         monkeypatch.setattr(CellWorkspace, "__init__", recorded)
         risk_grid(7, reps=20000, master_seed=0, workers=workers)
         assert 1 <= len(built) == len(set(built)) <= workers
+        # the calling thread works beside its helpers
+        assert threading.get_ident() in built
+
+    def test_a_thread_drops_its_workspace_before_building_another(self, monkeypatch):
+        # 2000 reps on two threads: blocks of 5, 5 and 1 rows, so a thread that
+        # goes on to a one-row block builds a second workspace
+        live = {}  # thread ident -> its workspaces and their draw blocks, weakly
+        alive_at_build = []
+        init = CellWorkspace.__init__
+
+        def counted(self, rows, reps):
+            workspaces, draw_blocks = live.setdefault(threading.get_ident(), (weakref.WeakSet(), []))
+            alive_at_build.append(len(workspaces) + sum(ref() is not None for ref in draw_blocks))
+            init(self, rows, reps)
+            workspaces.add(self)
+            draw_blocks.append(weakref.ref(self.draws))
+
+        monkeypatch.setattr(CellWorkspace, "__init__", counted)
+        risk_grid(7, reps=2000, master_seed=0, workers=2)
+        assert len(alive_at_build) > len(live)  # some thread built twice
+        assert alive_at_build == [0] * len(alive_at_build)
 
     def test_row_reductions_match_one_row_at_a_time(self):
         rng = np.random.default_rng(3)
@@ -660,7 +682,7 @@ class TestBlocks:
 
 
 def test_concurrent_sweeps_keep_their_own_workspaces():
-    # two sweeps at once, four pool threads on the CPUs between them, switching
+    # two sweeps at once, four threads on the CPUs between them, switching
     # often: each still gives its serial bytes, so no workspace is shared
     tables = (6, 9)
     serial = {t: risk_grid(t, reps=2000, master_seed=42, workers=1).to_csv() for t in tables}
@@ -709,7 +731,7 @@ def _in_a_thread(sweep) -> dict:
     def target():
         try:
             out["result"] = sweep()
-        except Exception as exc:
+        except BaseException as exc:
             out["error"] = exc
 
     th = threading.Thread(target=target)
@@ -739,6 +761,51 @@ class TestTurn:
         monkeypatch.undo()
         assert risk_grid(7, reps=2000, master_seed=3, workers=2).to_csv() == serial
 
+    def test_an_error_stops_the_sweep_at_once(self, monkeypatch):
+        # 12 blocks on two threads, the first kernel call fails and the rest would
+        # not: only the block the other thread already holds may still draw
+        kernel, draw = risksim.evaluate_batch, risksim.sample_block
+        failed, late = threading.Event(), []
+
+        def first_call_fails(*args):
+            if not failed.is_set():
+                failed.set()
+                raise RuntimeError("a kernel failed")
+            return kernel(*args)
+
+        def counted(*args):
+            if failed.is_set():
+                late.append(threading.get_ident())
+            return draw(*args)
+
+        monkeypatch.setattr(risksim, "evaluate_batch", first_call_fails)
+        monkeypatch.setattr(risksim, "sample_block", counted)
+        out = _in_a_thread(lambda: risk_grid(7, reps=2000, master_seed=3, workers=2))
+        assert str(out["error"]) == "a kernel failed"
+        assert len(late) <= 1  # threads - 1
+
+    def test_an_interrupt_on_the_calling_thread_propagates(self, monkeypatch):
+        class Interrupt(BaseException):
+            pass
+
+        kernel, caller, raised = risksim.evaluate_batch, [], []
+
+        def interrupted(*args):
+            if threading.get_ident() in caller:
+                raised.append(Interrupt())
+                raise raised[-1]
+            return kernel(*args)
+
+        def sweep():
+            caller.append(threading.get_ident())
+            return risk_grid(7, reps=2000, master_seed=3, workers=2)
+
+        monkeypatch.setattr(risksim, "evaluate_batch", interrupted)
+        # _in_a_thread also checks that no helper outlives the sweep
+        out = _in_a_thread(sweep)
+        assert len(raised) == 1
+        assert out["error"] is raised[0]
+
     def test_a_loss_error_at_one_row_blocks_is_the_serial_one(self):
         # 10000 reps on two threads: 20000 // (10000 * 2) = 1 row a block
         spec = _overflowing_grid()
@@ -750,7 +817,7 @@ class TestTurn:
         assert "[row 1, column N4_I2 rep=" in str(serial.value)
 
     def test_draws_overlap(self, monkeypatch):
-        # each pool thread's first draw waits for the other's: only draws taken
+        # each thread's first draw waits for the other's: only draws taken
         # outside the turn can meet
         draw, both = risksim.sample_block, threading.Barrier(2, timeout=10)
         drawn = threading.local()
