@@ -245,6 +245,9 @@ class LinexParams(Record):
         _require_finite("a", a)
         if a == 0:
             raise InvalidParameterError("LINEX parameter a must be nonzero")
+        # a subnormal a loses its digits in a*sigma and a*t: d0 printed -0 for -0.282
+        if abs(a) < sys.float_info.min:
+            raise InvalidParameterError(f"LINEX parameter a must be a normal double, got {a!r}")
         self.__dict__.update(a=a)
 
 
@@ -355,9 +358,10 @@ def linex_loss(
     delta,
     theta,
     params: LinexParams,
-    context: str = "",
+    context: str | Sequence[str] = "",
     out: Optional[np.ndarray] = None,
     work: Optional["Workspace"] = None,
+    faults: Optional[list] = None,
 ):
     """LINEX loss exp(a*(delta-theta)) - a*(delta-theta) - 1, over floats or arrays.
 
@@ -366,21 +370,44 @@ def linex_loss(
     overflow exp() or is NaN, and InvalidParameterError when an exponent is
     -inf; both name the offending rep. `context` only labels the message.
     Writes into `out` if given (which may be `delta` itself) and borrows the
-    exponent's array from `work` if given.
+    array for exp() from `work`, a workspace of the loss's shape, if given.
+
+    Given a list `faults`, `out` is a stack of columns along its first axis,
+    `context` holds one label a column, and each column is checked as if
+    alone: its error, or None, is appended to `faults` instead of raised, so
+    a caller that checks its columns in turn raises each in its turn. The
+    exponent and its largest and least values take one pass each over the
+    whole stack, the loss one pass per column, with `work` of a column's shape.
     """
     import numpy as np
 
-    with borrow(work, floats=1) as (buf,):
-        with np.errstate(over="ignore"):  # an exponent that overflows is refused below
-            z = np.multiply(params.a, np.subtract(delta, theta, out=buf), out=buf)
-        zmax = np.max(z)
+    raising = faults is None
+    if raising:  # a stack of one column
+        if out is None:
+            out = np.empty(np.broadcast(delta, theta).shape)
+        stack, context, faults = out[np.newaxis], [context], []
+    else:
+        stack = out
+    with np.errstate(over="ignore"):  # an exponent that overflows is its column's fault
+        z = np.multiply(params.a, np.subtract(delta, theta, out=stack), out=stack)
+    axes = tuple(range(1, z.ndim))
+    for j, (zmax, zmin) in enumerate(zip(np.max(z, axis=axes).tolist(), np.min(z, axis=axes).tolist())):
         if not zmax <= EXP_OVERFLOW_LIMIT:
-            raise LinexOverflowError(float(zmax), f"{context} rep={np.argmax(z)}".lstrip())
-        if np.min(z) == -math.inf:
-            raise InvalidParameterError(
-                f"loss arguments must be finite, exponent -inf at rep={np.argmin(z)} {context}".rstrip()
-            )
-        return np.subtract(np.expm1(z, out=out), z, out=out)
+            faults.append(LinexOverflowError(zmax, f"{context[j]} rep={np.argmax(z[j])}".lstrip()))
+        elif zmin == -math.inf:
+            faults.append(InvalidParameterError(
+                f"loss arguments must be finite, exponent -inf at rep={np.argmin(z[j])} {context[j]}".rstrip()
+            ))
+        else:
+            faults.append(None)
+    if raising and faults[0] is not None:
+        raise faults[0]
+    # a faulty column's loss is never read, so its overflow goes unreported
+    with np.errstate(over="ignore", invalid="ignore"), borrow(work, floats=1) as (expm1,):
+        for j in range(len(z)):
+            column = z[j, ...]  # a view, even of a column that is one number
+            np.subtract(np.expm1(column, out=expm1), column, out=column)
+    return out if out.ndim else out[()]
 
 
 def rng_stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -542,11 +569,21 @@ def blend(
     """
     import numpy as np
 
-    if out is None:
-        out = np.empty(np.shape(cond))
-    bits = out.view(np.int64)
     with borrow(work, floats=1) as (buf,):
         mask = np.negative(cond.view(np.int8), out=None if buf is None else buf.view(np.int64))
-        np.bitwise_and(mask, np.bitwise_xor(_bits(a), _bits(b), out=bits), out=bits)
-        bits ^= _bits(b)
+        return mask_blend(mask, a, b, out)
+
+
+def mask_blend(mask: np.ndarray, a, b, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """`blend` by the mask -cond (all bits set where cond holds, none elsewhere) in place of cond.
+
+    A caller that blends several pairs by one condition builds the mask once.
+    """
+    import numpy as np
+
+    if out is None:
+        out = np.empty(np.shape(mask))
+    bits = out.view(np.int64)
+    np.bitwise_and(mask, np.bitwise_xor(_bits(a), _bits(b), out=bits), out=bits)
+    bits ^= _bits(b)
     return out

@@ -231,7 +231,7 @@ def base_phi_batch(
 
         with borrow(work, masks=1) as (inside,):
             inside = np.greater(s.t1, _n4_cut(spec.c, cov), out=inside)
-            half = np.divide(s.t2, 2.0, out=out)
+            half = np.multiply(s.t2, 0.5, out=out)  # t2 / 2 bit for bit, at a third of the cost
             return blend(inside, half, 0.0, half, work)
     raise InvalidParameterError(
         f"no equivariant component for kind {spec.kind!r}; only N1..N4 have one"
@@ -291,12 +291,14 @@ def evaluate_batch(
     spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec,
     phi: float | np.ndarray | None = None,
     out: Optional[np.ndarray] = None, work: Optional[Workspace] = None,
+    band: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """`evaluate` over a `select_batch` summary: one estimate per draw.
 
     `phi` is the component `base_phi_batch` gives the spec (an improved
-    spec's base) on these draws, when the caller already has it; otherwise
-    it is computed here. Writes into `out` if given and borrows its
+    spec's base) on these draws, and `band` the clip band `clip_band` gives
+    an improved spec on them, when the caller already has them; otherwise
+    they are computed here. Writes into `out` if given and borrows its
     temporaries from `work` if given; Bayes, in no published table, allocates
     and needs the summary's x_max set.
     """
@@ -314,7 +316,7 @@ def evaluate_batch(
         base = spec.base if spec.kind == "Improved" else spec
         with borrow(work, floats=1) as (buf,):
             phi = base_phi_batch(base, s, a, cov, buf, work)
-            return evaluate_batch(spec, s, a, cov, phi, out, work)
+            return evaluate_batch(spec, s, a, cov, phi, out, work, band)
     if spec.kind == "Improved":
-        return improve_batch(s, a, cov, phi, out, work)
+        return improve_batch(s, a, cov, phi, out, work, band)
     return np.add(s.y_sel, phi, out=out)

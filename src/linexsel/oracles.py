@@ -65,7 +65,7 @@ def clip_band(t1, t2, a: LinexParams, cov: CovarianceSpec, out=None, work=None):
         lo &= cond
         np.greater(gap, margin, out=cond)
         hi &= cond
-    np.divide(t2, 2.0, out=value)
+    np.multiply(t2, 0.5, out=value)  # t2 / 2 bit for bit, at a third of the cost
     value -= shift
     return value, lo, hi
 
@@ -108,24 +108,30 @@ def improve_batch(
     phi: float | np.ndarray,
     out: Optional[np.ndarray] = None,
     work: Optional[Workspace] = None,
+    band: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """The clipped estimate Y_[2] + clip_component(phi, ...) over a `select_batch` summary.
 
     `phi` is the base estimator's component from `base_phi_batch` on the same
     draws, which a sweep has already computed for the base column; it must
-    not be `out`. Writes into `out` if given and borrows its temporaries from
-    `work` if given.
+    not be `out`. `band` is `clip_band`'s (value, lo_set, hi_set) on these
+    draws, left as it is, when the caller has it; otherwise it is built here.
+    Writes into `out` if given and borrows its temporaries from `work` if given.
     """
     import numpy as np
 
-    with borrow(work, floats=1, masks=3) as (value, lo_set, hi_set, clip):
-        value, lo_set, hi_set = clip_band(s.t1, s.t2, a, cov, (value, lo_set, hi_set), work)
+    if band is None:
+        with borrow(work, floats=1, masks=2) as held:
+            band = clip_band(s.t1, s.t2, a, cov, held, work)
+            return improve_batch(s, a, cov, phi, out, work, band)
+    value, lo_set, hi_set = band
+    with borrow(work, masks=2) as (hi_clip, clip):
         # the two sets are disjoint and both clip to value, so one blend serves both
-        clip = np.greater_equal(phi, value, out=clip)
-        hi_set &= clip
-        np.less_equal(phi, value, out=clip)
+        hi_clip = np.greater_equal(phi, value, out=hi_clip)
+        hi_clip &= hi_set
+        clip = np.less_equal(phi, value, out=clip)
         clip &= lo_set
-        clip |= hi_set
+        clip |= hi_clip
         out = blend(clip, value, phi, out, work)
     return np.add(s.y_sel, out, out=out)
 

@@ -11,13 +11,17 @@ One runner runs the blocks of cells it is given: `risk_grid` cuts each
 column group's rows into blocks of k, and `simulate_risk`, `simulate_all`
 and `paired_risk_difference` pass a block of their one cell. Each cell of a
 block draws its own stream into its row of a (k, 4, reps) draw block, then
-every kernel and the per-row reductions run once over (k, reps) arrays,
-with the bits of each cell run alone. k keeps all threads' blocks within
-_BLOCK_REP_CELLS rep-cells, so the 20000-rep tables run one row at a time.
-The runner gives each thread one reused `CellWorkspace`, refuses with a
-MemoryError, before building any, a run whose workspaces would exceed
-physical memory, and reruns the cells one by one, in stream-key order,
-where a block meets an error.
+every kernel runs once over (k, reps) arrays, with the bits of each cell
+run alone. What a block's columns share is done once: one selection mask,
+one phi per base, one clip band for every improved column, and the loss
+and both reductions over a (columns, k, reps) stack of the columns'
+estimates, checked afterwards column by column in the order a column-by-
+column run raises. k keeps all threads' blocks within _BLOCK_REP_CELLS
+rep-cells, so the 20000-rep tables run one row at a time. The runner gives
+each thread one reused `CellWorkspace`, refuses with a MemoryError, before
+building any, a run whose workspaces would exceed physical memory, and
+reruns the cells one by one, in stream-key order, where a block meets an
+error.
 
 The calling thread and up to workers - 1 helpers take the blocks from one
 iterator, draw them at once, numpy sampling with the GIL released, and
@@ -34,6 +38,7 @@ import io
 import math
 import os
 import threading
+from contextlib import ExitStack
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .core import (
@@ -44,9 +49,9 @@ from .core import (
     MeanVectorPair,
     Record,
     Workspace,
-    blend,
     borrow,
     linex_loss,
+    mask_blend,
     nonnegative_int,
     replace,
     rng_stream,
@@ -54,6 +59,7 @@ from .core import (
 )
 from .estimators import BASE_KINDS, EstimatorSpec, base_phi_batch, evaluate_batch
 from .improvement import table_columns  # re-exported: grid callers read it from here
+from .oracles import clip_band
 from .selection import select_batch
 
 if TYPE_CHECKING:
@@ -113,28 +119,32 @@ class RiskEstimate(Record):
 class CellWorkspace(Workspace):
     """The arrays of blocks of `rows` risk cells of `reps` draws, reused block after block.
 
-    Beyond the kernels' scratch it holds the (rows, 4, reps) draw block and
-    what lives through a block, each of shape (rows, reps): the selection
-    mask, y_sel, t1, t2, the realized theta_y^S, the base phi (N3's or N4's;
-    N1's and N2's are floats), and the column's estimate, which its loss
-    then overwrites. One thread's alone; dropped when the call that made it
-    returns, or when a block of another height comes.
+    Beyond the kernels' scratch it holds the (rows, 4, reps) draw block, what
+    lives through a block, each of shape (rows, reps): y_sel, t1, t2, the
+    realized theta_y^S and the base phi (N3's or N4's; N1's and N2's are
+    floats), and the (columns, rows, reps) column stack, where each column's
+    estimate becomes its loss and then its loss's squared deviation. One
+    thread's alone; dropped when the call that made it returns, or when a
+    block of another height comes.
     """
 
-    #: what one grows to per rep of one row in a published or CLI grid, rounded
-    #: up: 14 float arrays (the draw block's four rows, six vectors, four
-    #: borrowed) and five bool masks
+    #: what one grows to per rep of one row in a published or CLI grid, beside
+    #: the column stack's 8 bytes a column, rounded up: 14 float arrays (the draw
+    #: block's four rows, five vectors, five borrowed) and four bool masks
     BYTES_PER_REP = 15 * 8
 
-    def __init__(self, rows: int, reps: int):
+    def __init__(self, rows: int, reps: int, columns: int):
         import numpy as np
 
         super().__init__((rows, reps))
         self.draws = np.empty((rows, 4, reps))
-        self.sel1 = np.empty((rows, reps), bool)
-        self.y_sel, self.t1, self.t2, self.theta_sel, self.phi, self.est = (
-            np.empty((rows, reps)) for _ in range(6)
-        )
+        self.y_sel, self.t1, self.t2, self.theta_sel, self.phi = (np.empty((rows, reps)) for _ in range(5))
+        self.stack = np.empty((columns, rows, reps))
+
+    @classmethod
+    def size(cls, rows: int, reps: int, columns: int) -> int:
+        """The bytes a workspace of blocks of `rows` cells of `columns` columns grows to, at most."""
+        return rows * reps * (cls.BYTES_PER_REP + 8 * columns)
 
 
 class _Cell(NamedTuple):
@@ -155,43 +165,68 @@ _BLOCK_REP_CELLS = 20000
 
 def _block_losses(
     block: Sequence[_Cell], ws: CellWorkspace, draws: tuple[np.ndarray, ...]
-) -> Iterator[np.ndarray]:
-    """Each column's (rows, reps) losses on the block's draws in turn, in `ws.est` until the next.
+) -> tuple[np.ndarray, list[Optional[Exception]]]:
+    """The block's column losses, a (columns, rows, reps) view of `ws.stack`, and each column's fault.
 
     The block's cells share their columns, covariance, LINEX parameter and
     reps; row i holds cell i, and `draws` is the block's (x1, y1, x2, y2),
-    row i drawn from cell i's own stream. A loss error names the first
-    cell's column: `_run_cells` reruns the cells of a block that meets an
-    error one by one, so the error raised is a one-row block's.
+    row i drawn from cell i's own stream. What columns share is built once:
+    the selection mask, each base's phi and the clip band. Every column's
+    estimate goes into its slice of the stack, then the loss runs once over
+    the stack. faults[j] is the error column j's loss raises on its own, or
+    None; where estimating a column raises, the stack stops before it and
+    faults ends with that error. A fault names the first cell's column:
+    `_run_cells` reruns the cells of a block that meets an error one by one,
+    so the error raised is a one-row block's.
     """
     import numpy as np
 
     config, specs = block[0].config, block[0].specs
     means = [cell.config.means for cell in block]
     x1, y1, x2, y2 = draws
-    s = select_batch(x1, y1, x2, y2, (ws.sel1, ws.y_sel, ws.t1, ws.t2), ws)
-    # each row's theta_y of the two populations, broadcast along the draws
-    theta1_y, theta2_y = np.array([(m.theta1[1], m.theta2[1]) for m in means]).T[:, :, None]
-    theta_sel = blend(ws.sel1, theta1_y, theta2_y, ws.theta_sel, ws)
+    with borrow(ws, floats=1) as (mask,):
+        mask = mask.view(np.int64)
+        s = select_batch(x1, y1, x2, y2, (mask, ws.y_sel, ws.t1, ws.t2), ws)
+        # each row's theta_y of the two populations, broadcast along the draws
+        theta1_y, theta2_y = np.array([(m.theta1[1], m.theta2[1]) for m in means]).T[:, :, None]
+        theta_sel = mask_blend(mask, theta1_y, theta2_y, ws.theta_sel)
     a, cov = config.a, config.cov
-    held = phi = None
-    for spec, name in zip(specs, block[0].names):
-        if spec.kind == "Bayes" and s.x_max is None:
-            # only Bayes reads x_max, so only a Bayes column builds it
-            s = replace(s, x_max=np.maximum(x1, x2))
-        # a base and its improved column share the draws, so they share one phi
-        base = spec.base if spec.kind == "Improved" else spec
-        if base != held and base.kind in BASE_KINDS:
-            held, phi = base, base_phi_batch(base, s, a, cov, ws.phi, ws)
-        estimate = evaluate_batch(spec, s, a, cov, phi if base == held else None, ws.est, ws)
-        yield linex_loss(estimate, theta_sel, a, name, ws.est, ws)
+    stack, stopped = ws.stack[: len(specs)], []
+    held = phi = band = None
+    with ExitStack() as loans:
+        try:
+            for j, spec in enumerate(specs):
+                if spec.kind == "Bayes" and s.x_max is None:
+                    # only Bayes reads x_max, so only a Bayes column builds it
+                    s = replace(s, x_max=np.maximum(x1, x2))
+                # a base and its improved column share the draws, so they share one phi
+                base = spec.base if spec.kind == "Improved" else spec
+                if base != held and base.kind in BASE_KINDS:
+                    held, phi = base, base_phi_batch(base, s, a, cov, ws.phi, ws)
+                if spec.kind == "Improved" and band is None:
+                    # every improved column clips into the one band: built at the first, lent to the last
+                    band = clip_band(s.t1, s.t2, a, cov, loans.enter_context(borrow(ws, floats=1, masks=2)), ws)
+                out = stack[j]
+                estimate = evaluate_batch(spec, s, a, cov, phi if base == held else None, out, ws, band)
+                if estimate is not out:  # Bayes allocates its own
+                    out[...] = estimate
+        except Exception as exc:  # raised once the columns before it are checked
+            stack, stopped = stack[:j], [exc]
+    faults: list[Optional[Exception]] = []
+    linex_loss(stack, theta_sel, a, block[0].names, stack, ws, faults)
+    return stack, faults + stopped
 
 
-def _estimates(losses: np.ndarray, ws: CellWorkspace, names: Sequence[str]) -> list[RiskEstimate]:
-    """Each row's mean loss and standard error; LinexError, naming the row, where either is not finite.
+def _estimates(
+    losses: np.ndarray, faults: Sequence[Optional[Exception]], names: Sequence[Sequence[str]]
+) -> list[list[RiskEstimate]]:
+    """Each column's rows' mean loss and standard error (None at one rep), in column order.
 
     Per row, the ufuncs of losses.mean() and losses.std(ddof=1), so the bits
-    match, with the deviations in a borrowed array.
+    match, with the deviations taken over `losses` in place. Raises column by
+    column, as each column's own run would: its fault, then a LinexError
+    naming the first of its rows (`names[j]`) whose mean or standard error is
+    not finite; then the fault, if any, that stopped the stack.
     """
     import numpy as np
 
@@ -199,52 +234,63 @@ def _estimates(losses: np.ndarray, ws: CellWorkspace, names: Sequence[str]) -> l
     # a sum or a square past the double range is refused below, by name
     with np.errstate(over="ignore", invalid="ignore"):
         means = np.add.reduce(losses, axis=-1) / n
-        ses = [None] * len(means)
+        ses = [[None] * means.shape[1]] * len(means)
         if n > 1:
-            with borrow(ws, floats=1) as (dev,):
-                np.subtract(losses, means[:, np.newaxis], out=dev)
-                np.square(dev, out=dev)
-                ses = (np.sqrt(np.add.reduce(dev, axis=-1) / (n - 1)) / math.sqrt(n)).tolist()
-    estimates = [RiskEstimate(mean, se) for mean, se in zip(means.tolist(), ses)]
-    for name, est in zip(names, estimates):
-        if not (math.isfinite(est.mean_risk) and math.isfinite(est.std_error or 0.0)):
-            se = "none" if est.std_error is None else f"{est.std_error:.6g}"
-            raise LinexError(
-                f"{name}: the risk estimate left the double range "
-                f"(mean {est.mean_risk:.6g}, standard error {se})"
-            )
-    return estimates
+            dev = np.subtract(losses, means[..., np.newaxis], out=losses)
+            np.square(dev, out=dev)
+            ses = (np.sqrt(np.add.reduce(dev, axis=-1) / (n - 1)) / math.sqrt(n)).tolist()
+    columns = []
+    for fault, column_names, column in zip(faults, names, zip(means.tolist(), ses)):
+        if fault is not None:
+            raise fault
+        estimates = [RiskEstimate(mean, se) for mean, se in zip(*column)]
+        for name, est in zip(column_names, estimates):
+            if not (math.isfinite(est.mean_risk) and math.isfinite(est.std_error or 0.0)):
+                se = "none" if est.std_error is None else f"{est.std_error:.6g}"
+                raise LinexError(
+                    f"{name}: the risk estimate left the double range "
+                    f"(mean {est.mean_risk:.6g}, standard error {se})"
+                )
+        columns.append(estimates)
+    if len(faults) > len(columns):
+        raise faults[-1]
+    return columns
 
 
 _R = TypeVar("_R")
 
 
 def _column_estimates(
-    losses: Iterator[np.ndarray], ws: CellWorkspace, block: Sequence[_Cell]
+    losses: np.ndarray, faults: list[Optional[Exception]], block: Sequence[_Cell]
 ) -> list[list[RiskEstimate]]:
-    columns = [_estimates(column, ws, [cell.names[j] for cell in block]) for j, column in enumerate(losses)]
-    return [list(row) for row in zip(*columns)]
+    names = [[cell.names[j] for cell in block] for j in range(len(faults))]
+    return [list(row) for row in zip(*_estimates(losses, faults, names))]
 
 
 def _paired_difference(
-    losses: Iterator[np.ndarray], ws: CellWorkspace, block: Sequence[_Cell]
+    losses: np.ndarray, faults: list[Optional[Exception]], block: Sequence[_Cell]
 ) -> list[RiskEstimate]:
-    loss_a = next(losses).copy()
-    loss_a -= next(losses)
-    return _estimates(loss_a, ws, [" - ".join(cell.names) for cell in block])
+    for fault in faults:
+        if fault is not None:
+            raise fault
+    difference = losses[:1]
+    difference -= losses[1]
+    [estimates] = _estimates(difference, [None], [[" - ".join(cell.names) for cell in block]])
+    return estimates
 
 
 def _run_cells(
     blocks: Sequence[Sequence[_Cell]], reps: int, workers: int,
-    reduce: Callable[[Iterator[np.ndarray], CellWorkspace, Sequence[_Cell]], list[_R]],
+    reduce: Callable[[np.ndarray, list[Optional[Exception]], Sequence[_Cell]], list[_R]],
 ) -> list[list[_R]]:
     """`reduce`'s results for each block, in order, from the block's cells run at once.
 
     A block's cells share their columns, covariance, LINEX parameter, seed
-    and reps; `reduce(column losses, workspace, block)` gives one result per
-    cell. The calling thread and min(workers, blocks) - 1 helpers take the
-    blocks from one iterator, each building one workspace on its first
-    block. A thread draws its block while the others run theirs, then waits
+    and reps; `reduce(losses, faults, block)`, on what `_block_losses`
+    gives, returns one result per cell. The calling thread and
+    min(workers, blocks) - 1 helpers take the blocks from one iterator, each
+    building one workspace, with a stack for the widest block's columns, on
+    its first block. A thread draws its block while the others run theirs, then waits
     for the turn, which one thread at a time holds through the block's
     kernels and `reduce`; an error stops every thread after its block.
     Raises MemoryError, before any workspace is built, where those threads'
@@ -254,8 +300,8 @@ def _run_cells(
     raises first.
     """
     threads = min(workers, len(blocks))
-    rows = max(map(len, blocks))
-    need = threads * rows * reps * CellWorkspace.BYTES_PER_REP
+    rows, columns = max(map(len, blocks)), max(len(block[0].specs) for block in blocks)
+    need = threads * CellWorkspace.size(rows, reps, columns)
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # the OS does not say
@@ -276,13 +322,13 @@ def _run_cells(
             for i, block in todo:
                 if ws is None or ws.shape[0] != len(block):
                     ws = draws = None  # the old one goes before the new one is built
-                    ws = CellWorkspace(len(block), reps)
+                    ws = CellWorkspace(len(block), reps, columns)
                 rngs = [rng_stream(cell.config.master_seed, *cell.stream_key) for cell in block]
                 means = [cell.config.means for cell in block]
                 draws = sample_block(means, block[0].config.cov, rngs, reps, ws.draws, ws)
                 # held here, not in the generator: one suspended in a traceback would keep it
                 with turn:
-                    results[i] = reduce(_block_losses(block, ws, draws), ws, block)
+                    results[i] = reduce(*_block_losses(block, ws, draws), block)
         except BaseException as exc:  # a Ctrl-C too: every thread stops after the block it holds
             errors.append(exc)
             for _ in todo:

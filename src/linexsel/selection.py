@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .core import InvalidParameterError, ObservationPair, Record, Workspace, blend
+from .core import InvalidParameterError, ObservationPair, Record, Workspace, borrow
 
 
 class SelectionSummary(Record):
@@ -51,23 +51,35 @@ def select(obs: ObservationPair) -> SelectionSummary:
 
 
 def select_batch(x1, y1, x2, y2, out=None, work: Optional[Workspace] = None) -> SelectionSummary:
-    """`select` over arrays of draws; the tie rule becomes the mask x1 > x2.
+    """`select` over arrays of draws; the tie rule becomes the mask -(x1 > x2).
 
-    Builds the mask and the three arrays the estimators read, y_sel, t1 and
-    t2, and leaves selected, x_max, x_min and y_other None. With `out` =
-    (sel1, y_sel, t1, t2), a bool array and three float arrays, they are
-    written there. Borrows its temporaries from `work` if given.
+    Builds the mask, an int64 array with all bits set where population 1 is
+    selected, and the three arrays the estimators read, y_sel, t1 and t2,
+    and leaves selected, x_max, x_min and y_other None. Both concomitants
+    come from one blend of bits: with d = (y1 ^ y2) & mask, y_sel = y2 ^ d and
+    y_other = y1 ^ d. With `out` = (mask, y_sel, t1, t2), an int64 array and
+    three float arrays, they are written there. Borrows its temporary from
+    `work` if given.
     """
     import numpy as np
 
-    sel1, y_sel, t1, t2 = (None,) * 4 if out is None else out
-    sel1 = np.greater(x1, x2, out=sel1)
-    y_sel = blend(sel1, y1, y2, y_sel, work)
+    mask, y_sel, t1, t2 = (None,) * 4 if out is None else out
+    shape = np.shape(x1)
+    with borrow(work, masks=1) as (sel1,):
+        # the comparison itself: the sign of x2 - x1 would pick population 1 at (+0.0, -0.0)
+        sel1 = np.greater(x1, x2, out=sel1)
+        mask = np.negative(sel1.view(np.int8), out=np.empty(shape, np.int64) if mask is None else mask)
+    y1_bits, y2_bits = y1.view(np.int64), y2.view(np.int64)
+    y_sel = np.empty(shape) if y_sel is None else y_sel
+    d = np.bitwise_xor(y1_bits, y2_bits, out=y_sel.view(np.int64))
+    d &= mask
+    # t2 holds y_other until it becomes y_other - y_sel
+    t2 = np.empty(shape) if t2 is None else t2
+    np.bitwise_xor(y1_bits, d, out=t2.view(np.int64))
+    d ^= y2_bits
     # x_min - x_max is -|x1 - x2|, and +0.0 (as 0.0 - 0.0) at a tie
     t1 = np.subtract(x1, x2, out=t1)
     np.abs(t1, out=t1)
     np.subtract(0.0, t1, out=t1)
-    # t2 holds y_other until it becomes y_other - y_sel
-    t2 = blend(sel1, y2, y1, t2, work)
     np.subtract(t2, y_sel, out=t2)
     return SelectionSummary(None, None, None, y_sel, None, t1, t2)

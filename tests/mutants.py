@@ -80,11 +80,11 @@ MUTANTS: tuple[Mutant, ...] = (
            'key = tuple(nonnegative_int("stream key part", k) for k in key)',
            "key = tuple(int(k) for k in key)", ("test_core.py",)),
     Mutant("loss_lets_minus_inf_through", "core.py",
-           "if np.min(z) == -math.inf:", "if False:", ("test_core.py",)),
+           "elif zmin == -math.inf:", "elif False:", ("test_core.py",)),
     Mutant("blend_drops_every_7th_mask", "core.py",
-           "        np.bitwise_and(mask, ",
-           "        mask[::7] = 0\n        np.bitwise_and(mask, ",
-           ("test_selection.py", "test_core.py")),
+           "    np.bitwise_and(mask, ",
+           "    mask[::7] = 0\n    np.bitwise_and(mask, ",
+           ("test_core.py", "test_estimators.py")),
     Mutant("core_imports_numpy_at_module_level", "core.py",
            "from operator import attrgetter, index\n",
            "from operator import attrgetter, index\n\nimport numpy\n", ("test_cli.py",)),
@@ -147,13 +147,16 @@ MUTANTS: tuple[Mutant, ...] = (
            equivalent="at a tie phi == value, so both sides give the same component and differ "
                       "at most in the sign of a zero, which no loss or risk sees"),
     Mutant("improve_batch_lo_clip_wrong_side", "oracles.py",
-           "    np.less_equal(phi, value, out=clip)\n",
-           "    np.greater_equal(phi, value, out=clip)\n", ("test_improvement.py",)),
+           "clip = np.less_equal(phi, value, out=clip)",
+           "clip = np.greater_equal(phi, value, out=clip)", ("test_improvement.py",)),
     Mutant("improve_batch_hi_clip_wrong_side", "oracles.py",
-           "clip = np.greater_equal(phi, value, out=clip)", "clip = np.less_equal(phi, value, out=clip)",
-           ("test_risksim.py",)),
+           "hi_clip = np.greater_equal(phi, value, out=hi_clip)",
+           "hi_clip = np.less_equal(phi, value, out=hi_clip)", ("test_risksim.py",)),
     Mutant("improve_batch_hi_clip_dropped", "oracles.py",
-           "        clip |= hi_set\n", "", ("test_risksim.py",)),
+           "        clip |= hi_clip\n", "", ("test_risksim.py",)),
+    Mutant("improve_batch_writes_the_band", "oracles.py",
+           "        hi_clip &= hi_set\n", "        hi_set &= hi_clip\n        hi_clip = hi_set\n",
+           ("test_risksim.py",)),
     Mutant("perfbench_alias_renamed", "oracles.py",
            'if name == "shift_risk_quadrature":', 'if name == "shift_risk_quadrature_old":',
            ("test_perfbench_api.py",)),
@@ -162,6 +165,9 @@ MUTANTS: tuple[Mutant, ...] = (
            "    if d < d0:\n", "    if d <= d0:\n", ("test_admissibility.py",)),
     Mutant("end_correction_cancels_at_small_arg", "admissibility.py",
            "        if abs(arg) < 0.25:\n", "        if False:\n", ("test_admissibility.py",)),
+    Mutant("log_h_without_log_sum_exp", "admissibility.py",
+           "    if h >= sys.float_info.min:\n        return math.log(h)\n",
+           "    return math.log(h)\n", ("test_admissibility.py",)),
     Mutant("zero_gap_takes_log_h", "admissibility.py",
            "    if theta_x == 0.0:\n", "    if False:\n", ("test_admissibility.py",)),
     Mutant("interval_ends_swapped", "admissibility.py",
@@ -173,7 +179,8 @@ MUTANTS: tuple[Mutant, ...] = (
            ("test_risksim.py",)),
     Mutant("se_sum_by_fsum", "risksim.py",
            "np.sqrt(np.add.reduce(dev, axis=-1) / (n - 1))",
-           "np.sqrt(np.array([math.fsum(row) for row in dev]) / (n - 1))", ("test_risksim.py",)),
+           "np.sqrt(np.array([[math.fsum(row) for row in column] for column in dev]) / (n - 1))",
+           ("test_risksim.py",)),
     Mutant("mean_times_reciprocal", "risksim.py",
            "means = np.add.reduce(losses, axis=-1) / n", "means = np.add.reduce(losses, axis=-1) * (1 / n)",
            ("test_risksim.py",)),
@@ -193,9 +200,10 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("memory_check_dropped", "risksim.py",
            "if 0 < have < need:", "if False:", ("test_risksim.py",)),
     Mutant("pool_shares_one_workspace", "risksim.py",
-           "                    ws = CellWorkspace(len(block), reps)\n",
+           "                    ws = CellWorkspace(len(block), reps, columns)\n",
            "                    ws = vars(work).get(len(block)) or vars(work).setdefault(\n"
-           "                        len(block), CellWorkspace(len(block), reps))\n", ("test_risksim.py",)),
+           "                        len(block), CellWorkspace(len(block), reps, columns))\n",
+           ("test_risksim.py",)),
     Mutant("draw_in_the_turn", "risksim.py",
            "                draws = sample_block(",
            "                with turn:\n                    draws = sample_block(", ("test_risksim.py",)),
@@ -215,8 +223,24 @@ MUTANTS: tuple[Mutant, ...] = (
            "range(threads)]\n    for helper in helpers:\n        helper.start()\n    ws = None",
            ("test_risksim.py",)),
     Mutant("loss_error_drops_the_cell_name", "risksim.py",
-           "linex_loss(estimate, theta_sel, a, name, ws.est, ws)",
-           'linex_loss(estimate, theta_sel, a, "", ws.est, ws)', ("test_risksim.py",)),
+           "linex_loss(stack, theta_sel, a, block[0].names, stack, ws, faults)",
+           'linex_loss(stack, theta_sel, a, [""] * len(stack), stack, ws, faults)', ("test_risksim.py",)),
+    Mutant("loss_checked_on_the_last_column_only", "risksim.py",
+           "    return stack, faults + stopped\n",
+           "    return stack, [None] * (len(faults) - 1) + faults[-1:] + stopped\n", ("test_risksim.py",)),
+    Mutant("band_built_once_a_grid", "risksim.py",
+           "band = clip_band(s.t1, s.t2, a, cov, loans.enter_context(borrow(ws, floats=1, masks=2)), ws)",
+           'band = vars(ws).get("band") or vars(ws).setdefault("band", clip_band(s.t1, s.t2, a, cov))',
+           ("test_risksim.py",)),
+    Mutant("estimate_error_before_earlier_columns", "risksim.py",
+           "        except Exception as exc:  # raised once the columns before it are checked\n",
+           "        except ZeroDivisionError as exc:\n", ("test_risksim.py",)),
+    Mutant("mean_error_after_later_loss_errors", "risksim.py",
+           "    for fault, column_names, column in zip(faults, names, zip(means.tolist(), ses)):\n"
+           "        if fault is not None:\n            raise fault\n",
+           "    for fault in faults[: len(means)]:\n        if fault is not None:\n            raise fault\n"
+           "    for fault, column_names, column in zip(faults, names, zip(means.tolist(), ses)):\n",
+           ("test_risksim.py",)),
     Mutant("block_means_of_the_first_row", "risksim.py",
            "theta1_y, theta2_y = np.array([(m.theta1[1], m.theta2[1]) for m in means])",
            "theta1_y, theta2_y = np.array([(m.theta1[1], m.theta2[1]) for m in means[:1]])",

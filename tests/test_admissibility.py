@@ -177,6 +177,21 @@ class TestBounds:
             assert max(vals) == pytest.approx(b.d1, abs=1e-6)
 
 
+def test_psi_where_h_a_underflows_against_mpmath():
+    # at a positive gap both Phi terms of h_a underflow to 0 (arguments -41.7 and
+    # -43.1), so ln h_a is the log-sum-exp of their logarithms
+    mp = pytest.importorskip("mpmath")
+    a, cov, tx = LinexParams(60.0), CovarianceSpec(1.0, 1.0, -1.0), 1.0
+    assert h_a(tx, a, cov) == 0.0
+    with mp.workdps(50):
+        s = mp.sqrt(2 * mp.mpf(cov.sigma_xx))
+        h = mp.ncdf((mp.mpf(a.a) * cov.sigma_xy + tx) / s) + mp.ncdf((mp.mpf(a.a) * cov.sigma_xy - tx) / s)
+        exact = -mp.mpf(a.a) * cov.sigma_yy / 2 - mp.log(h) / a.a
+    value = psi(ThetaStar(tx, 0.0), a, cov)
+    assert abs(value - exact) <= 4e-16 * abs(exact)
+    assert value == -15.418325398142644
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "FOUND: psi at a positive gap takes log(h_a) next to -a*syy/2 and loses "
     "precision as |a| -> 0 (relative error 6e-4 at a = 1e-12)"))

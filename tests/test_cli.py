@@ -230,6 +230,22 @@ def test_non_finite_report_exits_one(capsys, tmp_path, argv, quantity):
 
 
 @pytest.mark.parametrize("argv", [
+    # d0 printed -0 here, where the limit is -0.2820948
+    ("admissibility", "--cov", "1,0.5,1"),
+    # N3 printed 0.0000 here, where a = 1e-310 gives 0.3085
+    ("estimate", "--x", "1,0", "--y", "0,1", "--cov", "2,1,2"),
+    ("simulate", "--cov", "2,1,2", "--reps", "10"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("a", ["5e-324", "-1e-310"])
+def test_subnormal_a_is_refused(capsys, tmp_path, argv, a):
+    code, out, err = run(capsys, *argv, f"--a={a}", "--out", str(tmp_path))
+    assert code == 2
+    assert err == f"error: LINEX parameter a must be a normal double, got {float(a)!r}\n"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
     ("estimate", "--x", "1,2", "--y", "3,4"),
     ("admissibility",),
     ("simulate", "--reps", "10"),
@@ -834,28 +850,29 @@ def test_out_of_memory_exits_one(capsys, tmp_path, monkeypatch, fails):
     ("--cov", "1,-0.5,1", "--a", "-1", "--improved", "N1", "N2", "N3", "N4"),
 ])
 def test_workspace_stays_within_its_bytes_per_rep(capsys, tmp_path, monkeypatch, grid):
-    # the memory pre-check weighs a sweep by CellWorkspace.BYTES_PER_REP, a hand
-    # count per rep of a block's row; every workspace the sweep grows must come
-    # to no more than that
+    # the memory pre-check weighs a sweep by CellWorkspace.size, a hand count per
+    # rep of a block's row and of each column; every workspace the sweep grows
+    # must come to no more than that
     from linexsel import risksim
 
     built = []
     init = risksim.CellWorkspace.__init__
 
-    def recorded(self, rows, reps):
-        init(self, rows, reps)
-        built.append((self, rows))
+    def recorded(self, rows, reps, columns):
+        init(self, rows, reps, columns)
+        built.append((self, rows, columns))
 
     monkeypatch.setattr(risksim.CellWorkspace, "__init__", recorded)
     reps = 50
     code, _, _ = run(capsys, "simulate", *grid, "--reps", str(reps), "--out", str(tmp_path))
     assert code == 0 and built
     # 50 reps leave room for blocks of several rows
-    assert max(rows for _, rows in built) > 1
-    for ws, rows in built:
-        arrays = [ws.draws, ws.sel1, ws.y_sel, ws.t1, ws.t2, ws.theta_sel, ws.phi, ws.est,
+    assert max(rows for _, rows, _ in built) > 1
+    for ws, rows, columns in built:
+        arrays = [ws.draws, ws.y_sel, ws.t1, ws.t2, ws.theta_sel, ws.phi, ws.stack,
                   *ws._floats, *ws._masks]
-        assert sum(x.nbytes for x in arrays) <= rows * reps * risksim.CellWorkspace.BYTES_PER_REP
+        assert ws.stack.shape == (columns, rows, reps)
+        assert sum(x.nbytes for x in arrays) <= risksim.CellWorkspace.size(rows, reps, columns)
 
 
 @pytest.mark.parametrize("grid", ["table", "custom"])

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -159,6 +160,16 @@ class TestLinexLoss:
     def test_zero_a_rejected(self):
         with pytest.raises(InvalidParameterError):
             LinexParams(0.0)
+
+    @pytest.mark.parametrize("a", [5e-324, -5e-324, 1e-310, -2.2e-308, math.ulp(0.0) * 2**51])
+    def test_subnormal_a_rejected(self, a):
+        # a*sigma and a*t lose their digits to underflow: d0 read -0 for -0.282
+        with pytest.raises(InvalidParameterError, match="a must be a normal double"):
+            LinexParams(a)
+
+    @pytest.mark.parametrize("a", [sys.float_info.min, -sys.float_info.min, 1e-300])
+    def test_smallest_normal_a_accepted(self, a):
+        assert LinexParams(a).a == a
 
 
 class TestCovarianceSpec:

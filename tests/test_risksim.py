@@ -581,8 +581,8 @@ class TestBlocks:
         built = []
         init = CellWorkspace.__init__
 
-        def recorded(self, rows, reps):
-            init(self, rows, reps)
+        def recorded(self, rows, reps, columns):
+            init(self, rows, reps, columns)
             built.append(rows)
 
         monkeypatch.setattr(CellWorkspace, "__init__", recorded)
@@ -597,8 +597,8 @@ class TestBlocks:
         built = []
         init = CellWorkspace.__init__
 
-        def recorded(self, rows, reps):
-            init(self, rows, reps)
+        def recorded(self, rows, reps, columns):
+            init(self, rows, reps, columns)
             built.append(threading.get_ident())
 
         monkeypatch.setattr(CellWorkspace, "__init__", recorded)
@@ -614,10 +614,10 @@ class TestBlocks:
         alive_at_build = []
         init = CellWorkspace.__init__
 
-        def counted(self, rows, reps):
+        def counted(self, rows, reps, columns):
             workspaces, draw_blocks = live.setdefault(threading.get_ident(), (weakref.WeakSet(), []))
             alive_at_build.append(len(workspaces) + sum(ref() is not None for ref in draw_blocks))
-            init(self, rows, reps)
+            init(self, rows, reps, columns)
             workspaces.add(self)
             draw_blocks.append(weakref.ref(self.draws))
 
@@ -862,3 +862,92 @@ def test_no_buffer_outlives_the_call():
     finally:
         tracemalloc.stop()
     assert left < 50_000
+
+
+class TestStackedPass:
+    """A block's columns share one selection mask, one clip band and one loss pass."""
+
+    def test_an_earlier_mean_error_comes_before_a_later_overflow(self):
+        # y's variance is tiny, so each shift column's exponent is about d at every
+        # rep: at d = 600 every loss is finite but their squared deviations are
+        # not, at d = 800 the exponent passes 700. Checked column by column, the
+        # first column's standard error fails before the second column's loss does.
+        cfg = SimConfig(MeanVectorPair((1.0, 0.0), (0.0, 0.0)),
+                        CovarianceSpec.from_correlation(1.0, 1e-6, 0.0), A1, 50, 3)
+        first, later = EstimatorSpec.shift(600.0), EstimatorSpec.shift(800.0)
+        with pytest.raises(LinexError) as alone:
+            simulate_all(replace(cfg, estimators=(first,)))
+        assert type(alone.value) is LinexError
+        assert str(alone.value).startswith("Shift(d=600): the risk estimate left the double range")
+        assert str(alone.value).endswith("standard error inf)")
+        with pytest.raises(LinexOverflowError):
+            simulate_all(replace(cfg, estimators=(later,)))
+        with pytest.raises(LinexError) as both:
+            simulate_all(replace(cfg, estimators=(first, later)))
+        assert type(both.value) is LinexError
+        assert str(both.value) == str(alone.value)
+
+    def test_an_earlier_overflow_is_raised_though_a_later_column_is_finite(self):
+        # every column's loss is checked, not only the last one's
+        cfg = config(reps=100)
+        with pytest.raises(LinexOverflowError) as alone:
+            simulate_risk(cfg, EstimatorSpec.shift(800.0))
+        with pytest.raises(LinexOverflowError) as both:
+            simulate_all(replace(cfg, estimators=(EstimatorSpec.shift(800.0), EstimatorSpec.n1())))
+        assert str(both.value) == str(alone.value)
+        assert "[Shift(d=800) rep=" in str(both.value)
+
+    def test_an_estimate_error_comes_after_the_columns_before_it(self):
+        # the Bayes column cannot be estimated at rho = 1, but the overflowing
+        # column before it is checked first
+        cfg = replace(config(rho=1.0, reps=100), estimators=(
+            EstimatorSpec.shift(800.0), EstimatorSpec.bayes(PriorSpec(0.0, 0.0, 1.0))))
+        with pytest.raises(LinexOverflowError):
+            simulate_all(cfg)
+        with pytest.raises(InvalidParameterError, match="nonsingular"):
+            simulate_all(replace(cfg, estimators=(EstimatorSpec.n1(), cfg.estimators[1])))
+
+    def test_four_improved_columns_build_one_band(self, monkeypatch):
+        from linexsel import oracles
+
+        cfg = replace(config(theta1=(1.0, 0.5), rho=0.5, reps=5000), estimators=tuple(
+            spec for _, spec in table_columns(1.0, 0.5, ("N1", "N2", "N3", "N4"), 1.0)))
+        expected = simulate_all(cfg)
+        band, calls = oracles.clip_band, []
+
+        def counted(*args):
+            calls.append(args)
+            return band(*args)
+
+        monkeypatch.setattr(risksim, "clip_band", counted)
+        monkeypatch.setattr(oracles, "clip_band", counted)
+        assert simulate_all(cfg) == expected
+        assert len(calls) == 1
+        # each column alone, building its own band, gives the bits it has beside the others
+        for spec in cfg.estimators:
+            assert simulate_risk(cfg, spec) == expected[spec.label], spec.label
+        assert len(calls) == 1 + 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_groups_of_different_widths_share_a_thread_workspace(self, monkeypatch, workers):
+        # groups of 1 (N1), 2 (N3 and its improved column) and 3 (the shifts)
+        # columns, one row a block at 20000 reps: one workspace a thread, its
+        # stack as wide as the widest group
+        n3 = EstimatorSpec.n3()
+        columns = (EstimatorSpec.n1(), EstimatorSpec.shift(0.0), EstimatorSpec.shift(-1.0),
+                   EstimatorSpec.shift(-2.0), n3, EstimatorSpec.improved(n3))
+        spec = TableSpec(table_id=0, a=A1, cov=CovarianceSpec.from_correlation(2.0, 2.0, 0.5),
+                         columns=tuple((e.label, e) for e in columns), rows=THETA_CONFIGS[:3])
+        serial = risk_grid(spec, reps=20000, master_seed=4, workers=1)
+        built = []
+        init = CellWorkspace.__init__
+
+        def recorded(self, rows, reps, columns):
+            init(self, rows, reps, columns)
+            built.append((threading.get_ident(), self.stack.shape))
+
+        monkeypatch.setattr(CellWorkspace, "__init__", recorded)
+        assert risk_grid(spec, reps=20000, master_seed=4, workers=workers) == serial
+        threads = [ident for ident, _ in built]
+        assert 1 <= len(threads) == len(set(threads)) <= workers
+        assert {shape for _, shape in built} == {(3, 1, 20000)}

@@ -38,8 +38,10 @@ def test_batch_summary_keeps_signed_zeros_at_ties():
     assert not np.signbit(t1[:5]).any()
     n = len(x1)
     full = select_batch(x1, y1, x2, y2)
-    lean = select_batch(x1, y1, x2, y2, (np.empty(n, bool), np.empty(n), np.empty(n), np.empty(n)),
-                        Workspace(n))
+    mask = np.empty(n, np.int64)
+    lean = select_batch(x1, y1, x2, y2, (mask, np.empty(n), np.empty(n), np.empty(n)), Workspace(n))
+    # the comparison's mask: at (+0.0, -0.0) the sign of x2 - x1 would pick population 1
+    assert mask.tolist() == (-sel1.astype(np.int64)).tolist()
     for s in (full, lean):
         assert s.t1.tobytes() == t1.tobytes()
         assert s.y_sel.tobytes() == y_sel.tobytes()
