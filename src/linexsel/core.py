@@ -7,11 +7,13 @@ LINEX loss, the standard normal cdf (erfc for floats, a rational
 approximation for arrays) and its log (the admissibility bounds and the
 hybrid log-estimator take logs of Phi, so both need to be accurate in the
 tails), a stable log-sum-exp, counter-based random streams for reproducible
-simulation, and the `Workspace` that batch kernels borrow their temporaries
-from instead of allocating them. numpy is the only dependency, and only the
-array kernels import it, on first use: the scalar API runs without loading
-it. This is the one package module that `cli` imports when it loads, so
-every subcommand's start compiles it.
+simulation, and the bit blend that array kernels select with. An array
+kernel writes its result into `out` if given and takes its temporaries from
+its own ufuncs; which arrays outlive a call is the caller's to decide.
+numpy is the only dependency, and only the array kernels import it, on
+first use: the scalar API runs without loading it. This is the one package
+module that `cli` imports when it loads, so every subcommand's start
+compiles it.
 """
 
 from __future__ import annotations
@@ -269,9 +271,7 @@ def std_normal_cdf(u: float) -> float:
     return 0.5 * math.erfc(-u / _SQRT2)
 
 
-def std_normal_cdf_batch(
-    u: np.ndarray, out: Optional[np.ndarray] = None, work: Optional["Workspace"] = None
-) -> np.ndarray:
+def std_normal_cdf_batch(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Phi(u) over an array of u <= 0 (the batch N3 kernel's t1 is never positive).
 
     A Cody-style rational approximation: exp(-u^2/2) P(-u) / Q(-u) with one
@@ -279,30 +279,28 @@ def std_normal_cdf_batch(
     where Phi(-t) is nonzero, so no branch is needed. Relative error within
     about 4 ulp plus the u^2/4 ulp that rounding u^2 passes through exp;
     about 1 subnormal ulp absolute where Phi is subnormal, and 0 below about
-    -38.5. Not defined for u > 0. Writes into `out` if given and borrows
-    its two temporaries from `work` if given.
+    -38.5. Not defined for u > 0. Writes into `out` if given.
     """
     import numpy as np
 
-    with borrow(work, floats=2) as (t, acc):
-        t = np.negative(u, out=t)
-        # beyond _CDF_T_MAX Phi(-t) is 0 all the same; the clip keeps t*t, P and Q
-        # finite for any u, -inf included
-        np.minimum(t, _CDF_T_MAX, out=t)
-        out = np.multiply(t, t, out=out)
-        out *= -0.5
-        np.exp(out, out=out)
-        acc = np.multiply(_CDF_P[-1], t, out=acc)
-        acc += _CDF_P[-2]
-        for c in _CDF_P[-3::-1]:
-            acc *= t
-            acc += c
-        out *= acc
-        acc = np.add(t, _CDF_Q[-2], out=acc)
-        for c in _CDF_Q[-3::-1]:
-            acc *= t
-            acc += c
-        out /= acc
+    t = np.negative(u)
+    # beyond _CDF_T_MAX Phi(-t) is 0 all the same; the clip keeps t*t, P and Q
+    # finite for any u, -inf included
+    np.minimum(t, _CDF_T_MAX, out=t)
+    out = np.multiply(t, t, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    acc = np.multiply(_CDF_P[-1], t)
+    acc += _CDF_P[-2]
+    for c in _CDF_P[-3::-1]:
+        acc *= t
+        acc += c
+    out *= acc
+    np.add(t, _CDF_Q[-2], out=acc)
+    for c in _CDF_Q[-3::-1]:
+        acc *= t
+        acc += c
+    out /= acc
     return out
 
 
@@ -360,7 +358,6 @@ def linex_loss(
     params: LinexParams,
     context: str | Sequence[str] = "",
     out: Optional[np.ndarray] = None,
-    work: Optional["Workspace"] = None,
     faults: Optional[list] = None,
 ):
     """LINEX loss exp(a*(delta-theta)) - a*(delta-theta) - 1, over floats or arrays.
@@ -369,15 +366,14 @@ def linex_loss(
     silently it raises LinexOverflowError when the largest exponent would
     overflow exp() or is NaN, and InvalidParameterError when an exponent is
     -inf; both name the offending rep. `context` only labels the message.
-    Writes into `out` if given (which may be `delta` itself) and borrows the
-    array for exp() from `work`, a workspace of the loss's shape, if given.
+    Writes into `out` if given (which may be `delta` itself).
 
     Given a list `faults`, `out` is a stack of columns along its first axis,
     `context` holds one label a column, and each column is checked as if
     alone: its error, or None, is appended to `faults` instead of raised, so
     a caller that checks its columns in turn raises each in its turn. The
     exponent and its largest and least values take one pass each over the
-    whole stack, the loss one pass per column, with `work` of a column's shape.
+    whole stack, the loss one pass per column.
     """
     import numpy as np
 
@@ -403,10 +399,10 @@ def linex_loss(
     if raising and faults[0] is not None:
         raise faults[0]
     # a faulty column's loss is never read, so its overflow goes unreported
-    with np.errstate(over="ignore", invalid="ignore"), borrow(work, floats=1) as (expm1,):
+    with np.errstate(over="ignore", invalid="ignore"):
         for j in range(len(z)):
             column = z[j, ...]  # a view, even of a column that is one number
-            np.subtract(np.expm1(column, out=expm1), column, out=column)
+            np.subtract(np.expm1(column), column, out=column)
     return out if out.ndim else out[()]
 
 
@@ -442,7 +438,6 @@ def sample_block(
     rngs: Sequence[np.random.Generator],
     n: int,
     out: Optional[np.ndarray] = None,
-    work: Optional["Workspace"] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`sample_batch` for k rows at once: row i draws from `rngs[i]` at `means[i]`.
 
@@ -450,8 +445,7 @@ def sample_block(
     factor from CovarianceSpec.cholesky_factors(). Stream layout v1: each
     row's generator fills row i of `out`, a (k, 4, n) array, with one draw
     of standard_normal((4, n)) read row-major; the four arrays are views of
-    `out`, transformed in place for all rows at once, with one temporary
-    borrowed from `work`, a workspace of shape (k, n), if given. Each y is theta_y + l_yx*x + l_yy*y with
+    `out`, transformed in place for all rows at once. Each y is theta_y + l_yx*x + l_yy*y with
     its sums and products only commuted, never regrouped, so the bits match
     the out-of-place formula.
 
@@ -470,8 +464,6 @@ def sample_block(
     k = len(means)
     if out is None:
         out = np.empty((k, 4, n))
-    elif out.shape != (k, 4, n):
-        raise InvalidParameterError(f"out must have shape ({k}, 4, {n}), got {out.shape}")
     affine = l_yy == 0.0 and not any(
         theta_y == 0.0 and math.copysign(1.0, theta_y) < 0.0
         for m in means for theta_y in (m.theta1[1], m.theta2[1])
@@ -479,72 +471,21 @@ def sample_block(
     for row, rng in zip(out, rngs):
         rng.standard_normal(out=row[:3] if affine else row)
     x1, y1, x2, y2 = out.transpose(1, 0, 2)
-    with borrow(work, floats=1) as (t,):
-        for x, y, pop in ((x1, y1, 0), (x2, y2, 1)):
-            # one mean per row, broadcast along the draws
-            theta_x, theta_y = np.array([m.theta2 if pop else m.theta1 for m in means]).T[:, :, None]
-            if affine:
-                np.multiply(l_yx, x, out=y)
-                y += theta_y
-            else:
-                y *= l_yy
-                t = np.multiply(l_yx, x, out=t)  # before x is overwritten
-                t += theta_y
-                y += t
-            x *= l_xx
-            x += theta_x
-    return x1, y1, x2, y2
-
-
-class Workspace:
-    """Arrays of one shape that batch kernels borrow instead of allocating.
-
-    A kernel given a workspace as `work` takes its temporaries from here
-    through `borrow` and hands them back before it returns, so a caller that
-    runs batch after batch of n draws (or of k rows of n draws, with shape
-    (k, n)) through one workspace allocates nothing per batch. Kernels
-    calling kernels borrow further arrays; a workspace grows to the most any
-    call needs at once. Not for sharing between threads.
-    """
-
-    def __init__(self, shape: int | tuple[int, ...]):
-        self.shape = shape
-        self._floats: list[np.ndarray] = []
-        self._masks: list[np.ndarray] = []
-
-
-def _empty(shape: int | tuple[int, ...], dtype: type) -> np.ndarray:
-    # only a workspace's first loans allocate, so only they import numpy
-    import numpy as np
-
-    return np.empty(shape, dtype)
-
-
-class borrow:
-    """`floats` float arrays, then `masks` bool arrays, lent by `work` until the `with` block ends.
-
-    As many Nones when `work` is None: a kernel passes each borrowed array as
-    a ufunc's `out`, so without a workspace the ufunc allocates, as it would have anyway.
-    """
-
-    __slots__ = ("work", "lent", "floats")
-
-    def __init__(self, work: Optional[Workspace], floats: int = 0, masks: int = 0):
-        self.work, self.floats = work, floats
-        if work is None:
-            self.lent = [None] * (floats + masks)
+    t = None
+    for x, y, pop in ((x1, y1, 0), (x2, y2, 1)):
+        # one mean per row, broadcast along the draws
+        theta_x, theta_y = np.array([m.theta2 if pop else m.theta1 for m in means]).T[:, :, None]
+        if affine:
+            np.multiply(l_yx, x, out=y)
+            y += theta_y
         else:
-            f, m = work._floats, work._masks
-            self.lent = [f.pop() if f else _empty(work.shape, float) for _ in range(floats)]
-            self.lent += [m.pop() if m else _empty(work.shape, bool) for _ in range(masks)]
-
-    def __enter__(self) -> list:
-        return self.lent
-
-    def __exit__(self, *exc) -> None:
-        if self.work is not None:
-            self.work._floats += self.lent[: self.floats]
-            self.work._masks += self.lent[self.floats :]
+            y *= l_yy
+            t = np.multiply(l_yx, x, out=t)  # before x is overwritten
+            t += theta_y
+            y += t
+        x *= l_xx
+        x += theta_x
+    return x1, y1, x2, y2
 
 
 def _bits(v) -> np.ndarray | np.int64:
@@ -557,21 +498,16 @@ def _bits(v) -> np.ndarray | np.int64:
     return np.float64(v).view(np.int64)
 
 
-def blend(
-    cond: np.ndarray, a, b, out: Optional[np.ndarray] = None, work: Optional[Workspace] = None
-) -> np.ndarray:
+def blend(cond: np.ndarray, a, b, out: Optional[np.ndarray] = None) -> np.ndarray:
     """np.where(cond, a, b) bit for bit, written into `out` if given; `a` and `b` are floats or float arrays.
 
     It blends bit patterns, b ^ ((a ^ b) & -cond), rather than branch on each
     element: where cond is a coin toss, np.where and masked copies run 5-10x
-    slower on mispredicted branches. `out` must not be `b`. Borrows the
-    mask's array from `work` if given.
+    slower on mispredicted branches. `out` must not be `b`.
     """
     import numpy as np
 
-    with borrow(work, floats=1) as (buf,):
-        mask = np.negative(cond.view(np.int8), out=None if buf is None else buf.view(np.int64))
-        return mask_blend(mask, a, b, out)
+    return mask_blend(np.negative(cond.view(np.int8)), a, b, out)
 
 
 def mask_blend(mask: np.ndarray, a, b, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -22,9 +22,7 @@ from .core import (
     LinexParams,
     Record,
     SingularCovarianceError,
-    Workspace,
     blend,
-    borrow,
     log_std_normal_cdf,
     log_std_normal_cdf_tail,
     log_sum_exp,
@@ -147,40 +145,35 @@ def n3_offset(t1: float, t2: float, a: LinexParams, cov: CovarianceSpec) -> floa
 
 
 def n3_offset_batch(
-    t1, t2, a: LinexParams, cov: CovarianceSpec,
-    out: Optional[np.ndarray] = None, work: Optional[Workspace] = None,
+    t1, t2, a: LinexParams, cov: CovarianceSpec, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """`n3_offset` over arrays; the log switch becomes a mask.
-
-    Writes into `out` if given and borrows its temporaries from `work` if given.
-    """
+    """`n3_offset` over arrays; the log switch becomes a mask. Writes into `out` if given."""
     import numpy as np
 
-    with borrow(work, floats=2, masks=2) as (u, p, big, small):
-        u = np.divide(t1, math.sqrt(2.0 * cov.sigma_xx), out=u)
-        p = std_normal_cdf_batch(u, out=p, work=work)
-        with np.errstate(over="ignore"):  # +-inf takes the branch the float form takes
-            z = out = np.multiply(a.a, t2, out=out)
-        big = np.greater(z, N3_LOG_SWITCH, out=big)
-        any_big = big.any()
-        # out holds z until the small branch overwrites it there
-        small = np.logical_not(big, out=small) if any_big else True
-        np.expm1(z, out=out, where=small)
-        np.multiply(out, p, out=out, where=small)
-        np.log1p(out, out=out, where=small)
-        np.divide(out, a.a, out=out, where=small)
-        if any_big:
-            pb, zb = p[big], z[big]
-            inner = pb + (1.0 - pb) * np.exp(-zb)
-            with np.errstate(divide="ignore"):
-                log_inner = np.log(inner)
-            # inner is 0 only where Phi(u) underflowed, i.e. in the tail
-            under = inner == 0
-            if under.any():
-                log_inner[under] = np.logaddexp(
-                    log_std_normal_cdf_tail(u[big][under]), np.log1p(-pb[under]) - zb[under]
-                )
-            out[big] = t2[big] + log_inner / a.a
+    u = np.divide(t1, math.sqrt(2.0 * cov.sigma_xx))
+    p = std_normal_cdf_batch(u)
+    with np.errstate(over="ignore"):  # +-inf takes the branch the float form takes
+        z = out = np.multiply(a.a, t2, out=out)
+    big = np.greater(z, N3_LOG_SWITCH)
+    any_big = big.any()
+    # out holds z until the small branch overwrites it there
+    small = np.logical_not(big) if any_big else True
+    np.expm1(z, out=out, where=small)
+    np.multiply(out, p, out=out, where=small)
+    np.log1p(out, out=out, where=small)
+    np.divide(out, a.a, out=out, where=small)
+    if any_big:
+        pb, zb = p[big], z[big]
+        inner = pb + (1.0 - pb) * np.exp(-zb)
+        with np.errstate(divide="ignore"):
+            log_inner = np.log(inner)
+        # inner is 0 only where Phi(u) underflowed, i.e. in the tail
+        under = inner == 0
+        if under.any():
+            log_inner[under] = np.logaddexp(
+                log_std_normal_cdf_tail(u[big][under]), np.log1p(-pb[under]) - zb[under]
+            )
+        out[big] = t2[big] + log_inner / a.a
     return out
 
 
@@ -214,25 +207,24 @@ def base_phi(
 
 def base_phi_batch(
     spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec,
-    out: Optional[np.ndarray] = None, work: Optional[Workspace] = None,
+    out: Optional[np.ndarray] = None,
 ) -> float | np.ndarray:
     """`base_phi` over a `select_batch` summary; N4's window becomes a mask.
 
     N1's and N2's components are constants and come back as `base_phi`'s
     float, which ufuncs broadcast. N3's and N4's are written into `out` if
-    given, with temporaries borrowed from `work` if given.
+    given.
     """
     if spec.kind in ("N1", "N2"):
         return base_phi(spec, s, a, cov)
     if spec.kind == "N3":
-        return n3_offset_batch(s.t1, s.t2, a, cov, out, work)
+        return n3_offset_batch(s.t1, s.t2, a, cov, out)
     if spec.kind == "N4":
         import numpy as np
 
-        with borrow(work, masks=1) as (inside,):
-            inside = np.greater(s.t1, _n4_cut(spec.c, cov), out=inside)
-            half = np.multiply(s.t2, 0.5, out=out)  # t2 / 2 bit for bit, at a third of the cost
-            return blend(inside, half, 0.0, half, work)
+        inside = np.greater(s.t1, _n4_cut(spec.c, cov))
+        half = np.multiply(s.t2, 0.5, out=out)  # t2 / 2 bit for bit, at a third of the cost
+        return blend(inside, half, 0.0, half)
     raise InvalidParameterError(
         f"no equivariant component for kind {spec.kind!r}; only N1..N4 have one"
     )
@@ -289,8 +281,7 @@ def evaluate(
 
 def evaluate_batch(
     spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec,
-    phi: float | np.ndarray | None = None,
-    out: Optional[np.ndarray] = None, work: Optional[Workspace] = None,
+    phi: float | np.ndarray | None = None, out: Optional[np.ndarray] = None,
     band: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """`evaluate` over a `select_batch` summary: one estimate per draw.
@@ -298,9 +289,8 @@ def evaluate_batch(
     `phi` is the component `base_phi_batch` gives the spec (an improved
     spec's base) on these draws, and `band` the clip band `clip_band` gives
     an improved spec on them, when the caller already has them; otherwise
-    they are computed here. Writes into `out` if given and borrows its
-    temporaries from `work` if given; Bayes, in no published table, allocates
-    and needs the summary's x_max set.
+    they are computed here. Writes into `out` if given; Bayes, in no
+    published table, allocates and needs the summary's x_max set.
     """
     import numpy as np
 
@@ -313,10 +303,7 @@ def evaluate_batch(
             )
         return est_bayes(s, spec.prior, a, cov)
     if phi is None:
-        base = spec.base if spec.kind == "Improved" else spec
-        with borrow(work, floats=1) as (buf,):
-            phi = base_phi_batch(base, s, a, cov, buf, work)
-            return evaluate_batch(spec, s, a, cov, phi, out, work, band)
+        phi = base_phi_batch(spec.base if spec.kind == "Improved" else spec, s, a, cov)
     if spec.kind == "Improved":
-        return improve_batch(s, a, cov, phi, out, work, band)
+        return improve_batch(s, a, cov, phi, out, band)
     return np.add(s.y_sel, phi, out=out)

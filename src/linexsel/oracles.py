@@ -20,7 +20,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from .core import CovarianceSpec, InvalidParameterError, LinexParams, Workspace, blend, borrow
+from .core import CovarianceSpec, InvalidParameterError, LinexParams, blend
 from .selection import SelectionSummary
 
 if TYPE_CHECKING:
@@ -31,14 +31,13 @@ TRUNCATED_LO = "clipped_to_phi_inf"
 TRUNCATED_HI = "clipped_to_phi_sup"
 
 
-def clip_band(t1, t2, a: LinexParams, cov: CovarianceSpec, out=None, work=None):
+def clip_band(t1, t2, a: LinexParams, cov: CovarianceSpec, out=None):
     """The clip value t2/2 - a*sigma_yy/4 and the condition sets of the band.
 
     Returns (value, lo_set, hi_set): phi_inf equals value on lo_set and
     phi_sup equals value on hi_set; the two sets are disjoint. Floats give
     floats; arrays give arrays, written into `out` = (value, lo_set, hi_set),
-    a float and two bool arrays, if given, with one temporary borrowed from
-    `work` if given.
+    a float and two bool arrays, if given.
     """
     rho, xi = cov.rho, cov.xi
     shift = a.a * cov.sigma_yy / 4.0
@@ -52,19 +51,18 @@ def clip_band(t1, t2, a: LinexParams, cov: CovarianceSpec, out=None, work=None):
         gap = t2 - xi * rho * t1
         return value, (side < 0) & (gap < margin), (side > 0) & (gap > margin)
     value, lo, hi = (None,) * 3 if out is None else out
-    with borrow(work, floats=1, masks=1) as (tmp, cond):
-        # side = t1*xi - rho*t2, with value holding rho*t2 for the moment
-        value = np.multiply(rho, t2, out=value)
-        side = tmp = np.multiply(t1, xi, out=tmp)
-        side -= value
-        lo = np.less(side, 0, out=lo)
-        hi = np.greater(side, 0, out=hi)
-        gap = np.multiply(xi * rho, t1, out=tmp)
-        np.subtract(t2, gap, out=gap)
-        cond = np.less(gap, margin, out=cond)
-        lo &= cond
-        np.greater(gap, margin, out=cond)
-        hi &= cond
+    # side = t1*xi - rho*t2, with value holding rho*t2 for the moment
+    value = np.multiply(rho, t2, out=value)
+    side = np.multiply(t1, xi)
+    side -= value
+    lo = np.less(side, 0, out=lo)
+    hi = np.greater(side, 0, out=hi)
+    gap = np.multiply(xi * rho, t1, out=side)
+    np.subtract(t2, gap, out=gap)
+    cond = np.less(gap, margin)
+    lo &= cond
+    np.greater(gap, margin, out=cond)
+    hi &= cond
     np.multiply(t2, 0.5, out=value)  # t2 / 2 bit for bit, at a third of the cost
     value -= shift
     return value, lo, hi
@@ -107,7 +105,6 @@ def improve_batch(
     cov: CovarianceSpec,
     phi: float | np.ndarray,
     out: Optional[np.ndarray] = None,
-    work: Optional[Workspace] = None,
     band: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """The clipped estimate Y_[2] + clip_component(phi, ...) over a `select_batch` summary.
@@ -116,23 +113,18 @@ def improve_batch(
     draws, which a sweep has already computed for the base column; it must
     not be `out`. `band` is `clip_band`'s (value, lo_set, hi_set) on these
     draws, left as it is, when the caller has it; otherwise it is built here.
-    Writes into `out` if given and borrows its temporaries from `work` if given.
+    Writes into `out` if given.
     """
     import numpy as np
 
-    if band is None:
-        with borrow(work, floats=1, masks=2) as held:
-            band = clip_band(s.t1, s.t2, a, cov, held, work)
-            return improve_batch(s, a, cov, phi, out, work, band)
-    value, lo_set, hi_set = band
-    with borrow(work, masks=2) as (hi_clip, clip):
-        # the two sets are disjoint and both clip to value, so one blend serves both
-        hi_clip = np.greater_equal(phi, value, out=hi_clip)
-        hi_clip &= hi_set
-        clip = np.less_equal(phi, value, out=clip)
-        clip &= lo_set
-        clip |= hi_clip
-        out = blend(clip, value, phi, out, work)
+    value, lo_set, hi_set = clip_band(s.t1, s.t2, a, cov) if band is None else band
+    # the two sets are disjoint and both clip to value, so one blend serves both
+    hi_clip = np.greater_equal(phi, value)
+    hi_clip &= hi_set
+    clip = np.less_equal(phi, value)
+    clip &= lo_set
+    clip |= hi_clip
+    out = blend(clip, value, phi, out)
     return np.add(s.y_sel, out, out=out)
 
 

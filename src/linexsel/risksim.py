@@ -18,10 +18,11 @@ and both reductions over a (columns, k, reps) stack of the columns'
 estimates, checked afterwards column by column in the order a column-by-
 column run raises. k keeps all threads' blocks within _BLOCK_REP_CELLS
 rep-cells, so the 20000-rep tables run one row at a time. The runner gives
-each thread one reused `CellWorkspace`, refuses with a MemoryError, before
-building any, a run whose workspaces would exceed physical memory, and
-reruns the cells one by one, in stream-key order, where a block meets an
-error.
+each thread one reused `CellWorkspace`, which holds every array that lives
+through a block (the kernels allocate only their short-lived temporaries),
+refuses with a MemoryError, before building any, a run whose blocks would
+exceed physical memory, and reruns the cells one by one, in stream-key
+order, where a block meets an error.
 
 The calling thread and up to workers - 1 helpers take the blocks from one
 iterator, draw them at once, numpy sampling with the GIL released, and
@@ -38,7 +39,6 @@ import io
 import math
 import os
 import threading
-from contextlib import ExitStack
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .core import (
@@ -48,8 +48,6 @@ from .core import (
     LinexParams,
     MeanVectorPair,
     Record,
-    Workspace,
-    borrow,
     linex_loss,
     mask_blend,
     nonnegative_int,
@@ -116,34 +114,39 @@ class RiskEstimate(Record):
         self.__dict__.update(mean_risk=mean_risk, std_error=std_error)
 
 
-class CellWorkspace(Workspace):
-    """The arrays of blocks of `rows` risk cells of `reps` draws, reused block after block.
+class CellWorkspace:
+    """The arrays that live through a block of `rows` cells of `reps` draws, reused block by block.
 
-    Beyond the kernels' scratch it holds the (rows, 4, reps) draw block, what
-    lives through a block, each of shape (rows, reps): y_sel, t1, t2, the
-    realized theta_y^S and the base phi (N3's or N4's; N1's and N2's are
-    floats), and the (columns, rows, reps) column stack, where each column's
-    estimate becomes its loss and then its loss's squared deviation. One
-    thread's alone; dropped when the call that made it returns, or when a
-    block of another height comes.
+    The (rows, 4, reps) draw block; each of shape (rows, reps), the int64
+    selection mask, y_sel, t1, t2, the realized theta_y^S, the base phi
+    (N3's or N4's; N1's and N2's are floats) and the clip band's (value,
+    lo_set, hi_set); and the (columns, rows, reps) column stack, where each
+    column's estimate becomes its loss and then its loss's squared deviation.
+    The kernels' own temporaries are allocated call by call. One thread's
+    alone; dropped when the call that made it returns, or when a block of
+    another height comes.
     """
 
-    #: what one grows to per rep of one row in a published or CLI grid, beside
-    #: the column stack's 8 bytes a column, rounded up: 14 float arrays (the draw
-    #: block's four rows, five vectors, five borrowed) and four bool masks
-    BYTES_PER_REP = 15 * 8
+    #: what a block takes at its peak per rep of one row, beside the column
+    #: stack's 8 bytes a column, rounded up to whole doubles: the workspace's
+    #: 90 (the draw block's four rows, the mask, five vectors, the band's value
+    #: and its two bool sets) and the kernels' temporaries at their peak, at
+    #: most 34 in a traced sweep of the published and CLI grids (N3 holds u,
+    #: Phi and Phi's two at once)
+    BYTES_PER_REP = 16 * 8
 
     def __init__(self, rows: int, reps: int, columns: int):
         import numpy as np
 
-        super().__init__((rows, reps))
         self.draws = np.empty((rows, 4, reps))
+        self.mask = np.empty((rows, reps), np.int64)
         self.y_sel, self.t1, self.t2, self.theta_sel, self.phi = (np.empty((rows, reps)) for _ in range(5))
+        self.band = (np.empty((rows, reps)), np.empty((rows, reps), bool), np.empty((rows, reps), bool))
         self.stack = np.empty((columns, rows, reps))
 
     @classmethod
     def size(cls, rows: int, reps: int, columns: int) -> int:
-        """The bytes a workspace of blocks of `rows` cells of `columns` columns grows to, at most."""
+        """The bytes a thread's block of `rows` cells of `columns` columns takes at its peak, at most."""
         return rows * reps * (cls.BYTES_PER_REP + 8 * columns)
 
 
@@ -184,36 +187,33 @@ def _block_losses(
     config, specs = block[0].config, block[0].specs
     means = [cell.config.means for cell in block]
     x1, y1, x2, y2 = draws
-    with borrow(ws, floats=1) as (mask,):
-        mask = mask.view(np.int64)
-        s = select_batch(x1, y1, x2, y2, (mask, ws.y_sel, ws.t1, ws.t2), ws)
-        # each row's theta_y of the two populations, broadcast along the draws
-        theta1_y, theta2_y = np.array([(m.theta1[1], m.theta2[1]) for m in means]).T[:, :, None]
-        theta_sel = mask_blend(mask, theta1_y, theta2_y, ws.theta_sel)
+    s = select_batch(x1, y1, x2, y2, (ws.mask, ws.y_sel, ws.t1, ws.t2))
+    # each row's theta_y of the two populations, broadcast along the draws
+    theta1_y, theta2_y = np.array([(m.theta1[1], m.theta2[1]) for m in means]).T[:, :, None]
+    theta_sel = mask_blend(ws.mask, theta1_y, theta2_y, ws.theta_sel)
     a, cov = config.a, config.cov
     stack, stopped = ws.stack[: len(specs)], []
     held = phi = band = None
-    with ExitStack() as loans:
-        try:
-            for j, spec in enumerate(specs):
-                if spec.kind == "Bayes" and s.x_max is None:
-                    # only Bayes reads x_max, so only a Bayes column builds it
-                    s = replace(s, x_max=np.maximum(x1, x2))
-                # a base and its improved column share the draws, so they share one phi
-                base = spec.base if spec.kind == "Improved" else spec
-                if base != held and base.kind in BASE_KINDS:
-                    held, phi = base, base_phi_batch(base, s, a, cov, ws.phi, ws)
-                if spec.kind == "Improved" and band is None:
-                    # every improved column clips into the one band: built at the first, lent to the last
-                    band = clip_band(s.t1, s.t2, a, cov, loans.enter_context(borrow(ws, floats=1, masks=2)), ws)
-                out = stack[j]
-                estimate = evaluate_batch(spec, s, a, cov, phi if base == held else None, out, ws, band)
-                if estimate is not out:  # Bayes allocates its own
-                    out[...] = estimate
-        except Exception as exc:  # raised once the columns before it are checked
-            stack, stopped = stack[:j], [exc]
+    try:
+        for j, spec in enumerate(specs):
+            if spec.kind == "Bayes" and s.x_max is None:
+                # only Bayes reads x_max, so only a Bayes column builds it
+                s = replace(s, x_max=np.maximum(x1, x2))
+            # a base and its improved column share the draws, so they share one phi
+            base = spec.base if spec.kind == "Improved" else spec
+            if base != held and base.kind in BASE_KINDS:
+                held, phi = base, base_phi_batch(base, s, a, cov, ws.phi)
+            if spec.kind == "Improved" and band is None:
+                # every improved column clips into the one band, built at the first
+                band = clip_band(s.t1, s.t2, a, cov, ws.band)
+            out = stack[j]
+            estimate = evaluate_batch(spec, s, a, cov, phi if base == held else None, out, band)
+            if estimate is not out:  # Bayes allocates its own
+                out[...] = estimate
+    except Exception as exc:  # raised once the columns before it are checked
+        stack, stopped = stack[:j], [exc]
     faults: list[Optional[Exception]] = []
-    linex_loss(stack, theta_sel, a, block[0].names, stack, ws, faults)
+    linex_loss(stack, theta_sel, a, block[0].names, stack, faults)
     return stack, faults + stopped
 
 
@@ -320,12 +320,12 @@ def _run_cells(
         ws = None
         try:
             for i, block in todo:
-                if ws is None or ws.shape[0] != len(block):
+                if ws is None or len(ws.draws) != len(block):
                     ws = draws = None  # the old one goes before the new one is built
                     ws = CellWorkspace(len(block), reps, columns)
                 rngs = [rng_stream(cell.config.master_seed, *cell.stream_key) for cell in block]
                 means = [cell.config.means for cell in block]
-                draws = sample_block(means, block[0].config.cov, rngs, reps, ws.draws, ws)
+                draws = sample_block(means, block[0].config.cov, rngs, reps, ws.draws)
                 # held here, not in the generator: one suspended in a traceback would keep it
                 with turn:
                     results[i] = reduce(*_block_losses(block, ws, draws), block)

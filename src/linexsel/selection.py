@@ -9,9 +9,8 @@ pair (`select`) or for arrays of draws (`select_batch`).
 from __future__ import annotations
 
 import math
-from typing import Optional
 
-from .core import InvalidParameterError, ObservationPair, Record, Workspace, borrow
+from .core import InvalidParameterError, ObservationPair, Record
 
 
 class SelectionSummary(Record):
@@ -50,7 +49,7 @@ def select(obs: ObservationPair) -> SelectionSummary:
     return SelectionSummary(selected, x_max, x_min, y_sel, y_other, t1, t2)
 
 
-def select_batch(x1, y1, x2, y2, out=None, work: Optional[Workspace] = None) -> SelectionSummary:
+def select_batch(x1, y1, x2, y2, out=None) -> SelectionSummary:
     """`select` over arrays of draws; the tie rule becomes the mask -(x1 > x2).
 
     Builds the mask, an int64 array with all bits set where population 1 is
@@ -58,17 +57,15 @@ def select_batch(x1, y1, x2, y2, out=None, work: Optional[Workspace] = None) -> 
     and leaves selected, x_max, x_min and y_other None. Both concomitants
     come from one blend of bits: with d = (y1 ^ y2) & mask, y_sel = y2 ^ d and
     y_other = y1 ^ d. With `out` = (mask, y_sel, t1, t2), an int64 array and
-    three float arrays, they are written there. Borrows its temporary from
-    `work` if given.
+    three float arrays, they are written there.
     """
     import numpy as np
 
     mask, y_sel, t1, t2 = (None,) * 4 if out is None else out
     shape = np.shape(x1)
-    with borrow(work, masks=1) as (sel1,):
-        # the comparison itself: the sign of x2 - x1 would pick population 1 at (+0.0, -0.0)
-        sel1 = np.greater(x1, x2, out=sel1)
-        mask = np.negative(sel1.view(np.int8), out=np.empty(shape, np.int64) if mask is None else mask)
+    # the comparison itself: the sign of x2 - x1 would pick population 1 at (+0.0, -0.0)
+    sel1 = np.greater(x1, x2)
+    mask = np.negative(sel1.view(np.int8), out=np.empty(shape, np.int64) if mask is None else mask)
     y1_bits, y2_bits = y1.view(np.int64), y2.view(np.int64)
     y_sel = np.empty(shape) if y_sel is None else y_sel
     d = np.bitwise_xor(y1_bits, y2_bits, out=y_sel.view(np.int64))

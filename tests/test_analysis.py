@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from linexsel import (
@@ -35,7 +37,7 @@ class TestLoadDataset:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
-        with pytest.raises(DatasetError, match="empty"):
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(p))}: empty file$"):
             load_dataset(str(p))
 
     def test_malformed_row_reports_line(self, tmp_path):
@@ -53,8 +55,23 @@ class TestLoadDataset:
     def test_unequal_sizes_report_counts(self, tmp_path):
         p = tmp_path / "uneq.csv"
         p.write_text("group,weight,cholesterol\na,1,2\na,2,3\nb,1,2\n")
-        with pytest.raises(DatasetError, match="a=2, b=1"):
+        message = ": groups must have equal sizes for the pooled covariance, got a=2, b=1$"
+        with pytest.raises(DatasetError, match=message):
             load_dataset(str(p))
+
+    @pytest.mark.parametrize("text, message", [
+        ("grp,weight,cholesterol\na,1,2\n",
+         r": expected header 'group,weight,cholesterol', got 'grp,weight,cholesterol'$"),
+        ("group,weight,cholesterol\na,1,2\nb,1\n", r":3: expected 3 fields, got 2$"),
+        ("group,weight,cholesterol\na,1,2\nb,1,2\nc,1,2\n",
+         r": expected exactly 2 groups, found 3: \['a', 'b', 'c'\]$"),
+    ], ids=["header", "fields", "third_group"])
+    def test_refusals_name_the_file_and_the_fault(self, tmp_path, text, message):
+        p = tmp_path / "data.csv"
+        p.write_text(text)
+        with pytest.raises(DatasetError, match=message) as refused:
+            load_dataset(str(p))
+        assert str(refused.value).startswith(str(p))
 
 
 class TestFit:
@@ -97,7 +114,14 @@ class TestFit:
     def test_zero_variance_rejected(self):
         flat = tuple((1.0, float(k)) for k in range(5))
         data = GroupedDataset(group1=flat, group2=flat, labels=("a", "b"))
-        with pytest.raises(DatasetError, match="variance"):
+        message = "^zero variance in a column; covariance model is degenerate$"
+        with pytest.raises(DatasetError, match=message):
+            fit(data)
+
+    def test_group_of_one_rejected(self):
+        data = GroupedDataset(group1=((1.0, 2.0),), group2=((1.0, 2.0), (2.0, 3.0)),
+                              labels=("a", "b"))
+        with pytest.raises(DatasetError, match="^each group needs at least 2 observations$"):
             fit(data)
 
 

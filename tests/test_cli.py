@@ -113,6 +113,18 @@ class TestEstimate:
         assert code == 2
         assert "a must be nonzero" in err
 
+    @pytest.mark.parametrize("x, message", [
+        ("0,1,2", "error: --x expects 2 comma-separated numbers, got '0,1,2'\n"),
+        ("0,one", "error: --x: could not parse '0,one' as numbers\n"),
+    ])
+    def test_malformed_numbers_rejected(self, capsys, tmp_path, x, message):
+        code, out, err = run(
+            capsys, "estimate", "--x", x, "--y", "0,1", "--cov", "1,0,1", "--a", "1",
+            "--out", str(tmp_path),
+        )
+        assert (code, out, err) == (2, "", message)
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_covariance_rejected(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "estimate", "--x", "0,1", "--y", "0,1",
@@ -427,6 +439,13 @@ class TestSimulate:
         )
         assert code == 2
         assert "reps" in err
+
+    @pytest.mark.parametrize("flags", [(), ("--cov", "1,0,1"), ("--a", "1")])
+    def test_custom_grid_needs_cov_and_a(self, capsys, tmp_path, flags):
+        code, out, err = run(capsys, "simulate", *flags, "--reps", "10", "--out", str(tmp_path))
+        message = "error: custom grids need --cov and --a (or use --table)\n"
+        assert (code, out, err) == (2, "", message)
+        assert list(tmp_path.iterdir()) == []
 
     def test_custom_grid(self, capsys, tmp_path):
         code, _, _ = run(
@@ -788,8 +807,10 @@ def test_runs_without_scipy(tmp_path):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
 def test_program_keeps_its_heap(tmp_path):
     # each sweep thread reuses one workspace, so the pages of a 20000-rep cell
-    # are faulted in once per sweep (~1.8k minor faults for table 7) rather than
-    # once per cell (~24k, where glibc trims every cell's freed arrays away)
+    # are faulted in once per sweep rather than once per cell (~24k minor faults
+    # for table 7, where glibc trims every cell's freed arrays away); the
+    # kernels' short-lived temporaries, allocated call by call, bring the
+    # sweep's own to ~3.4k, from ~2.1k while a workspace lent them
     probe = (
         "import resource, sys\n"
         "import linexsel.cli\n"
@@ -811,7 +832,8 @@ def test_program_keeps_its_heap(tmp_path):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_library_sweep_keeps_its_heap(workers):
     # a library caller's fresh interpreter, with glibc's default thresholds and
-    # no program entry point: ~0.9k minor faults on one worker and ~1.7k on two,
+    # no program entry point: ~2.2k minor faults on one worker and ~2.9k on two
+    # (~1.2k and ~1.8k while a workspace lent the kernels their temporaries),
     # against ~24k and ~21k while each cell allocated its own arrays
     probe = (
         "import resource, sys\n"
@@ -850,29 +872,36 @@ def test_out_of_memory_exits_one(capsys, tmp_path, monkeypatch, fails):
     ("--cov", "1,-0.5,1", "--a", "-1", "--improved", "N1", "N2", "N3", "N4"),
 ])
 def test_workspace_stays_within_its_bytes_per_rep(capsys, tmp_path, monkeypatch, grid):
-    # the memory pre-check weighs a sweep by CellWorkspace.size, a hand count per
-    # rep of a block's row and of each column; every workspace the sweep grows
-    # must come to no more than that
+    # the memory pre-check weighs a sweep by CellWorkspace.size per thread, a
+    # count per rep of a block's row and of each column; the sweep's traced
+    # peak, the workspaces and the kernels' temporaries together, must come to
+    # no more than that
+    import tracemalloc
+
     from linexsel import risksim
 
-    built = []
-    init = risksim.CellWorkspace.__init__
+    run_cells, swept = risksim._run_cells, []
 
-    def recorded(self, rows, reps, columns):
-        init(self, rows, reps, columns)
-        built.append((self, rows, columns))
+    def traced(blocks, reps, workers, reduce):
+        run_cells(blocks, reps, workers, reduce)  # a first sweep's imports are not the sweep's
+        tracemalloc.start()
+        try:
+            results = run_cells(blocks, reps, workers, reduce)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows, columns = max(map(len, blocks)), max(len(block[0].specs) for block in blocks)
+        swept.append((min(workers, len(blocks)), rows, reps, columns, peak))
+        return results
 
-    monkeypatch.setattr(risksim.CellWorkspace, "__init__", recorded)
-    reps = 50
-    code, _, _ = run(capsys, "simulate", *grid, "--reps", str(reps), "--out", str(tmp_path))
-    assert code == 0 and built
-    # 50 reps leave room for blocks of several rows
-    assert max(rows for _, rows, _ in built) > 1
-    for ws, rows, columns in built:
-        arrays = [ws.draws, ws.y_sel, ws.t1, ws.t2, ws.theta_sel, ws.phi, ws.stack,
-                  *ws._floats, *ws._masks]
-        assert ws.stack.shape == (columns, rows, reps)
-        assert sum(x.nbytes for x in arrays) <= risksim.CellWorkspace.size(rows, reps, columns)
+    monkeypatch.setattr(risksim, "_run_cells", traced)
+    code, _, _ = run(capsys, "simulate", *grid, "--reps", "2000", "--out", str(tmp_path))
+    assert code == 0
+    [(threads, rows, reps, columns, peak)] = swept
+    # 2000 reps leave room for blocks of several rows, and make the cells'
+    # Python objects a rounding error beside their arrays
+    assert rows > 1
+    assert peak <= threads * risksim.CellWorkspace.size(rows, reps, columns)
 
 
 @pytest.mark.parametrize("grid", ["table", "custom"])

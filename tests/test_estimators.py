@@ -159,6 +159,22 @@ class TestN4:
         assert evaluate(EstimatorSpec.n4(1.0), s, A1, cov) == s.y_sel
 
 
+@pytest.mark.parametrize("spec", [
+    EstimatorSpec.shift(0.5), EstimatorSpec.bayes(PriorSpec(0.0, 0.0, 1.0)),
+    EstimatorSpec.improved(N1),
+], ids=lambda s: s.kind)
+def test_base_phi_refuses_a_kind_with_no_component(spec):
+    # the float form and its array twin refuse alike
+    cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=0.5)
+    message = f"^no equivariant component for kind '{spec.kind}'; only N1..N4 have one$"
+    with pytest.raises(InvalidParameterError, match=message):
+        base_phi(spec, select(ObservationPair((1.0, 2.0), (0.5, 3.0))), A1, cov)
+    x1, y1, x2, y2 = (np.array(v) for v in ([1.0, 0.0], [2.0, 1.0], [0.5, 0.5], [3.0, 0.0]))
+    batch = select_batch(x1, y1, x2, y2)
+    with pytest.raises(InvalidParameterError, match=message):
+        base_phi_batch(spec, batch, A1, cov)
+
+
 class TestBayes:
     unit = CovarianceSpec(sigma_xx=1.0, sigma_yy=1.0, sigma_xy=0.0)
     prior = PriorSpec(mu1=0.0, mu2=0.0, m=1.0)

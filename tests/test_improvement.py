@@ -46,6 +46,13 @@ def draw_in_region(rng, case_id):
     raise AssertionError("region sampling failed")
 
 
+@pytest.mark.parametrize("spec", [EstimatorSpec.n1(), EstimatorSpec.shift(0.5)],
+                         ids=lambda s: s.kind)
+def test_improve_refuses_a_spec_that_is_not_improved(poultry_summary, poultry_model, spec):
+    with pytest.raises(InvalidParameterError, match=r"^improve\(\) expects an Improved spec$"):
+        improve(spec, poultry_summary, A1, poultry_model.cov_hat)
+
+
 class TestBasePhi:
     def test_values(self, poultry_summary, poultry_model):
         cov = poultry_model.cov_hat
@@ -64,7 +71,8 @@ class TestBasePhi:
         from linexsel import PriorSpec
 
         spec = EstimatorSpec.bayes(PriorSpec(0.0, 0.0, 1.0))
-        with pytest.raises(InvalidParameterError):
+        message = "^no equivariant component for kind 'Bayes'; only N1..N4 have one$"
+        with pytest.raises(InvalidParameterError, match=message):
             base_phi(spec, poultry_summary, A1, poultry_model.cov_hat)
 
 

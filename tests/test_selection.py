@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from linexsel import MeanVectorPair, ObservationPair, select, select_batch
-from linexsel.core import Workspace
 
 
 def test_fitted_means_as_observations():
@@ -39,7 +38,7 @@ def test_batch_summary_keeps_signed_zeros_at_ties():
     n = len(x1)
     full = select_batch(x1, y1, x2, y2)
     mask = np.empty(n, np.int64)
-    lean = select_batch(x1, y1, x2, y2, (mask, np.empty(n), np.empty(n), np.empty(n)), Workspace(n))
+    lean = select_batch(x1, y1, x2, y2, (mask, np.empty(n), np.empty(n), np.empty(n)))
     # the comparison's mask: at (+0.0, -0.0) the sign of x2 - x1 would pick population 1
     assert mask.tolist() == (-sel1.astype(np.int64)).tolist()
     for s in (full, lean):
