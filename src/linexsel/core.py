@@ -271,7 +271,7 @@ def std_normal_cdf(u: float) -> float:
     return 0.5 * math.erfc(-u / _SQRT2)
 
 
-def std_normal_cdf_batch(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def std_normal_cdf_batch(u: np.ndarray) -> np.ndarray:
     """Phi(u) over an array of u <= 0 (the batch N3 kernel's t1 is never positive).
 
     A Cody-style rational approximation: exp(-u^2/2) P(-u) / Q(-u) with one
@@ -279,7 +279,7 @@ def std_normal_cdf_batch(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.
     where Phi(-t) is nonzero, so no branch is needed. Relative error within
     about 4 ulp plus the u^2/4 ulp that rounding u^2 passes through exp;
     about 1 subnormal ulp absolute where Phi is subnormal, and 0 below about
-    -38.5. Not defined for u > 0. Writes into `out` if given.
+    -38.5. Not defined for u > 0.
     """
     import numpy as np
 
@@ -287,7 +287,7 @@ def std_normal_cdf_batch(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.
     # beyond _CDF_T_MAX Phi(-t) is 0 all the same; the clip keeps t*t, P and Q
     # finite for any u, -inf included
     np.minimum(t, _CDF_T_MAX, out=t)
-    out = np.multiply(t, t, out=out)
+    out = np.multiply(t, t)
     out *= -0.5
     np.exp(out, out=out)
     acc = np.multiply(_CDF_P[-1], t)
@@ -358,7 +358,6 @@ def linex_loss(
     params: LinexParams,
     context: str | Sequence[str] = "",
     out: Optional[np.ndarray] = None,
-    faults: Optional[list] = None,
 ):
     """LINEX loss exp(a*(delta-theta)) - a*(delta-theta) - 1, over floats or arrays.
 
@@ -368,41 +367,32 @@ def linex_loss(
     -inf; both name the offending rep. `context` only labels the message.
     Writes into `out` if given (which may be `delta` itself).
 
-    Given a list `faults`, `out` is a stack of columns along its first axis,
-    `context` holds one label a column, and each column is checked as if
-    alone: its error, or None, is appended to `faults` instead of raised, so
-    a caller that checks its columns in turn raises each in its turn. The
-    exponent and its largest and least values take one pass each over the
-    whole stack, the loss one pass per column.
+    Given a sequence of labels as `context`, `out` is a stack of columns along
+    its first axis, one label a column, and the first faulty column raises,
+    checked column by column. The exponent and its largest and least values
+    take one pass each over the whole stack, the loss one pass per column.
     """
     import numpy as np
 
-    raising = faults is None
-    if raising:  # a stack of one column
+    if isinstance(context, str):  # a stack of one column
         if out is None:
             out = np.empty(np.broadcast(delta, theta).shape)
-        stack, context, faults = out[np.newaxis], [context], []
+        stack, context = out[np.newaxis], [context]
     else:
         stack = out
-    with np.errstate(over="ignore"):  # an exponent that overflows is its column's fault
+    with np.errstate(over="ignore"):  # an exponent that overflows is refused below
         z = np.multiply(params.a, np.subtract(delta, theta, out=stack), out=stack)
     axes = tuple(range(1, z.ndim))
     for j, (zmax, zmin) in enumerate(zip(np.max(z, axis=axes).tolist(), np.min(z, axis=axes).tolist())):
         if not zmax <= EXP_OVERFLOW_LIMIT:
-            faults.append(LinexOverflowError(zmax, f"{context[j]} rep={np.argmax(z[j])}".lstrip()))
-        elif zmin == -math.inf:
-            faults.append(InvalidParameterError(
+            raise LinexOverflowError(zmax, f"{context[j]} rep={np.argmax(z[j])}".lstrip())
+        if zmin == -math.inf:
+            raise InvalidParameterError(
                 f"loss arguments must be finite, exponent -inf at rep={np.argmin(z[j])} {context[j]}".rstrip()
-            ))
-        else:
-            faults.append(None)
-    if raising and faults[0] is not None:
-        raise faults[0]
-    # a faulty column's loss is never read, so its overflow goes unreported
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(len(z)):
-            column = z[j, ...]  # a view, even of a column that is one number
-            np.subtract(np.expm1(column), column, out=column)
+            )
+    for j in range(len(z)):
+        column = z[j, ...]  # a view, even of a column that is one number
+        np.subtract(np.expm1(column), column, out=column)
     return out if out.ndim else out[()]
 
 

@@ -15,14 +15,16 @@ every kernel runs once over (k, reps) arrays, with the bits of each cell
 run alone. What a block's columns share is done once: one selection mask,
 one phi per base, one clip band for every improved column, and the loss
 and both reductions over a (columns, k, reps) stack of the columns'
-estimates, checked afterwards column by column in the order a column-by-
-column run raises. k keeps all threads' blocks within _BLOCK_REP_CELLS
-rep-cells, so the 20000-rep tables run one row at a time. The runner gives
-each thread one reused `CellWorkspace`, which holds every array that lives
-through a block (the kernels allocate only their short-lived temporaries),
+estimates. k keeps all threads' blocks within _BLOCK_REP_CELLS rep-cells,
+so the 20000-rep tables run one row at a time. The runner gives each thread
+one reused `CellWorkspace`, which holds every array that lives through a
+block (the kernels allocate only their short-lived temporaries), and
 refuses with a MemoryError, before building any, a run whose blocks would
-exceed physical memory, and reruns the cells one by one, in stream-key
-order, where a block meets an error.
+exceed physical memory. A block raises whatever it meets first. Which
+numerical error a failing run raises is decided in one place: a run that
+meets only LinexErrors goes again column by column, each column of each
+cell alone in stream-key order, and raises the first error that meets, so
+every entry point raises what a column-by-column run of its cells would.
 
 The calling thread and up to workers - 1 helpers take the blocks from one
 iterator, draw them at once, numpy sampling with the GIL released, and
@@ -134,6 +136,11 @@ class CellWorkspace:
     #: most 34 in a traced sweep of the published and CLI grids (N3 holds u,
     #: Phi and Phi's two at once)
     BYTES_PER_REP = 16 * 8
+    #: what a block takes per row whatever its reps, in whole KiB: the cell's
+    #: Philox generator, seed sequence and records, and its share of the run's
+    #: own objects, at most 3.6 kB in a traced one-worker sweep of the
+    #: published and CLI grids at 1 to 50 reps
+    BYTES_PER_CELL = 4 * 1024
 
     def __init__(self, rows: int, reps: int, columns: int):
         import numpy as np
@@ -147,7 +154,7 @@ class CellWorkspace:
     @classmethod
     def size(cls, rows: int, reps: int, columns: int) -> int:
         """The bytes a thread's block of `rows` cells of `columns` columns takes at its peak, at most."""
-        return rows * reps * (cls.BYTES_PER_REP + 8 * columns)
+        return rows * (reps * (cls.BYTES_PER_REP + 8 * columns) + cls.BYTES_PER_CELL)
 
 
 class _Cell(NamedTuple):
@@ -166,21 +173,17 @@ class _Cell(NamedTuple):
 _BLOCK_REP_CELLS = 20000
 
 
-def _block_losses(
-    block: Sequence[_Cell], ws: CellWorkspace, draws: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, list[Optional[Exception]]]:
-    """The block's column losses, a (columns, rows, reps) view of `ws.stack`, and each column's fault.
+def _block_losses(block: Sequence[_Cell], ws: CellWorkspace, draws: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The block's column losses, a (columns, rows, reps) view of `ws.stack`.
 
     The block's cells share their columns, covariance, LINEX parameter and
     reps; row i holds cell i, and `draws` is the block's (x1, y1, x2, y2),
     row i drawn from cell i's own stream. What columns share is built once:
     the selection mask, each base's phi and the clip band. Every column's
     estimate goes into its slice of the stack, then the loss runs once over
-    the stack. faults[j] is the error column j's loss raises on its own, or
-    None; where estimating a column raises, the stack stops before it and
-    faults ends with that error. A fault names the first cell's column:
-    `_run_cells` reruns the cells of a block that meets an error one by one,
-    so the error raised is a one-row block's.
+    the stack. Raises whatever it meets, a loss error naming the first
+    cell's column: `_run_cells` reruns a failing run column by column, so
+    the error raised is a lone column's.
     """
     import numpy as np
 
@@ -192,41 +195,32 @@ def _block_losses(
     theta1_y, theta2_y = np.array([(m.theta1[1], m.theta2[1]) for m in means]).T[:, :, None]
     theta_sel = mask_blend(ws.mask, theta1_y, theta2_y, ws.theta_sel)
     a, cov = config.a, config.cov
-    stack, stopped = ws.stack[: len(specs)], []
+    stack = ws.stack[: len(specs)]
     held = phi = band = None
-    try:
-        for j, spec in enumerate(specs):
-            if spec.kind == "Bayes" and s.x_max is None:
-                # only Bayes reads x_max, so only a Bayes column builds it
-                s = replace(s, x_max=np.maximum(x1, x2))
-            # a base and its improved column share the draws, so they share one phi
-            base = spec.base if spec.kind == "Improved" else spec
-            if base != held and base.kind in BASE_KINDS:
-                held, phi = base, base_phi_batch(base, s, a, cov, ws.phi)
-            if spec.kind == "Improved" and band is None:
-                # every improved column clips into the one band, built at the first
-                band = clip_band(s.t1, s.t2, a, cov, ws.band)
-            out = stack[j]
-            estimate = evaluate_batch(spec, s, a, cov, phi if base == held else None, out, band)
-            if estimate is not out:  # Bayes allocates its own
-                out[...] = estimate
-    except Exception as exc:  # raised once the columns before it are checked
-        stack, stopped = stack[:j], [exc]
-    faults: list[Optional[Exception]] = []
-    linex_loss(stack, theta_sel, a, block[0].names, stack, faults)
-    return stack, faults + stopped
+    for spec, out in zip(specs, stack):
+        if spec.kind == "Bayes" and s.x_max is None:
+            # only Bayes reads x_max, so only a Bayes column builds it
+            s = replace(s, x_max=np.maximum(x1, x2))
+        # a base and its improved column share the draws, so they share one phi
+        base = spec.base if spec.kind == "Improved" else spec
+        if base != held and base.kind in BASE_KINDS:
+            held, phi = base, base_phi_batch(base, s, a, cov, ws.phi)
+        if spec.kind == "Improved" and band is None:
+            # every improved column clips into the one band, built at the first
+            band = clip_band(s.t1, s.t2, a, cov, ws.band)
+        estimate = evaluate_batch(spec, s, a, cov, phi if base == held else None, out, band)
+        if estimate is not out:  # Bayes allocates its own
+            out[...] = estimate
+    return linex_loss(stack, theta_sel, a, block[0].names, stack)
 
 
-def _estimates(
-    losses: np.ndarray, faults: Sequence[Optional[Exception]], names: Sequence[Sequence[str]]
-) -> list[list[RiskEstimate]]:
+def _estimates(losses: np.ndarray, names: Sequence[Sequence[str]]) -> list[list[RiskEstimate]]:
     """Each column's rows' mean loss and standard error (None at one rep), in column order.
 
     Per row, the ufuncs of losses.mean() and losses.std(ddof=1), so the bits
-    match, with the deviations taken over `losses` in place. Raises column by
-    column, as each column's own run would: its fault, then a LinexError
-    naming the first of its rows (`names[j]`) whose mean or standard error is
-    not finite; then the fault, if any, that stopped the stack.
+    match, with the deviations taken over `losses` in place. Raises, column
+    by column, a LinexError naming the first of its rows (`names[j]`) whose
+    mean or standard error is not finite.
     """
     import numpy as np
 
@@ -240,9 +234,7 @@ def _estimates(
             np.square(dev, out=dev)
             ses = (np.sqrt(np.add.reduce(dev, axis=-1) / (n - 1)) / math.sqrt(n)).tolist()
     columns = []
-    for fault, column_names, column in zip(faults, names, zip(means.tolist(), ses)):
-        if fault is not None:
-            raise fault
+    for column_names, column in zip(names, zip(means.tolist(), ses)):
         estimates = [RiskEstimate(mean, se) for mean, se in zip(*column)]
         for name, est in zip(column_names, estimates):
             if not (math.isfinite(est.mean_risk) and math.isfinite(est.std_error or 0.0)):
@@ -252,42 +244,33 @@ def _estimates(
                     f"(mean {est.mean_risk:.6g}, standard error {se})"
                 )
         columns.append(estimates)
-    if len(faults) > len(columns):
-        raise faults[-1]
     return columns
 
 
 _R = TypeVar("_R")
 
 
-def _column_estimates(
-    losses: np.ndarray, faults: list[Optional[Exception]], block: Sequence[_Cell]
-) -> list[list[RiskEstimate]]:
-    names = [[cell.names[j] for cell in block] for j in range(len(faults))]
-    return [list(row) for row in zip(*_estimates(losses, faults, names))]
+def _column_estimates(losses: np.ndarray, block: Sequence[_Cell]) -> list[list[RiskEstimate]]:
+    names = [[cell.names[j] for cell in block] for j in range(len(losses))]
+    return [list(row) for row in zip(*_estimates(losses, names))]
 
 
-def _paired_difference(
-    losses: np.ndarray, faults: list[Optional[Exception]], block: Sequence[_Cell]
-) -> list[RiskEstimate]:
-    for fault in faults:
-        if fault is not None:
-            raise fault
+def _paired_difference(losses: np.ndarray, block: Sequence[_Cell]) -> list[RiskEstimate]:
     difference = losses[:1]
     difference -= losses[1]
-    [estimates] = _estimates(difference, [None], [[" - ".join(cell.names) for cell in block]])
+    [estimates] = _estimates(difference, [[" - ".join(cell.names) for cell in block]])
     return estimates
 
 
 def _run_cells(
     blocks: Sequence[Sequence[_Cell]], reps: int, workers: int,
-    reduce: Callable[[np.ndarray, list[Optional[Exception]], Sequence[_Cell]], list[_R]],
+    reduce: Callable[[np.ndarray, Sequence[_Cell]], list[_R]],
 ) -> list[list[_R]]:
     """`reduce`'s results for each block, in order, from the block's cells run at once.
 
     A block's cells share their columns, covariance, LINEX parameter, seed
-    and reps; `reduce(losses, faults, block)`, on what `_block_losses`
-    gives, returns one result per cell. The calling thread and
+    and reps; `reduce(losses, block)`, on what `_block_losses` gives,
+    returns one result per cell. The calling thread and
     min(workers, blocks) - 1 helpers take the blocks from one iterator, each
     building one workspace, with a stack for the widest block's columns, on
     its first block. A thread draws its block while the others run theirs, then waits
@@ -295,9 +278,11 @@ def _run_cells(
     kernels and `reduce`; an error stops every thread after its block.
     Raises MemoryError, before any workspace is built, where those threads'
     workspaces would exceed physical memory: one that cannot fit would pass
-    np.empty under overcommit and get the process killed later. A LinexError
-    is the one that running the cells one by one, in stream-key order,
-    raises first.
+    np.empty under overcommit and get the process killed later. Where a run
+    meets only LinexErrors, it runs again column by column: each column of
+    each cell alone, cells in stream-key order, reduced to its mean and
+    standard error whatever `reduce` is. The first error of that rerun is
+    raised, or, where it meets none, the run's own.
     """
     threads = min(workers, len(blocks))
     rows, columns = max(map(len, blocks)), max(len(block[0].specs) for block in blocks)
@@ -313,10 +298,10 @@ def _run_cells(
         )
     # the rest of a block after its draw, taken by one thread at a time
     turn = threading.Lock()
-    results: dict[int, list[_R]] = {}
+    results: dict[int, list] = {}
     errors: list[BaseException] = []
 
-    def work(todo: Iterator[tuple[int, Sequence[_Cell]]]) -> Optional[CellWorkspace]:
+    def work(todo: Iterator[tuple[int, Sequence[_Cell]]], reduce: Callable) -> Optional[CellWorkspace]:
         ws = None
         try:
             for i, block in todo:
@@ -328,7 +313,7 @@ def _run_cells(
                 draws = sample_block(means, block[0].config.cov, rngs, reps, ws.draws)
                 # held here, not in the generator: one suspended in a traceback would keep it
                 with turn:
-                    results[i] = reduce(*_block_losses(block, ws, draws), block)
+                    results[i] = reduce(_block_losses(block, ws, draws), block)
         except BaseException as exc:  # a Ctrl-C too: every thread stops after the block it holds
             errors.append(exc)
             for _ in todo:
@@ -337,19 +322,22 @@ def _run_cells(
 
     # each next() on the one C iterator holds the GIL, so each block goes to one thread
     todo = iter(enumerate(blocks))
-    helpers = [threading.Thread(target=work, args=(todo,)) for _ in range(threads - 1)]
+    helpers = [threading.Thread(target=work, args=(todo, reduce)) for _ in range(threads - 1)]
     for helper in helpers:
         helper.start()
-    ws = work(todo)  # kept to the return: freed in `work`, it moved perfbench's numpy probe 5 %
+    ws = work(todo, reduce)  # kept to the return: freed in `work`, it moved perfbench's numpy probe 5 %
     for helper in helpers:
         helper.join()
     if errors and all(isinstance(exc, LinexError) for exc in errors):
-        # a block meets its rows' errors column by column, and rows from later in
-        # the grid's order than another block's; a cell's bits are the same alone,
-        # so the cells one by one raise the error that comes first
+        # a block meets every column's loss error before any column's mean error,
+        # and rows from later in the grid's order than another block's; a
+        # column's bits are the same alone, so the columns one by one raise the
+        # error that comes first
         ws = None  # the one-row workspaces are built with the old one gone
         cells = sorted((cell for block in blocks for cell in block), key=lambda c: c.stream_key)
-        work(enumerate([cell] for cell in cells))
+        alone = [[_Cell(c.config, [spec], c.stream_key, [name])]
+                 for c in cells for spec, name in zip(c.specs, c.names)]
+        work(enumerate(alone), _column_estimates)
     if errors:
         raise next((exc for exc in errors if not isinstance(exc, LinexError)), errors[-1])
     return [results[i] for i in range(len(blocks))]
@@ -394,7 +382,12 @@ def paired_risk_difference(
     spec_b: EstimatorSpec,
     stream_key: tuple[int, ...] = (),
 ) -> tuple[float, float]:
-    """mean(loss_a - loss_b) over identical draws, with the paired standard error (0 at one rep)."""
+    """mean(loss_a - loss_b) over identical draws, with the paired standard error (0 at one rep).
+
+    Where it fails, raises the first error that the two columns meet each
+    run alone, as `simulate_all` of the pair would, and the difference's own
+    error only where neither column fails alone.
+    """
     cells = [_Cell(config, [spec_a, spec_b], stream_key, [spec_a.label, spec_b.label])]
     [[est]] = _run_cells([cells], config.reps, 1, _paired_difference)
     return est.mean_risk, est.std_error or 0.0

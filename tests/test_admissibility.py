@@ -12,6 +12,7 @@ from linexsel import (
     DOMINATED_BY_D1,
     CovarianceSpec,
     EstimatorSpec,
+    InvalidParameterError,
     LinexParams,
     MeanVectorPair,
     SimConfig,
@@ -253,6 +254,12 @@ class TestClassify:
         b = bounds(A1, cov)
         assert classify(b.d0, A1, cov) == ADMISSIBLE_IN_CLASS
         assert classify(b.d1, A1, cov) == ADMISSIBLE_IN_CLASS
+
+    @pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
+    def test_non_finite_shift_refused(self, d):
+        cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=1.0)
+        with pytest.raises(InvalidParameterError, match=r"^shift constant d must be finite$"):
+            classify(d, A1, cov)
 
 
 @pytest.mark.slow

@@ -873,9 +873,9 @@ def test_out_of_memory_exits_one(capsys, tmp_path, monkeypatch, fails):
 ])
 def test_workspace_stays_within_its_bytes_per_rep(capsys, tmp_path, monkeypatch, grid):
     # the memory pre-check weighs a sweep by CellWorkspace.size per thread, a
-    # count per rep of a block's row and of each column; the sweep's traced
-    # peak, the workspaces and the kernels' temporaries together, must come to
-    # no more than that
+    # count per rep of a block's row and of each column, and one per row; the
+    # sweep's traced peak, the workspaces, the kernels' temporaries and the
+    # cells' Python objects together, must come to no more than that
     import tracemalloc
 
     from linexsel import risksim
@@ -895,13 +895,16 @@ def test_workspace_stays_within_its_bytes_per_rep(capsys, tmp_path, monkeypatch,
         return results
 
     monkeypatch.setattr(risksim, "_run_cells", traced)
-    code, _, _ = run(capsys, "simulate", *grid, "--reps", "2000", "--out", str(tmp_path))
-    assert code == 0
-    [(threads, rows, reps, columns, peak)] = swept
-    # 2000 reps leave room for blocks of several rows, and make the cells'
-    # Python objects a rounding error beside their arrays
-    assert rows > 1
-    assert peak <= threads * risksim.CellWorkspace.size(rows, reps, columns)
+    # at 10 and 50 reps the cells' Python objects outweigh their arrays, at
+    # 2000 the arrays hold nearly all of the peak; each leaves room for blocks
+    # of several rows
+    for reps in (10, 50, 2000):
+        code, _, _ = run(capsys, "simulate", *grid, "--reps", str(reps), "--out", str(tmp_path))
+        assert code == 0
+        [(threads, rows, reps, columns, peak)] = swept
+        swept.clear()
+        assert rows > 1
+        assert peak <= threads * risksim.CellWorkspace.size(rows, reps, columns), reps
 
 
 @pytest.mark.parametrize("grid", ["table", "custom"])

@@ -291,6 +291,9 @@ class TestShiftAndDispatch:
         for c in (math.nan, math.inf, -1.0):
             with pytest.raises(InvalidParameterError, match="threshold c"):
                 EstimatorSpec.n4(c)
+        for d in (math.inf, math.nan):
+            with pytest.raises(InvalidParameterError, match=r"^shift constant d must be finite$"):
+                EstimatorSpec.shift(d)
 
 
 class TestEquivariance:

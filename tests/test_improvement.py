@@ -22,7 +22,7 @@ from linexsel import (
     select_batch,
 )
 from linexsel.core import rng_stream, sample_batch
-from linexsel.improvement import applicable_case, case_in_region, case_label
+from linexsel.improvement import applicable_case, case_in_region, case_label, table_columns
 
 from ._cases import CaseRegionError, case_base_kind, named_case_rule
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
@@ -184,6 +184,17 @@ class TestNamedCases:
         assert applicable_case("N4", -2.0, 0.0) == 15
         assert case_label(12) == "N4_I2"
         assert case_base_kind(7) == "N3"
+
+    @pytest.mark.parametrize("case_id", [0, 16])
+    def test_case_id_outside_the_fifteen_refused(self, case_id):
+        with pytest.raises(InvalidParameterError, match=rf"^case_id must be 1\.\.15, got {case_id}$"):
+            case_in_region(case_id, 1.0, 0.5)
+
+    def test_table_columns_refuse_an_uncovered_base(self):
+        # a > 0 at rho = 0 lies in none of the plug-in estimator's cases
+        with pytest.raises(InvalidParameterError,
+                           match=r"^no improvement case covers base N1 at a=1\.0, rho=0\.0$"):
+            table_columns(1.0, 0.0, ("N1",), 1.0)
 
     def test_region_enforced(self, poultry_summary, poultry_model):
         with pytest.raises(CaseRegionError):

@@ -897,6 +897,59 @@ class TestStackedPass:
         assert str(both.value) == str(alone.value)
         assert "[Shift(d=800) rep=" in str(both.value)
 
+    def test_an_exponent_past_the_limit_is_refused_though_its_loss_is_finite(self):
+        # exp(705) is a double, so the mean and the loss pass; only the exponent
+        # check of the first column, which is not the last, refuses it
+        cfg = SimConfig(MeanVectorPair((1.0, 0.0), (0.0, 0.0)),
+                        CovarianceSpec.from_correlation(1.0, 1e-6, 0.0), A1, 1, 3)
+        shift = EstimatorSpec.shift(705.0)
+        with pytest.raises(LinexOverflowError) as alone:
+            simulate_risk(cfg, shift)
+        with pytest.raises(LinexOverflowError) as both:
+            simulate_all(replace(cfg, estimators=(shift, EstimatorSpec.n1())))
+        assert str(both.value) == str(alone.value)
+        assert "[Shift(d=705) rep=0]" in str(both.value)
+
+    def test_a_failing_pair_raises_what_its_columns_raise_first(self):
+        # Shift(600)'s standard error leaves the double range and Shift(800)'s
+        # loss overflows; one pass over both meets the overflow first, the
+        # columns run one by one meet Shift(600)'s error first
+        cfg = SimConfig(MeanVectorPair((1.0, 0.0), (0.0, 0.0)),
+                        CovarianceSpec.from_correlation(1.0, 1e-6, 0.0), A1, 50, 3)
+        first, later = EstimatorSpec.shift(600.0), EstimatorSpec.shift(800.0)
+        with pytest.raises(LinexError) as columns:
+            simulate_all(replace(cfg, estimators=(first, later)))
+        with pytest.raises(LinexError) as pair:
+            paired_risk_difference(cfg, first, later)
+        assert type(pair.value) is type(columns.value) is LinexError
+        assert str(pair.value) == str(columns.value)
+        assert str(pair.value).startswith("Shift(d=600): the risk estimate left the double range")
+
+    def test_a_pair_whose_columns_pass_alone_raises_its_difference_error(self, monkeypatch):
+        # a search of N1..N4 pairs found no draws where the difference fails and
+        # neither column does, so the difference's reduction fails by hand; the
+        # columns rerun alone and pass
+        def failing(losses, block):
+            raise LinexError("the difference failed")
+
+        monkeypatch.setattr(risksim, "_paired_difference", failing)
+        with pytest.raises(LinexError, match="^the difference failed$"):
+            paired_risk_difference(config(reps=100), EstimatorSpec.n1(), EstimatorSpec.n2())
+
+    def test_an_error_that_is_not_numerical_is_raised_as_it_is(self, monkeypatch):
+        # the overflowing first column does not hide a later column's MemoryError
+        cfg = replace(config(reps=100), estimators=(EstimatorSpec.shift(800.0), EstimatorSpec.n2()))
+        evaluate = risksim.evaluate_batch
+
+        def short_of_memory(spec, *args):
+            if spec.kind == "N2":
+                raise MemoryError("no room for N2")
+            return evaluate(spec, *args)
+
+        monkeypatch.setattr(risksim, "evaluate_batch", short_of_memory)
+        with pytest.raises(MemoryError, match="no room for N2"):
+            simulate_all(cfg)
+
     def test_an_estimate_error_comes_after_the_columns_before_it(self):
         # the Bayes column cannot be estimated at rho = 1, but the overflowing
         # column before it is checked first
