@@ -21,6 +21,7 @@ equal.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -319,8 +320,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The `linexsel` program: `main` on the command line, exiting with its code."""
-    sys.exit(main())
+    """The `linexsel` program: `main` on the command line, exiting with its code.
+
+    The collector is frozen before the exit: every object still alive moves
+    to the permanent generation, which the interpreter's last collection at
+    exit skips. That collection would walk everything the imports made, all
+    of which dies with the process anyway. `atexit` handlers, stdio flushes
+    and module teardown still run. Only the program's own process is frozen:
+    `main`, which the tests, the benchmark and library callers run in
+    process, leaves their collector as it found it.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -285,6 +285,17 @@ MUTANTS: tuple[Mutant, ...] = (
            '__version__ = "0.1.0"\n',
            '__version__ = "0.1.0"\n\nfrom . import risksim  # noqa: F401\n',
            ("test_cli.py",)),
+    # the program's exit: run() alone freezes the collector, then exits normally
+    Mutant("freeze_in_main", "cli.py",
+           "    code = main()\n    gc.freeze()\n    sys.exit(code)\n",
+           "    sys.exit(main())\n\n\n_main = main\n\n\n"
+           "def main(argv: list[str] | None = None) -> int:\n"
+           "    try:\n        return _main(argv)\n    finally:\n        gc.freeze()\n",
+           ("test_cli.py",)),
+    Mutant("exit_skips_finalization", "cli.py",
+           "    sys.exit(code)\n",
+           "    import os\n\n    sys.stdout.flush()\n    sys.stderr.flush()\n    os._exit(code)\n",
+           ("test_cli.py",)),
     # analysis
     Mutant("non_utf8_file_uncaught", "analysis.py",
            "except (UnicodeDecodeError, csv.Error) as exc:", "except csv.Error as exc:",

@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import json
 import math
@@ -558,13 +559,18 @@ def test_numerical_overflow_exits_one(capsys, tmp_path):
     assert "[row 0, column N1 rep=" in err
 
 
-def _fresh_python(probe, *argv):
-    """Run `python -c probe *argv` in a new interpreter that imports this checkout."""
+def _checkout_env():
+    """The environment of a new interpreter that imports this checkout."""
     src = str(Path(linexsel.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _fresh_python(probe, *argv):
+    """Run `python -c probe *argv` in a new interpreter that imports this checkout."""
     out = subprocess.run(
-        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe, *argv], env=_checkout_env(), capture_output=True, text=True,
+        check=True,
     )
     return out.stdout.splitlines()[-1]
 
@@ -844,6 +850,64 @@ def test_library_sweep_keeps_its_heap(workers):
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
     )
     assert int(_fresh_python(probe, str(workers))) < 5000
+
+
+#: a run of the program for each exit code: its arguments (before --out) and code
+PROGRAM_RUNS = {
+    "simulate": (["simulate", "--table", "7", "--seed", "42", "--reps", "2000"], 0),
+    "estimate": (["estimate", *WORKED, "--a", "1"], 0),
+    "overflow": (["simulate", "--cov", "2,0,2000", "--a", "30", "--reps", "50"], 1),
+    "zero_a": (["estimate", "--x", "0,1", "--y", "0,1", "--cov", "1,0,1", "--a", "0"], 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", [
+    *((SUBCOMMAND_ARGS[sub], 0) for sub in sorted(SUBCOMMAND_ARGS)),
+    PROGRAM_RUNS["overflow"],
+    PROGRAM_RUNS["zero_a"],
+], ids=[*sorted(SUBCOMMAND_ARGS), "overflow", "zero_a"])
+def test_main_leaves_the_callers_collector_alone(capsys, tmp_path, argv, code):
+    # only the program's own process freezes the collector, in run(); a freeze
+    # in main would pin every object alive at its return in the test suite, in
+    # the benchmark's in-process sweeps and in any library caller
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert run(capsys, *argv, "--out", str(tmp_path))[0] == code
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("case", sorted(PROGRAM_RUNS))
+def test_program_exits_as_main_returns(capsysbinary, tmp_path, monkeypatch, case):
+    # `python -m linexsel.cli` writes what main writes in process, byte for
+    # byte, and exits with main's code; its collector is frozen by then, and
+    # it still runs the atexit handlers that an exit through os._exit skips
+    argv, code = PROGRAM_RUNS[case]
+    argv = [*argv, "--out", "out"]  # relative, so `wrote out/...` reads the same in both runs
+    for side in ("main", "program"):
+        (tmp_path / side).mkdir()
+    monkeypatch.chdir(tmp_path / "main")
+    expected = run(capsysbinary, *argv)
+    program = subprocess.run([sys.executable, "-m", "linexsel.cli", *argv], cwd=tmp_path / "program",
+                             env=_checkout_env(), capture_output=True)
+    assert (program.returncode, program.stdout, program.stderr) == expected
+    assert expected[0] == code and expected[1 if code == 0 else 2].endswith(b"\n")
+    if case == "simulate":
+        assert program.stderr.count(b"warning: ") == 46
+    written = [{f.name: f.read_bytes() for f in (tmp_path / side / "out").glob("*")}
+               for side in ("main", "program")]
+    assert written[0] == written[1]
+    probe = (
+        "import atexit, gc, sys\n"
+        "marker = sys.argv[1]\n"
+        "atexit.register(lambda: open(marker, 'w').write(f'frozen={gc.get_freeze_count() > 0}'))\n"
+        "import linexsel.cli\n"
+        "sys.argv = ['linexsel', *sys.argv[2:]]\n"
+        "linexsel.cli.run()\n"
+    )
+    marker = tmp_path / "atexit"
+    exited = subprocess.run([sys.executable, "-c", probe, str(marker), *argv], cwd=tmp_path / "program",
+                            env=_checkout_env(), capture_output=True)
+    assert exited.returncode == code
+    assert marker.read_text() == "frozen=True"
 
 
 @pytest.mark.parametrize("fails", ["workspace", "sweep"])
