@@ -356,7 +356,7 @@ def linex_loss(
     delta,
     theta,
     params: LinexParams,
-    context: str | Sequence[str] = "",
+    context: str = "",
     out: Optional[np.ndarray] = None,
 ):
     """LINEX loss exp(a*(delta-theta)) - a*(delta-theta) - 1, over floats or arrays.
@@ -364,34 +364,28 @@ def linex_loss(
     Nonnegative, zero only at delta == theta. Rather than returning inf or nan
     silently it raises LinexOverflowError when the largest exponent would
     overflow exp() or is NaN, and InvalidParameterError when an exponent is
-    -inf; both name the offending rep. `context` only labels the message.
-    Writes into `out` if given (which may be `delta` itself).
-
-    Given a sequence of labels as `context`, `out` is a stack of columns along
-    its first axis, one label a column, and the first faulty column raises,
-    checked column by column. The exponent and its largest and least values
-    take one pass each over the whole stack, the loss one pass per column.
+    -inf; both name the offending rep, its flat index in the array. `context`
+    only labels the message. Writes into `out` if given (which may be `delta`
+    itself). The exponent and its largest and least values take one pass each
+    over the whole array, the loss one pass per slice of its first axis, so a
+    (columns, rows, reps) stack keeps expm1's temporary one column long.
     """
     import numpy as np
 
-    if isinstance(context, str):  # a stack of one column
-        if out is None:
-            out = np.empty(np.broadcast(delta, theta).shape)
-        stack, context = out[np.newaxis], [context]
-    else:
-        stack = out
+    if out is None:
+        out = np.empty(np.broadcast(delta, theta).shape)
     with np.errstate(over="ignore"):  # an exponent that overflows is refused below
-        z = np.multiply(params.a, np.subtract(delta, theta, out=stack), out=stack)
-    axes = tuple(range(1, z.ndim))
-    for j, (zmax, zmin) in enumerate(zip(np.max(z, axis=axes).tolist(), np.min(z, axis=axes).tolist())):
-        if not zmax <= EXP_OVERFLOW_LIMIT:
-            raise LinexOverflowError(zmax, f"{context[j]} rep={np.argmax(z[j])}".lstrip())
-        if zmin == -math.inf:
-            raise InvalidParameterError(
-                f"loss arguments must be finite, exponent -inf at rep={np.argmin(z[j])} {context[j]}".rstrip()
-            )
-    for j in range(len(z)):
-        column = z[j, ...]  # a view, even of a column that is one number
+        z = np.multiply(params.a, np.subtract(delta, theta, out=out), out=out)
+    zmax = float(np.max(z))
+    if not zmax <= EXP_OVERFLOW_LIMIT:
+        raise LinexOverflowError(zmax, f"{context} rep={np.argmax(z)}".lstrip())
+    if float(np.min(z)) == -math.inf:
+        raise InvalidParameterError(
+            f"loss arguments must be finite, exponent -inf at rep={np.argmin(z)} {context}".rstrip()
+        )
+    stack = z if z.ndim > 1 else z[np.newaxis]
+    for j in range(len(stack)):
+        column = stack[j, ...]  # a view, even of a column that is one number
         np.subtract(np.expm1(column), column, out=column)
     return out if out.ndim else out[()]
 

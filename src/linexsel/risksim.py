@@ -20,11 +20,13 @@ so the 20000-rep tables run one row at a time. The runner gives each thread
 one reused `CellWorkspace`, which holds every array that lives through a
 block (the kernels allocate only their short-lived temporaries), and
 refuses with a MemoryError, before building any, a run whose blocks would
-exceed physical memory. A block raises whatever it meets first. Which
-numerical error a failing run raises is decided in one place: a run that
-meets only LinexErrors goes again column by column, each column of each
-cell alone in stream-key order, and raises the first error that meets, so
-every entry point raises what a column-by-column run of its cells would.
+exceed physical memory. A block only detects a numerical fault: it raises
+whatever it meets first, under its first cell's first column's name. Which
+error a failing run raises, and the column it names, is decided in one
+place: a run that meets only LinexErrors goes again column by column, each
+column of each cell alone in stream-key order, and raises the first error
+that meets, so every entry point raises what a column-by-column run of its
+cells would.
 
 The calling thread and up to workers - 1 helpers take the blocks from one
 iterator, draw them at once, numpy sampling with the GIL released, and
@@ -181,9 +183,10 @@ def _block_losses(block: Sequence[_Cell], ws: CellWorkspace, draws: tuple[np.nda
     row i drawn from cell i's own stream. What columns share is built once:
     the selection mask, each base's phi and the clip band. Every column's
     estimate goes into its slice of the stack, then the loss runs once over
-    the stack. Raises whatever it meets, a loss error naming the first
-    cell's column: `_run_cells` reruns a failing run column by column, so
-    the error raised is a lone column's.
+    the stack. Raises whatever it meets, a loss error under the first
+    cell's first column's name, exact only for a lone column of a lone
+    cell: `_run_cells` reruns a failing run so, and the rerun names the
+    error raised.
     """
     import numpy as np
 
@@ -208,19 +211,18 @@ def _block_losses(block: Sequence[_Cell], ws: CellWorkspace, draws: tuple[np.nda
         if spec.kind == "Improved" and band is None:
             # every improved column clips into the one band, built at the first
             band = clip_band(s.t1, s.t2, a, cov, ws.band)
-        estimate = evaluate_batch(spec, s, a, cov, phi if base == held else None, out, band)
+        estimate = evaluate_batch(spec, s, a, cov, phi, out, band)
         if estimate is not out:  # Bayes allocates its own
             out[...] = estimate
-    return linex_loss(stack, theta_sel, a, block[0].names, stack)
+    return linex_loss(stack, theta_sel, a, block[0].names[0], stack)
 
 
-def _estimates(losses: np.ndarray, names: Sequence[Sequence[str]]) -> list[list[RiskEstimate]]:
+def _estimates(losses: np.ndarray, name: str) -> list[list[RiskEstimate]]:
     """Each column's rows' mean loss and standard error (None at one rep), in column order.
 
     Per row, the ufuncs of losses.mean() and losses.std(ddof=1), so the bits
-    match, with the deviations taken over `losses` in place. Raises, column
-    by column, a LinexError naming the first of its rows (`names[j]`) whose
-    mean or standard error is not finite.
+    match, with the deviations taken over `losses` in place. Raises a
+    LinexError naming `name` where a mean or standard error is not finite.
     """
     import numpy as np
 
@@ -233,17 +235,14 @@ def _estimates(losses: np.ndarray, names: Sequence[Sequence[str]]) -> list[list[
             dev = np.subtract(losses, means[..., np.newaxis], out=losses)
             np.square(dev, out=dev)
             ses = (np.sqrt(np.add.reduce(dev, axis=-1) / (n - 1)) / math.sqrt(n)).tolist()
-    columns = []
-    for column_names, column in zip(names, zip(means.tolist(), ses)):
-        estimates = [RiskEstimate(mean, se) for mean, se in zip(*column)]
-        for name, est in zip(column_names, estimates):
-            if not (math.isfinite(est.mean_risk) and math.isfinite(est.std_error or 0.0)):
-                se = "none" if est.std_error is None else f"{est.std_error:.6g}"
-                raise LinexError(
-                    f"{name}: the risk estimate left the double range "
-                    f"(mean {est.mean_risk:.6g}, standard error {se})"
-                )
-        columns.append(estimates)
+    columns = [[RiskEstimate(mean, se) for mean, se in zip(*column)] for column in zip(means.tolist(), ses)]
+    for est in (est for column in columns for est in column):
+        if not (math.isfinite(est.mean_risk) and math.isfinite(est.std_error or 0.0)):
+            se = "none" if est.std_error is None else f"{est.std_error:.6g}"
+            raise LinexError(
+                f"{name}: the risk estimate left the double range "
+                f"(mean {est.mean_risk:.6g}, standard error {se})"
+            )
     return columns
 
 
@@ -251,14 +250,13 @@ _R = TypeVar("_R")
 
 
 def _column_estimates(losses: np.ndarray, block: Sequence[_Cell]) -> list[list[RiskEstimate]]:
-    names = [[cell.names[j] for cell in block] for j in range(len(losses))]
-    return [list(row) for row in zip(*_estimates(losses, names))]
+    return [list(row) for row in zip(*_estimates(losses, block[0].names[0]))]
 
 
 def _paired_difference(losses: np.ndarray, block: Sequence[_Cell]) -> list[RiskEstimate]:
     difference = losses[:1]
     difference -= losses[1]
-    [estimates] = _estimates(difference, [[" - ".join(cell.names) for cell in block]])
+    [estimates] = _estimates(difference, " - ".join(block[0].names))
     return estimates
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, settings
 
-from linexsel import LinexParams, analysis
+from linexsel import analysis
 
 # Hypothesis without shrinking (explain works on the shrunk example): a failing
 # property stops at its first counterexample. tests/mutants.py selects it with
@@ -29,8 +29,3 @@ def poultry_summary(poultry_model):
     from linexsel import ObservationPair, select
 
     return select(ObservationPair(poultry_model.theta_hat_1, poultry_model.theta_hat_2))
-
-
-@pytest.fixture(params=[1.0, -1.0], ids=["a=1", "a=-1"])
-def sign_a(request):
-    return LinexParams(request.param)

@@ -53,6 +53,10 @@ class TestHa:
     def test_derived_value(self):
         assert h_a(1.0, A1, self.cov) == pytest.approx(1.3413447, abs=1e-7)
 
+    def test_negative_gap_refused(self):
+        with pytest.raises(InvalidParameterError, match=r"^theta_x must be nonnegative$"):
+            h_a(-0.5, A1, self.cov)
+
     def test_range(self, rng):
         for _ in range(200):
             cov = rand_cov(rng)

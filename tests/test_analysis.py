@@ -52,6 +52,12 @@ class TestLoadDataset:
         p.write_bytes(b"\xef\xbb\xbf" + open(bundled_dataset_path(), "rb").read())
         assert fit(load_dataset(str(p), clean=True)) == poultry_model
 
+    def test_blank_rows_are_skipped(self, tmp_path, poultry_model):
+        lines = open(bundled_dataset_path(), newline="").read().splitlines(keepends=True)
+        p = tmp_path / "blank.csv"
+        p.write_text("".join(lines[:3] + ["\n", "   \n"] + lines[3:] + ["\t\n"]))
+        assert fit(load_dataset(str(p), clean=True)) == poultry_model
+
     def test_unequal_sizes_report_counts(self, tmp_path):
         p = tmp_path / "uneq.csv"
         p.write_text("group,weight,cholesterol\na,1,2\na,2,3\nb,1,2\n")

@@ -193,6 +193,11 @@ class TestCovarianceSpec:
         with pytest.raises(InvalidParameterError):
             CovarianceSpec(sigma_xx=sxx, sigma_yy=syy, sigma_xy=sxy)
 
+    @pytest.mark.parametrize("rho, shown", [(1.5, "1.5"), (-1.0000001, "-1.0000001"), (math.nan, "nan")])
+    def test_correlation_outside_the_unit_interval_rejected(self, rho, shown):
+        with pytest.raises(InvalidParameterError, match=rf"^rho must lie in \[-1, 1\], got {shown}$"):
+            CovarianceSpec.from_correlation(2.0, 2.0, rho)
+
     def test_theta_star_nonnegative(self):
         with pytest.raises(InvalidParameterError):
             ThetaStar(-0.1, 0.0)
@@ -202,6 +207,9 @@ def test_log_sum_exp():
     assert log_sum_exp([0.0, 0.0]) == pytest.approx(math.log(2))
     assert log_sum_exp([-math.inf, 3.0]) == pytest.approx(3.0)
     assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2))
+    assert log_sum_exp([-math.inf, -math.inf]) == -math.inf
+    assert log_sum_exp([]) == -math.inf
+    assert log_sum_exp([0.0, math.inf]) == math.inf
 
 
 class _Fixed:

@@ -243,6 +243,11 @@ class TestVarphiAndBounds:
         assert lo == -math.inf
         assert hi == math.inf
 
+    def test_positive_t1_refused(self):
+        # t1 = -|x1 - x2| is never positive
+        with pytest.raises(InvalidParameterError, match=r"^t1 must be <= 0, got 0\.5$"):
+            phi_bounds(0.5, 0.0, A1, CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=0.0))
+
     def test_poultry_bounds(self, poultry_model, poultry_summary):
         lo, hi = phi_bounds(
             poultry_summary.t1, poultry_summary.t2, LinexParams(-1.0), poultry_model.cov_hat

@@ -329,6 +329,11 @@ def test_simulate_all_shares_draws():
     assert out["N1"].mean_risk == out["Shift(d=0)"].mean_risk
 
 
+def test_simulate_all_refuses_no_estimators():
+    with pytest.raises(InvalidParameterError, match=r"^config\.estimators must be nonempty$"):
+        simulate_all(config(reps=10))
+
+
 def test_simulate_all_refuses_repeated_labels():
     # labels print c and d with :g, so close thresholds share one; a dict keyed
     # by label would keep only the last column of each
@@ -925,10 +930,24 @@ class TestStackedPass:
         assert str(pair.value) == str(columns.value)
         assert str(pair.value).startswith("Shift(d=600): the risk estimate left the double range")
 
+    def test_a_difference_can_leave_the_double_range_where_neither_column_does(self):
+        # each loss is about e^354.6, below the exponent limit; alone, each
+        # column's squared deviations are a quarter of a loss squared, while the
+        # difference's are a whole one, and their sum overflows
+        big = 1.05e154
+        losses = np.array([[[big, 0.0]], [[0.0, big]]])
+        for column, name in zip(losses.copy(), "AB"):
+            [[alone]] = risksim._estimates(column[np.newaxis], name)
+            assert alone == RiskEstimate(big / 2, big / 2)
+        cell = risksim._Cell(config(reps=2), [EstimatorSpec.n1(), EstimatorSpec.n2()], (), ["A", "B"])
+        with pytest.raises(LinexError) as refused:
+            risksim._paired_difference(losses, [cell])
+        assert type(refused.value) is LinexError
+        assert str(refused.value) == "A - B: the risk estimate left the double range (mean 0, standard error inf)"
+
     def test_a_pair_whose_columns_pass_alone_raises_its_difference_error(self, monkeypatch):
-        # a search of N1..N4 pairs found no draws where the difference fails and
-        # neither column does, so the difference's reduction fails by hand; the
-        # columns rerun alone and pass
+        # the difference's reduction fails by hand, end to end; the columns
+        # rerun alone and pass
         def failing(losses, block):
             raise LinexError("the difference failed")
 
