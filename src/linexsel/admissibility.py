@@ -22,6 +22,7 @@ from .core import (
     ThetaStar,
     log_std_normal_cdf,
     log_sum_exp,
+    remember_last,
     std_normal_cdf,
     std_normal_pdf,
 )
@@ -40,8 +41,10 @@ class AdmissibilityBounds(Record):
 
 def h_a(theta_x: float, a: LinexParams, cov: CovarianceSpec) -> float:
     """Phi((a*sxy + tx)/sqrt(2*sxx)) + Phi((a*sxy - tx)/sqrt(2*sxx)); in (0, 2)."""
-    if theta_x < 0:
-        raise InvalidParameterError("theta_x must be nonnegative")
+    if not 0.0 <= theta_x < math.inf:  # one comparison on the common path; nan fails it
+        if math.isfinite(theta_x):
+            raise InvalidParameterError("theta_x must be nonnegative")
+        raise InvalidParameterError(f"theta_x must be finite, got {theta_x!r}")
     s = math.sqrt(2.0 * cov.sigma_xx)
     return std_normal_cdf((a.a * cov.sigma_xy + theta_x) / s) + std_normal_cdf(
         (a.a * cov.sigma_xy - theta_x) / s
@@ -89,8 +92,11 @@ def shift_risk(d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceS
     u = theta_x/sqrt(2 sxx). psi is the minimizer of this closed form. Where
     the product e^{ad} E[e^{aW}] overflows in doubles, it is taken as
     e^{ad + a^2 syy/2 + ln h_a}, so a tiny h_a can bring it back into range;
-    raises LinexOverflowError where even that leaves the double range.
+    raises LinexOverflowError where even that leaves the double range, and
+    InvalidParameterError for a d that is not finite.
     """
+    if not math.isfinite(d):
+        raise InvalidParameterError("shift constant d must be finite")
     s = math.sqrt(2.0 * cov.sigma_xx)
     tx = theta_star.theta_x
     mean_w = 2.0 * cov.sigma_xy * std_normal_pdf(tx / s) / s
@@ -110,8 +116,12 @@ def shift_risk(d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceS
     return tilt - a.a * (d + mean_w) - 1.0
 
 
+@remember_last
 def _interval(a: LinexParams, cov: CovarianceSpec) -> tuple[float, float]:
-    """psi's range over theta_x in [0, inf): psi at a zero gap and its limit -a*syy/2, in order."""
+    """psi's range over theta_x in [0, inf): psi at a zero gap and its limit -a*syy/2, in order.
+
+    Remembered for the last (a, cov), which `bounds` and `classify` share.
+    """
     base = -a.a * cov.sigma_yy / 2.0
     end = base - _log_h_a(0.0, a, cov) / a.a
     # psi rises with theta_x where sxy > 0 and falls where sxy < 0; at sxy = 0, end is base

@@ -7,24 +7,28 @@ LINEX loss, the standard normal cdf (erfc for floats, a rational
 approximation for arrays) and its log (the admissibility bounds and the
 hybrid log-estimator take logs of Phi, so both need to be accurate in the
 tails), a stable log-sum-exp, counter-based random streams for reproducible
-simulation, and the bit blend that array kernels select with. An array
-kernel writes its result into `out` if given and takes its temporaries from
-its own ufuncs; which arrays outlive a call is the caller's to decide.
-numpy is the only dependency, and only the array kernels import it, on
-first use: the scalar API runs without loading it. This is the one package
-module that `cli` imports when it loads, so every subcommand's start
-compiles it.
+simulation, the bit blend that array kernels select with, and
+`remember_last`, which keeps a per-model computation's value for the last
+pair of records it was called with. An array kernel writes its result into
+`out` if given and takes its temporaries from its own ufuncs; which arrays
+outlive a call is the caller's to decide. numpy is the only dependency,
+and only the array kernels import it, on first use: the scalar API runs
+without loading it. This is the one package module that `cli` imports
+when it loads, so every subcommand's start compiles it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from functools import wraps
 from operator import attrgetter, index
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TypeVar
 
 if TYPE_CHECKING:
     import numpy as np
+
+_V = TypeVar("_V")
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -142,6 +146,36 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def remember_last(fn: Callable[[object, object], _V]) -> Callable[[object, object], _V]:
+    """`fn(x, y)`, computed again only when x or y is not the very record of the last call.
+
+    For the constants a model derives from its records, such as the
+    admissible interval from (a, Sigma): a scalar caller passes the same
+    records call after call. Records are frozen, so the same records give
+    the same value. They are compared by identity, not by equality, which
+    would run their Python `__eq__` on every call; an equal but distinct
+    record only costs one computation, of the same value. The
+    last (x, y, value) is one tuple, replaced whole, so a thread reads
+    either the old entry or the new one; the entry keeps its two records
+    alive. A call that raises leaves the entry as it was, so it raises
+    again on every call.
+    """
+    unset = object()
+    last: tuple = (unset, unset, None)
+
+    @wraps(fn)
+    def remembered(x, y):
+        nonlocal last
+        last_x, last_y, value = last
+        if last_x is x and last_y is y:
+            return value
+        value = fn(x, y)
+        last = (x, y, value)
+        return value
+
+    return remembered
 
 
 def replace(record: Record, /, **changes) -> Record:

@@ -26,6 +26,7 @@ from .core import (
     log_std_normal_cdf,
     log_std_normal_cdf_tail,
     log_sum_exp,
+    remember_last,
     std_normal_cdf,
     std_normal_cdf_batch,
 )
@@ -230,6 +231,28 @@ def base_phi_batch(
     )
 
 
+@remember_last
+def _posterior_terms(prior: PriorSpec, cov: CovarianceSpec) -> tuple:
+    """The terms of `bayes_posterior` that no observation enters, for the last (prior, cov).
+
+    (mu2*(det + m*syy), m + sxx, m*sxy, denom, q*), each grouped as the
+    posterior's formula groups it. Raises SingularCovarianceError, on every
+    call, unless |Sigma| > 0.
+    """
+    det = cov.det
+    if det <= 0:
+        raise SingularCovarianceError("Bayes posterior needs a nonsingular covariance")
+    m = prior.m
+    denom = m * m + m * cov.sigma_xx + m * cov.sigma_yy + det
+    return (
+        prior.mu2 * (det + m * cov.sigma_yy),
+        m + cov.sigma_xx,
+        m * cov.sigma_xy,
+        denom,
+        (m * m * cov.sigma_yy + m * det) / denom,
+    )
+
+
 def bayes_posterior(z: tuple, prior: PriorSpec, cov: CovarianceSpec) -> tuple:
     """Posterior mean and variance (p*, q*) of theta_y given one observation.
 
@@ -237,18 +260,9 @@ def bayes_posterior(z: tuple, prior: PriorSpec, cov: CovarianceSpec) -> tuple:
     the posterior covariance (Sigma^-1 + (m*I)^-1)^-1. Requires |Sigma| > 0.
     z = (x, y) may hold floats or arrays of draws.
     """
-    if cov.det <= 0:
-        raise SingularCovarianceError("Bayes posterior needs a nonsingular covariance")
+    prior_term, m_sxx, m_sxy, denom, q_star = _posterior_terms(prior, cov)
     x, y = z
-    m = prior.m
-    det = cov.det
-    denom = m * m + m * cov.sigma_xx + m * cov.sigma_yy + det
-    p_star = (
-        prior.mu2 * (det + m * cov.sigma_yy)
-        + m * y * (m + cov.sigma_xx)
-        + m * cov.sigma_xy * (prior.mu1 - x)
-    ) / denom
-    q_star = (m * m * cov.sigma_yy + m * det) / denom
+    p_star = (prior_term + prior.m * y * m_sxx + m_sxy * (prior.mu1 - x)) / denom
     return p_star, q_star
 
 

@@ -20,7 +20,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from .core import CovarianceSpec, InvalidParameterError, LinexParams, blend
+from .core import CovarianceSpec, InvalidParameterError, LinexParams, blend, remember_last
 from .selection import SelectionSummary
 
 if TYPE_CHECKING:
@@ -29,6 +29,16 @@ if TYPE_CHECKING:
 TRUNCATED_NONE = "none"
 TRUNCATED_LO = "clipped_to_phi_inf"
 TRUNCATED_HI = "clipped_to_phi_sup"
+
+
+@remember_last
+def _band_edges(a: LinexParams, cov: CovarianceSpec) -> tuple[float, float]:
+    """The band's shift a*sigma_yy/4 and the condition margin -a*sigma_yy*(1-rho^2)/2.
+
+    Remembered for the last (a, cov), which the float and array forms share.
+    """
+    rho = cov.rho
+    return a.a * cov.sigma_yy / 4.0, -a.a * cov.sigma_yy * (1.0 - rho * rho) / 2.0
 
 
 def clip_band(t1, t2, a: LinexParams, cov: CovarianceSpec, out=None):
@@ -40,8 +50,7 @@ def clip_band(t1, t2, a: LinexParams, cov: CovarianceSpec, out=None):
     a float and two bool arrays, if given.
     """
     rho, xi = cov.rho, cov.xi
-    shift = a.a * cov.sigma_yy / 4.0
-    margin = -a.a * cov.sigma_yy * (1.0 - rho * rho) / 2.0
+    shift, margin = _band_edges(a, cov)
     # an array means numpy is loaded already, so this test imports nothing
     np = sys.modules.get("numpy")
     if np is None or not isinstance(t1, np.ndarray):
@@ -75,8 +84,10 @@ def phi_bounds(
 
     Each bound equals t2/2 - a*sigma_yy/4 on its own condition set and is
     infinite otherwise; the two condition sets are disjoint, so at most one
-    bound is finite for any (t1, t2).
+    bound is finite for any (t1, t2). Both must be finite.
     """
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise InvalidParameterError(f"t1 and t2 must be finite, got ({t1!r}, {t2!r})")
     if t1 > 0:
         raise InvalidParameterError(f"t1 must be <= 0, got {t1}")
     value, lo_set, hi_set = clip_band(t1, t2, a, cov)

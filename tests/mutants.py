@@ -90,6 +90,9 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("core_imports_numpy_at_module_level", "core.py",
            "from operator import attrgetter, index\n",
            "from operator import attrgetter, index\n\nimport numpy\n", ("test_cli.py",)),
+    # core: the remembered per-model constants
+    Mutant("remembered_by_the_first_record_alone", "core.py",
+           "if last_x is x and last_y is y:", "if last_x is x:", ("test_scalar_path.py",)),
     # core: the record base
     Mutant("record_equal_across_classes", "core.py",
            "if other.__class__ is not self.__class__:", "if not isinstance(other, Record):",
@@ -159,6 +162,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("improve_batch_writes_the_band", "oracles.py",
            "    hi_clip &= hi_set\n", "    hi_set &= hi_clip\n    hi_clip = hi_set\n",
            ("test_risksim.py",)),
+    Mutant("phi_bounds_takes_non_finite_differences", "oracles.py",
+           "if not (math.isfinite(t1) and math.isfinite(t2)):", "if False:", ("test_oracles.py",)),
     Mutant("perfbench_alias_renamed", "oracles.py",
            'if name == "shift_risk_quadrature":', 'if name == "shift_risk_quadrature_old":',
            ("test_perfbench_api.py",)),
@@ -172,6 +177,12 @@ MUTANTS: tuple[Mutant, ...] = (
            "    return math.log(h)\n", ("test_admissibility.py",)),
     Mutant("zero_gap_takes_log_h", "admissibility.py",
            "    if theta_x == 0.0:\n", "    if False:\n", ("test_admissibility.py",)),
+    Mutant("shift_risk_takes_non_finite_d", "admissibility.py",
+           '    if not math.isfinite(d):\n        raise InvalidParameterError("shift constant d must be finite")\n'
+           "    s = math.sqrt",
+           "    s = math.sqrt", ("test_admissibility.py",)),
+    Mutant("h_a_takes_non_finite_gap", "admissibility.py",
+           "0.0 <= theta_x < math.inf", "0.0 <= theta_x", ("test_admissibility.py",)),
     Mutant("interval_ends_swapped", "admissibility.py",
            "d0, d1 = (end, base) if cov.sigma_xy > 0 else (base, end)",
            "d0, d1 = (base, end) if cov.sigma_xy > 0 else (end, base)", ("test_admissibility.py",)),

@@ -57,6 +57,14 @@ class TestHa:
         with pytest.raises(InvalidParameterError, match=r"^theta_x must be nonnegative$"):
             h_a(-0.5, A1, self.cov)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_refused(self, value):
+        # unchecked, a nan or inf would come back as a nan or inf risk
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            h_a(value, A1, self.cov)
+        with pytest.raises(InvalidParameterError, match="^shift constant d must be finite$"):
+            shift_risk(value, ThetaStar(0.5, 0.0), A1, self.cov)
+
     def test_range(self, rng):
         for _ in range(200):
             cov = rand_cov(rng)

@@ -234,6 +234,14 @@ class TestVarphiAndBounds:
             -cov.sigma_yy / 4, abs=1e-12
         )
 
+    @pytest.mark.parametrize("t1, t2", [
+        (math.nan, 0.5), (-math.inf, 0.5), (-1.0, math.nan), (-1.0, math.inf), (-1.0, -math.inf),
+    ])
+    def test_non_finite_difference_refused(self, t1, t2):
+        # unchecked, a nan leaves both condition sets empty: no band at all
+        with pytest.raises(InvalidParameterError, match="^t1 and t2 must be finite"):
+            phi_bounds(t1, t2, A1, CovarianceSpec(2.0, 2.0, 1.0))
+
     def test_bound_examples(self):
         cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=2.0, sigma_xy=0.0)
         lo, hi = phi_bounds(-1.0, 0.0, LinexParams(-1.0), cov)

@@ -1023,3 +1023,26 @@ class TestStackedPass:
         threads = [ident for ident, _ in built]
         assert 1 <= len(threads) == len(set(threads)) <= workers
         assert {shape for _, shape in built} == {(3, 1, 20000)}
+
+
+class TestFallbacksWhereTheOsIsSilent:
+    """The branches for an OS without an affinity mask or a physical-memory count."""
+
+    @pytest.mark.parametrize("count, expected", [(3, 3), (None, 1)])
+    def test_available_cpus_without_an_affinity_mask(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert risksim.available_cpus() == expected
+
+    @pytest.mark.parametrize("error", [OSError, ValueError, AttributeError])
+    def test_sweep_runs_when_sysconf_raises(self, monkeypatch, error):
+        expected = risk_grid(7, reps=200, master_seed=3, workers=2)
+        asked = []
+
+        def silent(name):
+            asked.append(name)
+            raise error(name)
+
+        monkeypatch.setattr(os, "sysconf", silent)
+        assert risk_grid(7, reps=200, master_seed=3, workers=2) == expected
+        assert asked

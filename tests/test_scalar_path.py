@@ -4,17 +4,25 @@ The digest pins every value the scalar path returns over seeded reports,
 bit for bit, so a speed change to it cannot move a single ulp. The import
 scan keeps `import` statements out of the functions a report calls once per
 observation; each costs ~0.2 us even when the module is already loaded.
+The remembered constants (`core.remember_last` on the admissible interval,
+the clip band's edges and the Bayes posterior's prior terms) must give each
+model its own bits whatever model came before, on any thread.
 """
 
 import dis
 import hashlib
 import math
 import random
+import sys
+import threading
 
 import pytest
 
 from linexsel import admissibility, estimators, improvement, oracles, selection
-from linexsel.core import CovarianceSpec, LinexParams, ObservationPair
+from linexsel.core import (
+    CovarianceSpec, LinexError, LinexParams, ObservationPair, SingularCovarianceError,
+    remember_last,
+)
 from linexsel.estimators import EstimatorSpec, PriorSpec
 
 RHOS = (-1.0, -0.6, 0.0, 0.5, 1.0)
@@ -120,3 +128,116 @@ def test_scalar_call_runs_no_import(name):
     assert not lines, f"{name} executes an import at " + ", ".join(
         f"{code.co_filename}:{line}" for line in lines
     )
+
+
+A1 = LinexParams(1.0)
+PRIOR = PriorSpec(0.5, -0.25, 4.0)
+#: shares no record with any model below: a call on it makes every helper compute anew
+OTHER = (LinexParams(2.0), CovarianceSpec(1.0, 1.0, 0.25), PriorSpec(0.0, 0.0, 1.0))
+
+
+def _model_bits(a, cov, prior) -> list[str]:
+    """The scalar path's values that rest on the remembered constants, for one model."""
+    b = admissibility.bounds(a, cov)
+    value, lo, hi = oracles.clip_band(-0.3, 0.7, a, cov)
+    p_star, q_star = estimators.bayes_posterior((0.4, -1.2), prior, cov)
+    return [*map(_token, (b.d0, b.d1, value, p_star, q_star)), str(lo), str(hi),
+            admissibility.classify(b.d1, a, cov)]
+
+
+def _fresh_bits(a, cov, prior) -> list[str]:
+    """`_model_bits` with nothing remembered from an earlier call on any of its records."""
+    _model_bits(*OTHER)
+    return _model_bits(a, cov, prior)
+
+
+class TestRememberedConstants:
+    def test_models_that_share_a_but_not_sigma_in_turn(self):
+        covs = [CovarianceSpec.from_correlation(2.0, 2.0, 0.5),
+                CovarianceSpec.from_correlation(1.0, 3.0, -0.7)]
+        expected = [_fresh_bits(A1, cov, PRIOR) for cov in covs]
+        assert expected[0] != expected[1]
+        for _ in range(3):
+            assert [_model_bits(A1, cov, PRIOR) for cov in covs] == expected
+
+    def test_models_that_share_sigma_but_not_the_prior_in_turn(self):
+        cov = CovarianceSpec.from_correlation(2.0, 2.0, 0.5)
+        priors = [PRIOR, PriorSpec(0.5, -0.25, 0.5)]
+        expected = [_fresh_bits(A1, cov, prior) for prior in priors]
+        assert expected[0] != expected[1]
+        for _ in range(3):
+            assert [_model_bits(A1, cov, prior) for prior in priors] == expected
+
+    def test_equal_but_distinct_records_give_the_same_bits(self):
+        models = [(LinexParams(-1.5), CovarianceSpec(2.0, 3.0, 1.0), PriorSpec(0.0, 1.0, 2.0))
+                  for _ in range(2)]
+        assert models[0] == models[1] and models[0][1] is not models[1][1]
+        expected = _fresh_bits(*models[0])
+        for _ in range(2):
+            for model in models:
+                assert _model_bits(*model) == expected
+
+    def test_a_singular_covariance_raises_on_every_call(self):
+        singular = CovarianceSpec.from_correlation(2.0, 2.0, 1.0)
+        for _ in range(2):
+            with pytest.raises(SingularCovarianceError):
+                estimators.bayes_posterior((0.4, -1.2), PRIOR, singular)
+        # a nonsingular model in between leaves the refusal as it was
+        estimators.bayes_posterior((0.4, -1.2), PRIOR, CovarianceSpec(2.0, 2.0, 1.0))
+        with pytest.raises(SingularCovarianceError):
+            estimators.bayes_posterior((0.4, -1.2), PRIOR, singular)
+
+    def test_an_interval_end_that_is_not_finite_raises_on_every_call(self):
+        # -a*syy/2 = -2e308 leaves the double range
+        a, cov = LinexParams(1e308), CovarianceSpec(2.0, 4.0, 1.0)
+        for _ in range(2):
+            with pytest.raises(LinexError, match="^d0 = -inf is not finite"):
+                admissibility.bounds(a, cov)
+        admissibility.bounds(A1, cov)
+        with pytest.raises(LinexError, match="^d0 = -inf is not finite"):
+            admissibility.classify(0.0, a, cov)
+
+    def test_threads_each_on_their_own_model_get_one_threads_bits(self):
+        # more threads than cores; models that share a, Sigma or the prior
+        cov = CovarianceSpec.from_correlation(2.0, 2.0, 0.5)
+        models = [(A1, cov, PRIOR), (A1, CovarianceSpec.from_correlation(1.0, 3.0, -0.7), PRIOR),
+                  (A1, cov, PriorSpec(0.0, 0.0, 1.0)), (LinexParams(-2.0), cov, PRIOR)]
+        expected = [_fresh_bits(*model) for model in models]
+        start = threading.Barrier(len(models), timeout=60)
+        seen = [set() for _ in models]
+
+        def loop(i):
+            start.wait()
+            for _ in range(2000):
+                seen[i].add(tuple(_model_bits(*models[i])))
+
+        threads = [threading.Thread(target=loop, args=(i,)) for i in range(len(models))]
+        # switch threads as often as the interpreter allows, so their calls interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [{tuple(bits)} for bits in expected]
+
+    def test_helper_compares_by_identity_and_never_keeps_a_raise(self):
+        calls = []
+
+        def divide(x, y):
+            calls.append((x, y))
+            return x[0] / y[0]
+
+        remembered = remember_last(divide)
+        one, two, zero = [1.0], [2.0], [0.0]
+        assert remembered(one, two) == remembered(one, two) == 0.5
+        assert remembered(one, [2.0]) == 0.5  # equal, not the same: computed again
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                remembered(one, zero)
+        assert len(calls) == 4
+        assert remembered.__wrapped__ is divide and remembered.__name__ == "divide"
