@@ -80,8 +80,27 @@ def psi(theta_star: ThetaStar, a: LinexParams, cov: CovarianceSpec) -> float:
 
     Depends on theta* only through theta_x; ln(h_a) stays finite where h_a
     underflows, and at a zero gap psi is the admissible interval's end, bit for bit.
+    Raises LinexError naming a value that is not finite.
     """
-    return -a.a * cov.sigma_yy / 2.0 - _log_h_a(theta_star.theta_x, a, cov) / a.a
+    value = -a.a * cov.sigma_yy / 2.0 - _log_h_a(theta_star.theta_x, a, cov) / a.a
+    if not math.isfinite(value):
+        # a*syy/2 past the double range gives -inf, or nan against ln(h_a)/a
+        raise LinexError(f"psi = {value} is not finite at a = {a.a:g}")
+    return value
+
+
+@remember_last
+def _gap_terms(
+    theta_star: ThetaStar, a: LinexParams, cov: CovarianceSpec
+) -> tuple[float, float, float]:
+    """`shift_risk`'s terms that do not depend on d: E[W], h_a(theta_x) and a^2 syy/2.
+
+    Remembered for the last (theta*, a, cov), which a risk curve over d shares.
+    """
+    s = math.sqrt(2.0 * cov.sigma_xx)
+    tx = theta_star.theta_x
+    mean_w = 2.0 * cov.sigma_xy * std_normal_pdf(tx / s) / s
+    return mean_w, h_a(tx, a, cov), a.a * a.a * cov.sigma_yy / 2.0
 
 
 def shift_risk(d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceSpec) -> float:
@@ -89,31 +108,36 @@ def shift_risk(d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceS
 
     With W = Y_[2] - theta_y^S, R(d) = e^{ad} E[e^{aW}] - a(d + E[W]) - 1, where
     E[e^{aW}] = e^{a^2 syy/2} h_a(theta_x) and E[W] = 2 sxy phi(u)/sqrt(2 sxx) at
-    u = theta_x/sqrt(2 sxx). psi is the minimizer of this closed form. Where
-    the product e^{ad} E[e^{aW}] overflows in doubles, it is taken as
-    e^{ad + a^2 syy/2 + ln h_a}, so a tiny h_a can bring it back into range;
-    raises LinexOverflowError where even that leaves the double range, and
+    u = theta_x/sqrt(2 sxx). psi is the minimizer of this closed form. E[W],
+    h_a and a^2 syy/2 are remembered for the last (theta*, a, cov), compared by
+    identity, so a curve over d at one gap computes only e^{ad} and the sum.
+    Where the product e^{ad} E[e^{aW}] overflows in doubles, it is taken as
+    e^{ad + a^2 syy/2 + ln h_a}, so a tiny h_a can bring it back into range.
+    Raises LinexOverflowError where even that leaves the double range, or
+    where the risk is not finite for any other reason, and
     InvalidParameterError for a d that is not finite.
     """
     if not math.isfinite(d):
         raise InvalidParameterError("shift constant d must be finite")
-    s = math.sqrt(2.0 * cov.sigma_xx)
-    tx = theta_star.theta_x
-    mean_w = 2.0 * cov.sigma_xy * std_normal_pdf(tx / s) / s
-    exponent = a.a * d + a.a * a.a * cov.sigma_yy / 2.0
-    h = h_a(tx, a, cov)
+    mean_w, h, half_var = _gap_terms(theta_star, a, cov)
+    exponent = a.a * d + half_var
     try:
         tilt = math.exp(exponent) * h
     except OverflowError:
         tilt = math.inf
     if tilt == math.inf:
         # e^exponent overflows, or h_a (up to 2) carries the product past the range
-        log_tilt = exponent + _log_h_a(tx, a, cov)
+        exponent += _log_h_a(theta_star.theta_x, a, cov)
         try:
-            tilt = math.exp(log_tilt)
+            tilt = math.exp(exponent)
         except OverflowError:
-            raise LinexOverflowError(log_tilt, "shift_risk: e^{ad + a^2 syy/2} h_a") from None
-    return tilt - a.a * (d + mean_w) - 1.0
+            raise LinexOverflowError(exponent, "shift_risk: e^{ad + a^2 syy/2} h_a") from None
+    risk = tilt - a.a * (d + mean_w) - 1.0
+    if not math.isfinite(risk):
+        # math.exp passes an exponent of +-inf or nan (a*d or a^2 past the double
+        # range) without raising, and a*(d + E[W]) can leave the range on its own
+        raise LinexOverflowError(exponent, f"shift_risk: R(d) = {risk}")
+    return risk
 
 
 @remember_last

@@ -9,9 +9,9 @@ hybrid log-estimator take logs of Phi, so both need to be accurate in the
 tails), a stable log-sum-exp, counter-based random streams for reproducible
 simulation, the bit blend that array kernels select with, and
 `remember_last`, which keeps a per-model computation's value for the last
-pair of records it was called with. An array kernel writes its result into
-`out` if given and takes its temporaries from its own ufuncs; which arrays
-outlive a call is the caller's to decide. numpy is the only dependency,
+two or three records it was called with. An array kernel writes its result
+into `out` if given and takes its temporaries from its own ufuncs; which
+arrays outlive a call is the caller's to decide. numpy is the only dependency,
 and only the array kernels import it, on first use: the scalar API runs
 without loading it. This is the one package module that `cli` imports
 when it loads, so every subcommand's start compiles it.
@@ -148,8 +148,9 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def remember_last(fn: Callable[[object, object], _V]) -> Callable[[object, object], _V]:
-    """`fn(x, y)`, computed again only when x or y is not the very record of the last call.
+def remember_last(fn: Callable[..., _V]) -> Callable[..., _V]:
+    """`fn(x, y)`, or `fn(x, y, z)` for a function of three records, computed again
+    only when a record is not the very record of the last call.
 
     For the constants a model derives from its records, such as the
     admissible interval from (a, Sigma): a scalar caller passes the same
@@ -157,12 +158,28 @@ def remember_last(fn: Callable[[object, object], _V]) -> Callable[[object, objec
     the same value. They are compared by identity, not by equality, which
     would run their Python `__eq__` on every call; an equal but distinct
     record only costs one computation, of the same value. The
-    last (x, y, value) is one tuple, replaced whole, so a thread reads
-    either the old entry or the new one; the entry keeps its two records
+    last records and value are one tuple, replaced whole, so a thread reads
+    either the old entry or the new one; the entry keeps its records
     alive. A call that raises leaves the entry as it was, so it raises
     again on every call.
     """
     unset = object()
+    if fn.__code__.co_argcount == 3:
+        # a wrapper of its own, so the two-record calls of every report pay nothing for it
+        last3: tuple = (unset, unset, unset, None)
+
+        @wraps(fn)
+        def remembered3(x, y, z):
+            nonlocal last3
+            last_x, last_y, last_z, value = last3
+            if last_x is x and last_y is y and last_z is z:
+                return value
+            value = fn(x, y, z)
+            last3 = (x, y, z, value)
+            return value
+
+        return remembered3
+
     last: tuple = (unset, unset, None)
 
     @wraps(fn)

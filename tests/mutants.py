@@ -93,6 +93,10 @@ MUTANTS: tuple[Mutant, ...] = (
     # core: the remembered per-model constants
     Mutant("remembered_by_the_first_record_alone", "core.py",
            "if last_x is x and last_y is y:", "if last_x is x:", ("test_scalar_path.py",)),
+    # shift_risk's gap terms, the one function of three records: keyed by theta* alone
+    Mutant("gap_terms_remembered_by_the_gap_alone", "core.py",
+           "if last_x is x and last_y is y and last_z is z:", "if last_x is x:",
+           ("test_scalar_path.py",)),
     # core: the record base
     Mutant("record_equal_across_classes", "core.py",
            "if other.__class__ is not self.__class__:", "if not isinstance(other, Record):",
@@ -179,8 +183,10 @@ MUTANTS: tuple[Mutant, ...] = (
            "    if theta_x == 0.0:\n", "    if False:\n", ("test_admissibility.py",)),
     Mutant("shift_risk_takes_non_finite_d", "admissibility.py",
            '    if not math.isfinite(d):\n        raise InvalidParameterError("shift constant d must be finite")\n'
-           "    s = math.sqrt",
-           "    s = math.sqrt", ("test_admissibility.py",)),
+           "    mean_w",
+           "    mean_w", ("test_admissibility.py",)),
+    Mutant("shift_risk_returns_non_finite_risk", "admissibility.py",
+           "    if not math.isfinite(risk):\n", "    if False:\n", ("test_admissibility.py",)),
     Mutant("h_a_takes_non_finite_gap", "admissibility.py",
            "0.0 <= theta_x < math.inf", "0.0 <= theta_x", ("test_admissibility.py",)),
     Mutant("interval_ends_swapped", "admissibility.py",

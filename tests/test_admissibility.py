@@ -13,6 +13,8 @@ from linexsel import (
     CovarianceSpec,
     EstimatorSpec,
     InvalidParameterError,
+    LinexError,
+    LinexOverflowError,
     LinexParams,
     MeanVectorPair,
     SimConfig,
@@ -224,6 +226,28 @@ def test_psi_at_a_positive_gap_and_tiny_a_against_mpmath():
 def test_shift_risk_at_tiny_a_is_positive():
     cov = CovarianceSpec(1.0, 1.0, 0.5)
     assert shift_risk(-0.28, ThetaStar(0.0, 0.0), LinexParams(1e-12), cov) > 0
+
+
+class TestNonFiniteResultsRefused:
+    """Where a*d or a^2 leaves the double range, math.exp takes an exponent of
+    +-inf or nan without raising; the result is refused, not returned."""
+
+    gap = ThetaStar(0.5, 0.0)
+
+    @pytest.mark.parametrize("d, a, cov", [
+        (1e10, 1e300, (2.0, 2.0, 1.0)),  # was nan: inf - inf
+        (1e10, -1e300, (2.0, 2.0, 1.0)),  # was nan: -inf + inf in the exponent
+        (0.0, 1e160, (2.0, 2.0, 1.0)),  # was inf: a^2 overflows
+        (-1e300, 1e10, (2.0, 4.0, 1.0)),  # was inf: e^{-inf} = 0, but a*d overflows
+    ])
+    def test_shift_risk(self, d, a, cov):
+        with pytest.raises(LinexOverflowError, match=r"\[shift_risk: R\(d\) = (nan|inf)\]$"):
+            shift_risk(d, self.gap, LinexParams(a), CovarianceSpec(*cov))
+
+    def test_psi(self):
+        # was -inf: -a*syy/2 = -2e308
+        with pytest.raises(LinexError, match=r"^psi = -inf is not finite at a = 1e\+308$"):
+            psi(self.gap, LinexParams(1e308), CovarianceSpec(2.0, 4.0, 1.0))
 
 
 class TestClassify:
