@@ -45,7 +45,7 @@ def h_a(theta_x: float, a: LinexParams, cov: CovarianceSpec) -> float:
         if math.isfinite(theta_x):
             raise InvalidParameterError("theta_x must be nonnegative")
         raise InvalidParameterError(f"theta_x must be finite, got {theta_x!r}")
-    s = math.sqrt(2.0 * cov.sigma_xx)
+    s = cov.sd_dx
     return std_normal_cdf((a.a * cov.sigma_xy + theta_x) / s) + std_normal_cdf(
         (a.a * cov.sigma_xy - theta_x) / s
     )
@@ -60,7 +60,7 @@ def _log_h_a(theta_x: float, a: LinexParams, cov: CovarianceSpec) -> float:
     sxy = 0 (-0.0 included, so the end is -a*syy/2 bit for bit); beyond, ln 2
     + log Phi is as accurate and finite where Phi underflows (arg < -38.5).
     """
-    s = math.sqrt(2.0 * cov.sigma_xx)
+    s = cov.sd_dx
     if theta_x == 0.0:
         arg = a.a * cov.sigma_xy / s
         if abs(arg) < 0.25:
@@ -97,7 +97,7 @@ def _gap_terms(
 
     Remembered for the last (theta*, a, cov), which a risk curve over d shares.
     """
-    s = math.sqrt(2.0 * cov.sigma_xx)
+    s = cov.sd_dx
     tx = theta_star.theta_x
     mean_w = 2.0 * cov.sigma_xy * std_normal_pdf(tx / s) / s
     return mean_w, h_a(tx, a, cov), a.a * a.a * cov.sigma_yy / 2.0
@@ -132,11 +132,17 @@ def shift_risk(d: float, theta_star: ThetaStar, a: LinexParams, cov: CovarianceS
             tilt = math.exp(exponent)
         except OverflowError:
             raise LinexOverflowError(exponent, "shift_risk: e^{ad + a^2 syy/2} h_a") from None
-    risk = tilt - a.a * (d + mean_w) - 1.0
+    linear = a.a * (d + mean_w)
+    risk = tilt - linear - 1.0
     if not math.isfinite(risk):
         # math.exp passes an exponent of +-inf or nan (a*d or a^2 past the double
-        # range) without raising, and a*(d + E[W]) can leave the range on its own
-        raise LinexOverflowError(exponent, f"shift_risk: R(d) = {risk}")
+        # range) without raising; where e^{ad} E[e^{aW}] is finite (an exponent
+        # of -inf gives 0), a*(d + E[W]) left the range, or took the sum out of it
+        cause = (
+            f"LINEX risk term a*(d + E[W]) = {linear:.6g} against "
+            f"e^{{ad}} E[e^{{aW}}] = {tilt:.6g} leaves the double range"
+        ) if math.isfinite(tilt) else ""
+        raise LinexOverflowError(exponent, f"shift_risk: R(d) = {risk}", cause)
     return risk
 
 

@@ -71,15 +71,18 @@ class DatasetError(ValueError):
 
 
 class LinexOverflowError(LinexError, OverflowError):
-    """exp(a * (delta - theta)) left the double range.
+    """exp(a * (delta - theta)) left the double range, or a LINEX risk did.
 
     Carries the offending exponent so simulation drivers can report which
     estimator/parameter combination diverged instead of averaging infinities.
+    Where a term other than the exponential left the range, `cause` names it
+    and replaces the exponent in the message; `exponent` is still the one
+    computed.
     """
 
-    def __init__(self, exponent: float, context: str = ""):
+    def __init__(self, exponent: float, context: str = "", cause: str = ""):
         self.exponent = exponent
-        msg = f"LINEX loss exponent {exponent:.6g} exceeds exp() range (saturated)"
+        msg = cause or f"LINEX loss exponent {exponent:.6g} exceeds exp() range (saturated)"
         if context:
             msg += f" [{context}]"
         super().__init__(msg)
@@ -112,11 +115,11 @@ class Record:
 
     A record's fields are the parameters of its `__init__`, in order; the
     `__init__` validates them and stores each in the instance's `__dict__`.
-    Whatever else it stores there (CovarianceSpec's rho and xi) stays outside
-    equality, hash and repr. A record equals only a record of its own class
-    with equal fields and prints as `Name(field=value, ...)`. Records are
-    frozen, refusing assignment and deletion, and hash by their fields where
-    those hash (a dict or list field does not).
+    Whatever else it stores there (CovarianceSpec's rho, xi and sd_dx) stays
+    outside equality, hash and repr. A record equals only a record of its own
+    class with equal fields and prints as `Name(field=value, ...)`. Records
+    are frozen, refusing assignment and deletion, and hash by their fields
+    where those hash (a dict or list field does not).
     """
 
     _fields: tuple[str, ...]
@@ -204,9 +207,10 @@ def replace(record: Record, /, **changes) -> Record:
 class CovarianceSpec(Record):
     """The common known 2x2 variance-covariance matrix.
 
-    rho and xi are always derived from (sigma_xx, sigma_yy, sigma_xy), once,
-    at construction: plain attributes outside the fields, so equality, hash
-    and repr see the three entries alone. Degenerate correlation |rho| = 1
+    rho, xi and sd_dx = sqrt(2*sigma_xx), the standard deviation of X1 - X2,
+    are always derived from (sigma_xx, sigma_yy, sigma_xy), once, at
+    construction: plain attributes outside the fields, so equality, hash and
+    repr see the three entries alone. Degenerate correlation |rho| = 1
     is accepted (the simulation tables use rho = +-1) but the Bayes path
     rejects it separately.
     """
@@ -237,6 +241,7 @@ class CovarianceSpec(Record):
         self.__dict__.update(
             sigma_xx=sigma_xx, sigma_yy=sigma_yy, sigma_xy=sigma_xy,
             rho=max(-1.0, min(1.0, r)), xi=math.sqrt(sigma_yy / sigma_xx),
+            sd_dx=math.sqrt(2.0 * sigma_xx),
         )
 
     @classmethod

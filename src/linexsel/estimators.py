@@ -134,7 +134,7 @@ def n3_offset(t1: float, t2: float, a: LinexParams, cov: CovarianceSpec) -> floa
     exponential never overflows (the worked dataset reaches a*t2 ~ 64). Where
     P and exp(-a*t2) both underflow to 0, that log is taken in the log domain.
     """
-    u = t1 / math.sqrt(2.0 * cov.sigma_xx)
+    u = t1 / cov.sd_dx
     p = std_normal_cdf(u)
     z = a.a * t2
     if z > N3_LOG_SWITCH:
@@ -151,7 +151,7 @@ def n3_offset_batch(
     """`n3_offset` over arrays; the log switch becomes a mask. Writes into `out` if given."""
     import numpy as np
 
-    u = np.divide(t1, math.sqrt(2.0 * cov.sigma_xx))
+    u = np.divide(t1, cov.sd_dx)
     p = std_normal_cdf_batch(u)
     with np.errstate(over="ignore"):  # +-inf takes the branch the float form takes
         z = out = np.multiply(a.a, t2, out=out)
@@ -181,7 +181,7 @@ def n3_offset_batch(
 def _n4_cut(c: float, cov: CovarianceSpec) -> float:
     # N4 averages the concomitants when t1 > -c*sqrt(2*sigma_xx); c = 0 never
     # does, because t1 <= 0 always
-    return -c * math.sqrt(2.0 * cov.sigma_xx)
+    return -c * cov.sd_dx
 
 
 def base_phi(

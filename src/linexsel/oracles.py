@@ -51,9 +51,13 @@ def clip_band(t1, t2, a: LinexParams, cov: CovarianceSpec, out=None):
     """
     rho, xi = cov.rho, cov.xi
     shift, margin = _band_edges(a, cov)
-    # an array means numpy is loaded already, so this test imports nothing
-    np = sys.modules.get("numpy")
-    if np is None or not isinstance(t1, np.ndarray):
+    # a Python float goes straight to the float path; for anything else, an
+    # array means numpy is loaded already, so this test imports nothing
+    if (
+        t1.__class__ is float
+        or (np := sys.modules.get("numpy")) is None
+        or not isinstance(t1, np.ndarray)
+    ):
         # plain float arithmetic: a ufunc on floats costs ~10x
         value = t2 / 2.0 - shift
         side = t1 * xi - rho * t2

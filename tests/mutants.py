@@ -97,6 +97,9 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("gap_terms_remembered_by_the_gap_alone", "core.py",
            "if last_x is x and last_y is y and last_z is z:", "if last_x is x:",
            ("test_scalar_path.py",)),
+    # core: the covariance's derived constants
+    Mutant("sd_dx_drops_the_two", "core.py",
+           "sd_dx=math.sqrt(2.0 * sigma_xx)", "sd_dx=math.sqrt(sigma_xx)", ("test_scalar_path.py",)),
     # core: the record base
     Mutant("record_equal_across_classes", "core.py",
            "if other.__class__ is not self.__class__:", "if not isinstance(other, Record):",
@@ -136,8 +139,9 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("clip_band_batch_hi_weak", "oracles.py",
            "np.greater(gap, margin, out=cond)", "np.greater_equal(gap, margin, out=cond)",
            ("test_oracles.py",)),
+    # a number that is not a Python float (an int, a numpy scalar) takes the array path
     Mutant("clip_band_numbers_take_the_array_path", "oracles.py",
-           "if np is None or not isinstance(t1, np.ndarray):", "if np is None or type(t1) is float:",
+           "or not isinstance(t1, np.ndarray)", "or type(t1) is float",
            ("test_oracles.py",)),
     Mutant("clip_band_batch_side_lo_weak", "oracles.py",
            "lo = np.less(side, 0, out=lo)", "lo = np.less_equal(side, 0, out=lo)",

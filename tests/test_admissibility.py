@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -242,6 +243,20 @@ class TestNonFiniteResultsRefused:
     ])
     def test_shift_risk(self, d, a, cov):
         with pytest.raises(LinexOverflowError, match=r"\[shift_risk: R\(d\) = (nan|inf)\]$"):
+            shift_risk(d, self.gap, LinexParams(a), CovarianceSpec(*cov))
+
+    @pytest.mark.parametrize("d, a, cov, cause", [
+        (1e10, 1e300, (2.0, 2.0, 1.0), "LINEX loss exponent inf exceeds exp() range (saturated)"),
+        (1e10, -1e300, (2.0, 2.0, 1.0), "LINEX loss exponent nan exceeds exp() range (saturated)"),
+        (0.0, 1e160, (2.0, 2.0, 1.0), "LINEX loss exponent inf exceeds exp() range (saturated)"),
+        # a*d = -inf, so e^{ad} E[e^{aW}] = 0 and only a*(d + E[W]) left the range
+        (-1e300, 1e10, (2.0, 4.0, 1.0), "LINEX risk term a*(d + E[W]) = -inf against "
+                                        "e^{ad} E[e^{aW}] = 0 leaves the double range"),
+        (1e300, -1e10, (2.0, 4.0, 1.0), "LINEX risk term a*(d + E[W]) = -inf against "
+                                        "e^{ad} E[e^{aW}] = 0 leaves the double range"),
+    ])
+    def test_shift_risk_names_the_term_that_overflowed(self, d, a, cov, cause):
+        with pytest.raises(LinexOverflowError, match=f"^{re.escape(cause)} \\["):
             shift_risk(d, self.gap, LinexParams(a), CovarianceSpec(*cov))
 
     def test_psi(self):

@@ -12,6 +12,7 @@ without the `-> None` their generated constructors carried.
 
 import copy
 import inspect
+import math
 import pickle
 
 import pytest
@@ -258,6 +259,29 @@ def test_covariance_derivations_stay_outside_the_fields():
     twin = CovarianceSpec(4.0, 1.0, 1.0)
     twin.__dict__["rho"] = 0.0
     assert twin == cov and hash(twin) == hash(cov)
+
+
+@pytest.mark.parametrize("cov", [
+    COV,
+    CovarianceSpec(4.0, 9.0, 6.0),  # rho = 1
+    CovarianceSpec(4.0, 9.0, -6.0),  # rho = -1
+    CovarianceSpec.from_correlation(3.0, 5.0, -1.0),
+    CovarianceSpec(0.3, 7.0, 0.0),
+    CovarianceSpec(1e-150, 1e150, 0.9),
+    CovarianceSpec(1e300, 1e-300, 0.1),
+])
+def test_sd_dx_is_sqrt_two_sigma_xx_bit_for_bit(cov):
+    assert cov.sd_dx.hex() == math.sqrt(2.0 * cov.sigma_xx).hex()
+
+
+def test_sd_dx_stays_outside_the_fields():
+    cov = CovarianceSpec(4.0, 1.0, 1.0)
+    assert "sd_dx" not in cov._fields and "sd_dx" not in repr(cov)
+    assert hash(cov) == hash((4.0, 1.0, 1.0))
+    twin = CovarianceSpec(4.0, 1.0, 1.0)
+    twin.__dict__["sd_dx"] = 0.0
+    assert twin == cov and hash(twin) == hash(cov)
+    assert replace(COV, sigma_xx=8.0).sd_dx == 4.0
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
