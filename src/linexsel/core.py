@@ -8,10 +8,10 @@ approximation for arrays) and its log (the admissibility bounds and the
 hybrid log-estimator take logs of Phi, so both need to be accurate in the
 tails), a stable log-sum-exp, counter-based random streams for reproducible
 simulation, the bit blend that array kernels select with, and
-`remember_last`, which keeps a per-model computation's value for the last
-two or three records it was called with. An array kernel writes its result
-into `out` if given and takes its temporaries from its own ufuncs; which
-arrays outlive a call is the caller's to decide. numpy is the only dependency,
+`remember_last`, which keeps a per-model computation's value for the
+records of its last call. An array kernel writes its result into `out` if
+given and takes its temporaries from its own ufuncs; which arrays outlive
+a call is the caller's to decide. numpy is the only dependency,
 and only the array kernels import it, on first use: the scalar API runs
 without loading it. This is the one package module that `cli` imports
 when it loads, so every subcommand's start compiles it.
@@ -82,10 +82,15 @@ class LinexOverflowError(LinexError, OverflowError):
 
     def __init__(self, exponent: float, context: str = "", cause: str = ""):
         self.exponent = exponent
+        self._ctor_args = (exponent, context, cause)
         msg = cause or f"LINEX loss exponent {exponent:.6g} exceeds exp() range (saturated)"
         if context:
             msg += f" [{context}]"
         super().__init__(msg)
+
+    def __reduce__(self):
+        # the constructor's own arguments: the default passes the message as `exponent`
+        return type(self), self._ctor_args
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -152,47 +157,31 @@ class Record:
 
 
 def remember_last(fn: Callable[..., _V]) -> Callable[..., _V]:
-    """`fn(x, y)`, or `fn(x, y, z)` for a function of three records, computed again
-    only when a record is not the very record of the last call.
+    """`fn(x, y)` or `fn(x, y, z)`, computed again only when a record is not
+    the very record of the last call.
 
     For the constants a model derives from its records, such as the
     admissible interval from (a, Sigma): a scalar caller passes the same
     records call after call. Records are frozen, so the same records give
     the same value. They are compared by identity, not by equality, which
     would run their Python `__eq__` on every call; an equal but distinct
-    record only costs one computation, of the same value. The
-    last records and value are one tuple, replaced whole, so a thread reads
-    either the old entry or the new one; the entry keeps its records
-    alive. A call that raises leaves the entry as it was, so it raises
-    again on every call.
+    record only costs one computation, of the same value. A function of two
+    records leaves the third slot at its sentinel. The last records and
+    value are one tuple, replaced whole, so a thread reads either the old
+    entry or the new one; the entry keeps its records alive. A call that
+    raises leaves the entry as it was, so it raises again on every call.
     """
     unset = object()
-    if fn.__code__.co_argcount == 3:
-        # a wrapper of its own, so the two-record calls of every report pay nothing for it
-        last3: tuple = (unset, unset, unset, None)
-
-        @wraps(fn)
-        def remembered3(x, y, z):
-            nonlocal last3
-            last_x, last_y, last_z, value = last3
-            if last_x is x and last_y is y and last_z is z:
-                return value
-            value = fn(x, y, z)
-            last3 = (x, y, z, value)
-            return value
-
-        return remembered3
-
-    last: tuple = (unset, unset, None)
+    last: tuple = (unset, unset, unset, None)
 
     @wraps(fn)
-    def remembered(x, y):
+    def remembered(x, y, z=unset):
         nonlocal last
-        last_x, last_y, value = last
-        if last_x is x and last_y is y:
+        last_x, last_y, last_z, value = last
+        if last_x is x and last_y is y and last_z is z:
             return value
-        value = fn(x, y)
-        last = (x, y, value)
+        value = fn(x, y) if z is unset else fn(x, y, z)
+        last = (x, y, z, value)
         return value
 
     return remembered

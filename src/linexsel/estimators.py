@@ -301,9 +301,9 @@ def evaluate_batch(
     """`evaluate` over a `select_batch` summary: one estimate per draw.
 
     `phi` is the component `base_phi_batch` gives the spec (an improved
-    spec's base) on these draws, and `band` the clip band `clip_band` gives
-    an improved spec on them, when the caller already has them; otherwise
-    they are computed here. Writes into `out` if given; Bayes, in no
+    spec's base) on these draws, and `band` the clip band `clip_band_batch`
+    gives an improved spec on them, when the caller already has them;
+    otherwise they are computed here. Writes into `out` if given; Bayes, in no
     published table, allocates and needs the summary's x_max set.
     """
     import numpy as np

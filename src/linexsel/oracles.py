@@ -4,12 +4,13 @@ The paper's improvement result clips the equivariant component phi(T1, T2)
 of an estimator Y_[2] + phi into a band whose edges need no parameter: each
 edge is t2/2 - a*sigma_yy/4 on its own condition set of the observable
 differences (T1, T2) and infinite elsewhere. The band and the weak clip
-into it live here once, as a float form and an array form side by side
-(the weak inequalities become masks); `estimators` and `improvement` both
-take them from here. The exact shift-estimator risk lives with psi in
-`admissibility`; its former name `shift_risk_quadrature` is still served
-here, importing `admissibility` on first read, so loading this module
-does not load it. The optimal local shift varphi that the band sandwiches,
+into it live here once, each as a float form (`clip_band`,
+`clip_component`) with an array twin beside it (`clip_band_batch`,
+`improve_batch`), where the condition sets become masks; `estimators`
+and `improvement` both take them from here. The exact shift-estimator
+risk lives with psi in `admissibility`; its former name
+`shift_risk_quadrature` is still served here, importing `admissibility`
+on first read, so loading this module does not load it. The optimal local shift varphi that the band sandwiches,
 and the conditional law of Y_[2] - theta_y^S given (T1, T2) that it comes
 from, are test references in tests/reference.py; nothing here needs them.
 """
@@ -17,7 +18,6 @@ from, are test references in tests/reference.py; nothing here needs them.
 from __future__ import annotations
 
 import math
-import sys
 from typing import TYPE_CHECKING, Optional
 
 from .core import CovarianceSpec, InvalidParameterError, LinexParams, blend, remember_last
@@ -41,28 +41,30 @@ def _band_edges(a: LinexParams, cov: CovarianceSpec) -> tuple[float, float]:
     return a.a * cov.sigma_yy / 4.0, -a.a * cov.sigma_yy * (1.0 - rho * rho) / 2.0
 
 
-def clip_band(t1, t2, a: LinexParams, cov: CovarianceSpec, out=None):
+def clip_band(
+    t1: float, t2: float, a: LinexParams, cov: CovarianceSpec
+) -> tuple[float, bool, bool]:
     """The clip value t2/2 - a*sigma_yy/4 and the condition sets of the band.
 
     Returns (value, lo_set, hi_set): phi_inf equals value on lo_set and
-    phi_sup equals value on hi_set; the two sets are disjoint. Floats give
-    floats; arrays give arrays, written into `out` = (value, lo_set, hi_set),
-    a float and two bool arrays, if given.
+    phi_sup equals value on hi_set; the two sets are disjoint. Arrays give
+    the bits `clip_band_batch` gives, in fresh arrays.
     """
     rho, xi = cov.rho, cov.xi
     shift, margin = _band_edges(a, cov)
-    # a Python float goes straight to the float path; for anything else, an
-    # array means numpy is loaded already, so this test imports nothing
-    if (
-        t1.__class__ is float
-        or (np := sys.modules.get("numpy")) is None
-        or not isinstance(t1, np.ndarray)
-    ):
-        # plain float arithmetic: a ufunc on floats costs ~10x
-        value = t2 / 2.0 - shift
-        side = t1 * xi - rho * t2
-        gap = t2 - xi * rho * t1
-        return value, (side < 0) & (gap < margin), (side > 0) & (gap > margin)
+    value = t2 / 2.0 - shift
+    side = t1 * xi - rho * t2
+    gap = t2 - xi * rho * t1
+    return value, (side < 0) & (gap < margin), (side > 0) & (gap > margin)
+
+
+def clip_band_batch(t1, t2, a: LinexParams, cov: CovarianceSpec, out=None):
+    """`clip_band` over arrays; the condition sets become masks. Writes into
+    `out` = (value, lo_set, hi_set), a float and two bool arrays, if given."""
+    import numpy as np
+
+    rho, xi = cov.rho, cov.xi
+    shift, margin = _band_edges(a, cov)
     value, lo, hi = (None,) * 3 if out is None else out
     # side = t1*xi - rho*t2, with value holding rho*t2 for the moment
     value = np.multiply(rho, t2, out=value)
@@ -126,13 +128,13 @@ def improve_batch(
 
     `phi` is the base estimator's component from `base_phi_batch` on the same
     draws, which a sweep has already computed for the base column; it must
-    not be `out`. `band` is `clip_band`'s (value, lo_set, hi_set) on these
+    not be `out`. `band` is `clip_band_batch`'s (value, lo_set, hi_set) on these
     draws, left as it is, when the caller has it; otherwise it is built here.
     Writes into `out` if given.
     """
     import numpy as np
 
-    value, lo_set, hi_set = clip_band(s.t1, s.t2, a, cov) if band is None else band
+    value, lo_set, hi_set = clip_band_batch(s.t1, s.t2, a, cov) if band is None else band
     # the two sets are disjoint and both clip to value, so one blend serves both
     hi_clip = np.greater_equal(phi, value)
     hi_clip &= hi_set

@@ -61,7 +61,7 @@ from .core import (
 )
 from .estimators import BASE_KINDS, EstimatorSpec, base_phi_batch, evaluate_batch
 from .improvement import table_columns  # re-exported: grid callers read it from here
-from .oracles import clip_band
+from .oracles import clip_band_batch
 from .selection import select_batch
 
 if TYPE_CHECKING:
@@ -210,7 +210,7 @@ def _block_losses(block: Sequence[_Cell], ws: CellWorkspace, draws: tuple[np.nda
             held, phi = base, base_phi_batch(base, s, a, cov, ws.phi)
         if spec.kind == "Improved" and band is None:
             # every improved column clips into the one band, built at the first
-            band = clip_band(s.t1, s.t2, a, cov, ws.band)
+            band = clip_band_batch(s.t1, s.t2, a, cov, ws.band)
         estimate = evaluate_batch(spec, s, a, cov, phi, out, band)
         if estimate is not out:  # Bayes allocates its own
             out[...] = estimate

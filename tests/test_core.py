@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -139,6 +141,14 @@ class TestLinexLoss:
         with pytest.raises(LinexOverflowError) as exc:
             linex_loss(800.0, 0.0, LinexParams(1.0))
         assert exc.value.exponent == pytest.approx(800.0)
+
+    @pytest.mark.parametrize("args", [(800.0, "N1"), (12.5, "shift_risk: R(d) = inf", "a cause")],
+                             ids=["exponent", "cause"])
+    def test_overflow_error_survives_pickle_and_copy(self, args):
+        exc = LinexOverflowError(*args)
+        for twin in (pickle.loads(pickle.dumps(exc)), copy.copy(exc)):
+            assert type(twin) is LinexOverflowError
+            assert (str(twin), twin.exponent) == (str(exc), exc.exponent)
 
     def test_nan_exponent_is_refused(self):
         with pytest.raises(LinexError, match=r"rep=1\b"):

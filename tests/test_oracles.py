@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from linexsel import (
@@ -20,8 +22,9 @@ from linexsel import (
     shift_risk,
 )
 from linexsel.core import sample_batch, rng_stream, std_normal_cdf, std_normal_pdf
-from linexsel.oracles import clip_component
+from linexsel.oracles import clip_band_batch, clip_component
 
+from ._strategies import A, MEAN, PROPERTY, RHO, SCALE
 from .reference import (
     branch_density,
     cond_t3_mgf,
@@ -269,8 +272,7 @@ class TestVarphiAndBounds:
         ids=["float", "int", "float64"],
     )
     def test_numbers_give_numbers(self, number, types):
-        # clip_band tells numbers from arrays without importing numpy; every
-        # number takes the float path and gives scalars back, never 0-d arrays
+        # clip_band is plain arithmetic: every number gives scalars back, never 0-d arrays
         cov = CovarianceSpec(sigma_xx=2.0, sigma_yy=3.0, sigma_xy=1.0)
         for (t1, t2), sets in [((-4, -5), (True, False)), ((0, -1), (False, True)),
                                ((-1, 3), (False, False))]:
@@ -327,6 +329,29 @@ class TestClipAtTheBandEdge:
         assert (_signed(s.t1[0]), s.t2[0], s.y_sel[0]) == ("+0.0", 0.0, 0.0)
         assert clip_component(0.0, s.t1[0], s.t2[0], a, cov) == (0.0, "none")
         assert improve_batch(s, a, cov, 0.0).tolist() == [0.0]
+
+
+def _band_bits(band) -> tuple[list[str], list[bool], list[bool]]:
+    value, lo, hi = band
+    return [float(v).hex() for v in value], list(map(bool, lo)), list(map(bool, hi))
+
+
+class TestBandForms:
+    @PROPERTY
+    @given(a=st.builds(LinexParams, A),
+           cov=st.builds(CovarianceSpec.from_correlation, SCALE, SCALE, RHO),
+           ts=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(-20.0, 0.0)), MEAN),
+                       min_size=1, max_size=8))
+    def test_float_and_array_forms_give_the_same_bits(self, a, cov, ts):
+        t1, t2 = (np.array(column) for column in zip(*ts))
+        elements = [clip_band(x, y, a, cov) for x, y in ts]
+        expected = _band_bits(zip(*elements))
+        out = (np.empty(len(ts)), np.empty(len(ts), bool), np.empty(len(ts), bool))
+        written = clip_band_batch(t1, t2, a, cov, out)
+        assert all(w is o for w, o in zip(written, out))
+        assert _band_bits(written) == expected
+        assert _band_bits(clip_band_batch(t1, t2, a, cov)) == expected
+        assert _band_bits(clip_band(t1, t2, a, cov)) == expected
 
 
 def _signed(zero):

@@ -985,14 +985,14 @@ class TestStackedPass:
         cfg = replace(config(theta1=(1.0, 0.5), rho=0.5, reps=5000), estimators=tuple(
             spec for _, spec in table_columns(1.0, 0.5, ("N1", "N2", "N3", "N4"), 1.0)))
         expected = simulate_all(cfg)
-        band, calls = oracles.clip_band, []
+        band, calls = oracles.clip_band_batch, []
 
         def counted(*args):
             calls.append(args)
             return band(*args)
 
-        monkeypatch.setattr(risksim, "clip_band", counted)
-        monkeypatch.setattr(oracles, "clip_band", counted)
+        monkeypatch.setattr(risksim, "clip_band_batch", counted)
+        monkeypatch.setattr(oracles, "clip_band_batch", counted)
         assert simulate_all(cfg) == expected
         assert len(calls) == 1
         # each column alone, building its own band, gives the bits it has beside the others
