@@ -32,23 +32,21 @@ _HOMES: dict[str, tuple[str, ...]] = {
     "core": (
         "CovarianceSpec", "DatasetError", "InvalidParameterError", "LinexError",
         "LinexOverflowError", "LinexParams", "MeanVectorPair", "ObservationPair",
-        "SingularCovarianceError", "ThetaStar", "linex_loss", "log_std_normal_cdf", "log_sum_exp",
-        "rng_stream", "sample_batch", "std_normal_cdf", "std_normal_cdf_batch", "std_normal_pdf",
+        "SingularCovarianceError", "ThetaStar", "log_std_normal_cdf", "log_sum_exp", "rng_stream",
+        "sample_batch", "std_normal_cdf", "std_normal_pdf",
     ),
-    "estimators": (
-        "EstimatorSpec", "PriorSpec", "base_phi", "base_phi_batch", "bayes_posterior",
-        "est_bayes", "evaluate", "evaluate_batch",
-    ),
+    "estimators": ("EstimatorSpec", "PriorSpec", "base_phi", "bayes_posterior", "est_bayes", "evaluate"),
     "improvement": (
         "ImprovementOutcome", "applicable_case", "case_label", "estimate_rows", "estimates_csv",
         "improve",
     ),
-    "oracles": ("clip_band", "improve_batch", "phi_bounds"),
+    "kernels": ("base_phi_batch", "evaluate_batch", "improve_batch", "linex_loss", "select_batch"),
+    "oracles": ("clip_band", "phi_bounds"),
     "risksim": (
         "TABLE_SPECS", "THETA_CONFIGS", "RiskEstimate", "RiskTable", "SimConfig", "TableSpec",
         "paired_risk_difference", "risk_grid", "simulate_all", "simulate_risk",
     ),
-    "selection": ("SelectionSummary", "select", "select_batch"),
+    "selection": ("SelectionSummary", "select"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

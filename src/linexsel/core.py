@@ -1,20 +1,17 @@
-"""Numeric kernels and shared domain types.
+"""Shared domain types, the scalar numerics, and the random streams.
 
 Everything downstream builds on the pieces here: the package's error types
 (`DatasetError`, for malformed input data, among them), the `Record` base
 of its records, the known 2x2 covariance and its derived quantities, the
-LINEX loss, the standard normal cdf (erfc for floats, a rational
-approximation for arrays) and its log (the admissibility bounds and the
-hybrid log-estimator take logs of Phi, so both need to be accurate in the
-tails), a stable log-sum-exp, counter-based random streams for reproducible
-simulation, the bit blend that array kernels select with, and
-`remember_last`, which keeps a per-model computation's value for the
-records of its last call. An array kernel writes its result into `out` if
-given and takes its temporaries from its own ufuncs; which arrays outlive
-a call is the caller's to decide. numpy is the only dependency,
-and only the array kernels import it, on first use: the scalar API runs
-without loading it. This is the one package module that `cli` imports
-when it loads, so every subcommand's start compiles it.
+standard normal pdf and cdf (erfc) and the cdf's log (the admissibility
+bounds and the hybrid log-estimator take logs of Phi, so both need to be
+accurate in the tails), a stable log-sum-exp, `remember_last`, which keeps
+a per-model computation's value for the records of its last call, and the
+counter-based random streams of stream layout v1 (`rng_stream`,
+`sample_batch`, `sample_block`). Those three are the only numpy code here,
+and each imports numpy on first use; the risk cell's other array kernels
+live in `kernels`. This is the one package module that `cli` imports when
+it loads, so every subcommand's start compiles it.
 """
 
 from __future__ import annotations
@@ -33,26 +30,6 @@ _V = TypeVar("_V")
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
-
-# Phi(-t) = exp(-t^2/2) P(t) / Q(t) on t in [0, _CDF_T_MAX], coefficients in
-# ascending powers, Q monic; fitted at 50 digits by tests/fit_normal_cdf.py.
-# Largest relative error on a dense grid: 0.6 ulp in exact arithmetic, 4.3 ulp
-# through the Horner scheme below.
-_CDF_P = (
-    142071.67722077604, 220452.7364414208, 169198.8533513047, 82502.57738009006,
-    27891.83801585515, 6752.498101532131, 1170.5804045173982, 140.60685141494838,
-    10.700896689414282, 0.3989422804003892,
-)
-_CDF_Q = (
-    284143.3544415521, 667619.0684464886, 729008.976692989, 488431.826246843,
-    223034.46395940785, 72795.03024415504, 17276.45188860044, 2961.0331069440426,
-    353.44910941553724, 26.82317020504157, 1.0,
-)
-_CDF_T_MAX = 40.0  # exp(-_CDF_T_MAX^2/2) underflows to 0
-
-# exp() overflows just above 709.78; keep a little headroom
-EXP_OVERFLOW_LIMIT = 700.0
-
 
 class LinexError(Exception):
     """Base error for this package."""
@@ -316,39 +293,6 @@ def std_normal_cdf(u: float) -> float:
     return 0.5 * math.erfc(-u / _SQRT2)
 
 
-def std_normal_cdf_batch(u: np.ndarray) -> np.ndarray:
-    """Phi(u) over an array of u <= 0 (the batch N3 kernel's t1 is never positive).
-
-    A Cody-style rational approximation: exp(-u^2/2) P(-u) / Q(-u) with one
-    degree 9/10 rational fitted to exp(t^2/2) Phi(-t) over the whole range
-    where Phi(-t) is nonzero, so no branch is needed. Relative error within
-    about 4 ulp plus the u^2/4 ulp that rounding u^2 passes through exp;
-    about 1 subnormal ulp absolute where Phi is subnormal, and 0 below about
-    -38.5. Not defined for u > 0.
-    """
-    import numpy as np
-
-    t = np.negative(u)
-    # beyond _CDF_T_MAX Phi(-t) is 0 all the same; the clip keeps t*t, P and Q
-    # finite for any u, -inf included
-    np.minimum(t, _CDF_T_MAX, out=t)
-    out = np.multiply(t, t)
-    out *= -0.5
-    np.exp(out, out=out)
-    acc = np.multiply(_CDF_P[-1], t)
-    acc += _CDF_P[-2]
-    for c in _CDF_P[-3::-1]:
-        acc *= t
-        acc += c
-    out *= acc
-    np.add(t, _CDF_Q[-2], out=acc)
-    for c in _CDF_Q[-3::-1]:
-        acc *= t
-        acc += c
-    out /= acc
-    return out
-
-
 def log_std_normal_cdf_tail(u):
     """log Phi(u) for u below about -37.5, where Phi(u) is subnormal or 0; floats or arrays.
 
@@ -395,44 +339,6 @@ def log_sum_exp(values: Iterable[float]) -> float:
     if m == math.inf:
         return math.inf
     return m + math.log(sum(math.exp(v - m) for v in vals))
-
-
-def linex_loss(
-    delta,
-    theta,
-    params: LinexParams,
-    context: str = "",
-    out: Optional[np.ndarray] = None,
-):
-    """LINEX loss exp(a*(delta-theta)) - a*(delta-theta) - 1, over floats or arrays.
-
-    Nonnegative, zero only at delta == theta. Rather than returning inf or nan
-    silently it raises LinexOverflowError when the largest exponent would
-    overflow exp() or is NaN, and InvalidParameterError when an exponent is
-    -inf; both name the offending rep, its flat index in the array. `context`
-    only labels the message. Writes into `out` if given (which may be `delta`
-    itself). The exponent and its largest and least values take one pass each
-    over the whole array, the loss one pass per slice of its first axis, so a
-    (columns, rows, reps) stack keeps expm1's temporary one column long.
-    """
-    import numpy as np
-
-    if out is None:
-        out = np.empty(np.broadcast(delta, theta).shape)
-    with np.errstate(over="ignore"):  # an exponent that overflows is refused below
-        z = np.multiply(params.a, np.subtract(delta, theta, out=out), out=out)
-    zmax = float(np.max(z))
-    if not zmax <= EXP_OVERFLOW_LIMIT:
-        raise LinexOverflowError(zmax, f"{context} rep={np.argmax(z)}".lstrip())
-    if float(np.min(z)) == -math.inf:
-        raise InvalidParameterError(
-            f"loss arguments must be finite, exponent -inf at rep={np.argmin(z)} {context}".rstrip()
-        )
-    stack = z if z.ndim > 1 else z[np.newaxis]
-    for j in range(len(stack)):
-        column = stack[j, ...]  # a view, even of a column that is one number
-        np.subtract(np.expm1(column), column, out=column)
-    return out if out.ndim else out[()]
 
 
 def rng_stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -515,40 +421,3 @@ def sample_block(
         x *= l_xx
         x += theta_x
     return x1, y1, x2, y2
-
-
-def _bits(v) -> np.ndarray | np.int64:
-    # an array's bits are read in place; a number (Python or numpy scalar) is
-    # converted to float64 first, which alone needs numpy
-    if getattr(v, "ndim", 0):
-        return v.view("i8")
-    import numpy as np
-
-    return np.float64(v).view(np.int64)
-
-
-def blend(cond: np.ndarray, a, b, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """np.where(cond, a, b) bit for bit, written into `out` if given; `a` and `b` are floats or float arrays.
-
-    It blends bit patterns, b ^ ((a ^ b) & -cond), rather than branch on each
-    element: where cond is a coin toss, np.where and masked copies run 5-10x
-    slower on mispredicted branches. `out` must not be `b`.
-    """
-    import numpy as np
-
-    return mask_blend(np.negative(cond.view(np.int8)), a, b, out)
-
-
-def mask_blend(mask: np.ndarray, a, b, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """`blend` by the mask -cond (all bits set where cond holds, none elsewhere) in place of cond.
-
-    A caller that blends several pairs by one condition builds the mask once.
-    """
-    import numpy as np
-
-    if out is None:
-        out = np.empty(np.shape(mask))
-    bits = out.view(np.int64)
-    np.bitwise_and(mask, np.bitwise_xor(_bits(a), _bits(b), out=bits), out=bits)
-    bits ^= _bits(b)
-    return out

@@ -5,16 +5,17 @@ equivariant shift, a log-transformed plug-in, and a hybrid that averages
 the concomitants when the X's are close), the conjugate-prior Bayes
 estimator, the constant-shift class, and a tagged-spec dispatcher.
 
-Each rule lives here once: N1..N4 are Y_[2] plus `base_phi`, the Bayes rule
-serves floats and arrays alike, and where a branch becomes a mask (N3's log
-switch, N4's window) the float form and its `_batch` array twin sit side by
-side. The float forms stay plain Python: size-1 arrays cost ~10x per call.
+Each rule lives here once: N1..N4 are Y_[2] plus `base_phi`, and the Bayes
+rule serves floats and arrays alike. Where a branch becomes a mask (N3's log
+switch, N4's window) the `_batch` array twin lives in `kernels`, which reads
+the rule's constants from here. The float forms stay plain Python: size-1
+arrays cost ~10x per call.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .core import (
     CovarianceSpec,
@@ -22,19 +23,13 @@ from .core import (
     LinexParams,
     Record,
     SingularCovarianceError,
-    blend,
     log_std_normal_cdf,
-    log_std_normal_cdf_tail,
     log_sum_exp,
     remember_last,
     std_normal_cdf,
-    std_normal_cdf_batch,
 )
-from .oracles import clip_component, improve_batch
+from .oracles import clip_component
 from .selection import SelectionSummary
-
-if TYPE_CHECKING:
-    import numpy as np
 
 N3_LOG_SWITCH = 30.0  # switch the N3 component to the log-domain rearrangement
 
@@ -145,39 +140,6 @@ def n3_offset(t1: float, t2: float, a: LinexParams, cov: CovarianceSpec) -> floa
     return math.log1p(math.expm1(z) * p) / a.a
 
 
-def n3_offset_batch(
-    t1, t2, a: LinexParams, cov: CovarianceSpec, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """`n3_offset` over arrays; the log switch becomes a mask. Writes into `out` if given."""
-    import numpy as np
-
-    u = np.divide(t1, cov.sd_dx)
-    p = std_normal_cdf_batch(u)
-    with np.errstate(over="ignore"):  # +-inf takes the branch the float form takes
-        z = out = np.multiply(a.a, t2, out=out)
-    big = np.greater(z, N3_LOG_SWITCH)
-    any_big = big.any()
-    # out holds z until the small branch overwrites it there
-    small = np.logical_not(big) if any_big else True
-    np.expm1(z, out=out, where=small)
-    np.multiply(out, p, out=out, where=small)
-    np.log1p(out, out=out, where=small)
-    np.divide(out, a.a, out=out, where=small)
-    if any_big:
-        pb, zb = p[big], z[big]
-        inner = pb + (1.0 - pb) * np.exp(-zb)
-        with np.errstate(divide="ignore"):
-            log_inner = np.log(inner)
-        # inner is 0 only where Phi(u) underflowed, i.e. in the tail
-        under = inner == 0
-        if under.any():
-            log_inner[under] = np.logaddexp(
-                log_std_normal_cdf_tail(u[big][under]), np.log1p(-pb[under]) - zb[under]
-            )
-        out[big] = t2[big] + log_inner / a.a
-    return out
-
-
 def _n4_cut(c: float, cov: CovarianceSpec) -> float:
     # N4 averages the concomitants when t1 > -c*sqrt(2*sigma_xx); c = 0 never
     # does, because t1 <= 0 always
@@ -201,31 +163,6 @@ def base_phi(
         return n3_offset(s.t1, s.t2, a, cov)
     if spec.kind == "N4":
         return s.t2 / 2.0 if s.t1 > _n4_cut(spec.c, cov) else 0.0
-    raise InvalidParameterError(
-        f"no equivariant component for kind {spec.kind!r}; only N1..N4 have one"
-    )
-
-
-def base_phi_batch(
-    spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec,
-    out: Optional[np.ndarray] = None,
-) -> float | np.ndarray:
-    """`base_phi` over a `select_batch` summary; N4's window becomes a mask.
-
-    N1's and N2's components are constants and come back as `base_phi`'s
-    float, which ufuncs broadcast. N3's and N4's are written into `out` if
-    given.
-    """
-    if spec.kind in ("N1", "N2"):
-        return base_phi(spec, s, a, cov)
-    if spec.kind == "N3":
-        return n3_offset_batch(s.t1, s.t2, a, cov, out)
-    if spec.kind == "N4":
-        import numpy as np
-
-        inside = np.greater(s.t1, _n4_cut(spec.c, cov))
-        half = np.multiply(s.t2, 0.5, out=out)  # t2 / 2 bit for bit, at a third of the cost
-        return blend(inside, half, 0.0, half)
     raise InvalidParameterError(
         f"no equivariant component for kind {spec.kind!r}; only N1..N4 have one"
     )
@@ -291,33 +228,3 @@ def evaluate(
         return est_bayes(s, spec.prior, a, cov)
     phi = base_phi(spec.base, s, a, cov)
     return s.y_sel + clip_component(phi, s.t1, s.t2, a, cov)[0]
-
-
-def evaluate_batch(
-    spec: EstimatorSpec, s: SelectionSummary, a: LinexParams, cov: CovarianceSpec,
-    phi: float | np.ndarray | None = None, out: Optional[np.ndarray] = None,
-    band: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-) -> np.ndarray:
-    """`evaluate` over a `select_batch` summary: one estimate per draw.
-
-    `phi` is the component `base_phi_batch` gives the spec (an improved
-    spec's base) on these draws, and `band` the clip band `clip_band_batch`
-    gives an improved spec on them, when the caller already has them;
-    otherwise they are computed here. Writes into `out` if given; Bayes, in no
-    published table, allocates and needs the summary's x_max set.
-    """
-    import numpy as np
-
-    if spec.kind == "Shift":
-        return np.add(s.y_sel, spec.d, out=out)
-    if spec.kind == "Bayes":
-        if s.x_max is None:
-            raise InvalidParameterError(
-                "a Bayes estimate needs the summary's x_max, which select_batch leaves None"
-            )
-        return est_bayes(s, spec.prior, a, cov)
-    if phi is None:
-        phi = base_phi_batch(spec.base if spec.kind == "Improved" else spec, s, a, cov)
-    if spec.kind == "Improved":
-        return improve_batch(s, a, cov, phi, out, band)
-    return np.add(s.y_sel, phi, out=out)

@@ -7,6 +7,9 @@ columns are added later. A column group is the base-estimator family; the
 base and its truncation-improved variant share draws, which is exactly the
 common-random-numbers pairing the dominance comparisons need.
 
+The cell's array kernels come from `kernels`, which no other module
+imports, so only a start that runs a sweep compiles them.
+
 One runner runs the blocks of cells it is given: `risk_grid` cuts each
 column group's rows into blocks of k, and `simulate_risk`, `simulate_all`
 and `paired_risk_difference` pass a block of their one cell. Each cell of a
@@ -52,17 +55,14 @@ from .core import (
     LinexParams,
     MeanVectorPair,
     Record,
-    linex_loss,
-    mask_blend,
     nonnegative_int,
     replace,
     rng_stream,
     sample_block,
 )
-from .estimators import BASE_KINDS, EstimatorSpec, base_phi_batch, evaluate_batch
+from .estimators import BASE_KINDS, EstimatorSpec
 from .improvement import table_columns  # re-exported: grid callers read it from here
-from .oracles import clip_band_batch
-from .selection import select_batch
+from .kernels import base_phi_batch, clip_band_batch, evaluate_batch, linex_loss, mask_blend, select_batch
 
 if TYPE_CHECKING:
     import numpy as np

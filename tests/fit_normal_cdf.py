@@ -1,17 +1,17 @@
-"""Fit the coefficients of the batch normal cdf in linexsel.core with mpmath.
+"""Fit the coefficients of the batch normal cdf in linexsel.kernels with mpmath.
 
     PYTHONPATH=src python tests/fit_normal_cdf.py
 
-`core.std_normal_cdf_batch` writes Phi(-t) = exp(-t^2/2) P(t) / Q(t) for
+`kernels.std_normal_cdf_batch` writes Phi(-t) = exp(-t^2/2) P(t) / Q(t) for
 t >= 0, the form W. J. Cody gives erfc on his middle interval (Math. Comp. 23
 (1969), 631-637), here stretched over the whole range t in [0, T_MAX] where
 Phi(-t) does not round to 0. This script fits P (degree 9) and a monic Q
 (degree 10) to g(t) = exp(t^2/2) Phi(-t) at 50 digits: Sanathanan-Koerner
 iterations give a relative least-squares fit on Chebyshev nodes, then Lawson
 reweighting moves it towards the minimax fit. It prints the literals for
-`core._CDF_P` and `core._CDF_Q`, whether they equal the checked-in ones, and
+`kernels._CDF_P` and `kernels._CDF_Q`, whether they equal the checked-in ones, and
 the largest relative error of the double coefficients on a dense grid, both
-in exact arithmetic and through the double Horner scheme core uses.
+in exact arithmetic and through the double Horner scheme kernels uses.
 Nothing is downloaded; a run takes about 15 s.
 """
 
@@ -89,11 +89,11 @@ def main() -> None:
     print(f"_CDF_P = {p!r}")
     print(f"_CDF_Q = {q!r}")
     try:
-        from linexsel import core
+        from linexsel import kernels
 
-        print("equal to the checked-in literals:", (p, q) == (core._CDF_P, core._CDF_Q))
+        print("equal to the checked-in literals:", (p, q) == (kernels._CDF_P, kernels._CDF_Q))
     except ImportError:
-        print("linexsel not importable; set PYTHONPATH=src to compare with core")
+        print("linexsel not importable; set PYTHONPATH=src to compare with kernels")
     exact, horner = max_errors(list(p), list(q))
     print(f"max relative error on [0, {T_MAX}]: {exact:.2f} ulp exact, {horner:.2f} ulp in doubles")
 

@@ -51,21 +51,21 @@ class Mutant:
 
 
 MUTANTS: tuple[Mutant, ...] = (
-    # selection
+    # selection, and its array twin in kernels
     Mutant("tie_selects_population_1", "selection.py",
            "    if x1 > x2:\n", "    if x1 >= x2:\n", ("test_selection.py",)),
-    Mutant("batch_tie_selects_population_1", "selection.py",
+    Mutant("batch_tie_selects_population_1", "kernels.py",
            "sel1 = np.greater(x1, x2)", "sel1 = np.greater_equal(x1, x2)",
            ("test_selection.py",)),
-    Mutant("t1_is_minus_abs", "selection.py",
+    Mutant("t1_is_minus_abs", "kernels.py",
            "np.subtract(0.0, t1, out=t1)", "np.negative(t1, out=t1)", ("test_selection.py",)),
-    # core: sampling, Phi, the loss, blend
+    # core (sampling, log Phi) and kernels (the batch Phi, the loss, blend)
     Mutant("three_row_draw_ignores_negative_zero", "core.py",
            "theta_y == 0.0 and math.copysign(1.0, theta_y) < 0.0", "False", ("test_core.py",)),
     Mutant("theta_y_added_after_the_sum", "core.py",
            "            t += theta_y\n            y += t\n",
            "            y += t\n            y += theta_y\n", ("test_core.py",)),
-    Mutant("cdf_unclipped", "core.py",
+    Mutant("cdf_unclipped", "kernels.py",
            "    np.minimum(t, _CDF_T_MAX, out=t)\n", "", ("test_core.py",)),
     Mutant("tail_series_first_term", "core.py",
            "    series = r * (-1.0 + r * (3.0 + r * (-15.0 + r * (105.0 + r * (\n"
@@ -74,16 +74,16 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("log_cdf_without_upper_branch", "core.py",
            "    if u > 0:\n        return math.log1p(-std_normal_cdf(-u))\n", "",
            ("test_core.py",)),
-    Mutant("loss_checked_on_the_first_slice_only", "core.py",
+    Mutant("loss_checked_on_the_first_slice_only", "kernels.py",
            "zmax = float(np.max(z))", "zmax = float(np.max(z[:1]))", ("test_risksim.py",)),
-    Mutant("loss_lets_nan_through", "core.py",
+    Mutant("loss_lets_nan_through", "kernels.py",
            "if not zmax <= EXP_OVERFLOW_LIMIT:", "if zmax > EXP_OVERFLOW_LIMIT:", ("test_core.py",)),
     Mutant("stream_key_parts_truncated", "core.py",
            'key = tuple(nonnegative_int("stream key part", k) for k in key)',
            "key = tuple(int(k) for k in key)", ("test_core.py",)),
-    Mutant("loss_lets_minus_inf_through", "core.py",
+    Mutant("loss_lets_minus_inf_through", "kernels.py",
            "if float(np.min(z)) == -math.inf:", "if False:", ("test_core.py",)),
-    Mutant("blend_drops_every_7th_mask", "core.py",
+    Mutant("blend_drops_every_7th_mask", "kernels.py",
            "    np.bitwise_and(mask, ",
            "    mask[::7] = 0\n    np.bitwise_and(mask, ",
            ("test_core.py", "test_estimators.py")),
@@ -106,21 +106,21 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("record_equal_across_classes", "core.py",
            "if other.__class__ is not self.__class__:", "if not isinstance(other, Record):",
            ("test_records.py",)),
-    # estimators
+    # estimators, and their array twins in kernels
     Mutant("n3_log_switch_drops_t2", "estimators.py",
            "            return t2 + math.log(inner) / a.a\n",
            "            return math.log(inner) / a.a\n", ("test_estimators.py",)),
-    Mutant("n3_batch_log_switch_drops_t2", "estimators.py",
+    Mutant("n3_batch_log_switch_drops_t2", "kernels.py",
            "out[big] = t2[big] + log_inner / a.a", "out[big] = log_inner / a.a",
            ("test_estimators.py", "test_core.py")),
-    Mutant("n3_small_branch_unmasked", "estimators.py",
+    Mutant("n3_small_branch_unmasked", "kernels.py",
            "np.expm1(z, out=out, where=small)", "np.expm1(z, out=out)",
            ("test_estimators.py", "test_risksim.py")),
-    Mutant("n4_window_weak_at_c_zero", "estimators.py",
+    Mutant("n4_window_weak_at_c_zero", "kernels.py",
            "inside = np.greater(s.t1, _n4_cut(spec.c, cov))",
            "inside = np.greater_equal(s.t1, _n4_cut(spec.c, cov))",
            ("test_estimators.py",)),
-    Mutant("shift_regrouped", "estimators.py",
+    Mutant("shift_regrouped", "kernels.py",
            "return np.add(s.y_sel, spec.d, out=out)",
            "return np.add(np.add(s.y_sel, spec.d / 3, out=out), 2 * spec.d / 3, out=out)",
            ("test_risksim.py",)),
@@ -130,42 +130,42 @@ MUTANTS: tuple[Mutant, ...] = (
            "    phi = base_phi(spec.base, s, a, cov)\n",
            "    from . import improvement  # noqa: F401\n    phi = base_phi(spec.base, s, a, cov)\n",
            ("test_scalar_path.py",)),
-    # oracles: the band and the clip
+    # oracles: the band and the clip, and their array twins in kernels
     Mutant("clip_band_lo_weak", "oracles.py",
            "(side < 0) & (gap < margin)", "(side < 0) & (gap <= margin)", ("test_oracles.py",)),
     Mutant("clip_band_hi_weak", "oracles.py",
            "(side > 0) & (gap > margin)", "(side > 0) & (gap >= margin)", ("test_oracles.py",)),
-    Mutant("clip_band_batch_lo_weak", "oracles.py",
+    Mutant("clip_band_batch_lo_weak", "kernels.py",
            "cond = np.less(gap, margin)", "cond = np.less_equal(gap, margin)",
            ("test_oracles.py",)),
-    Mutant("clip_band_batch_hi_weak", "oracles.py",
+    Mutant("clip_band_batch_hi_weak", "kernels.py",
            "np.greater(gap, margin, out=cond)", "np.greater_equal(gap, margin, out=cond)",
            ("test_oracles.py",)),
-    Mutant("clip_band_batch_side_lo_weak", "oracles.py",
+    Mutant("clip_band_batch_side_lo_weak", "kernels.py",
            "lo = np.less(side, 0, out=lo)", "lo = np.less_equal(side, 0, out=lo)",
            ("test_oracles.py",)),
-    Mutant("clip_band_batch_side_hi_weak", "oracles.py",
+    Mutant("clip_band_batch_side_hi_weak", "kernels.py",
            "hi = np.greater(side, 0, out=hi)", "hi = np.greater_equal(side, 0, out=hi)",
            ("test_oracles.py",)),
     Mutant("clip_tie_strict", "oracles.py",
            "if lo_set and phi <= value:", "if lo_set and phi < value:", ("test_improvement.py",)),
     Mutant("clip_hi_tie_strict", "oracles.py",
            "if hi_set and phi >= value:", "if hi_set and phi > value:", ("test_improvement.py",)),
-    Mutant("improve_batch_tie_strict", "oracles.py",
+    Mutant("improve_batch_tie_strict", "kernels.py",
            "np.less_equal(phi, value)", "np.less(phi, value)",
            ("test_improvement.py", "test_oracles.py", "test_estimators.py", "test_risksim.py",
             "test_acceptance.py"),
            equivalent="at a tie phi == value, so both sides give the same component and differ "
                       "at most in the sign of a zero, which no loss or risk sees"),
-    Mutant("improve_batch_lo_clip_wrong_side", "oracles.py",
+    Mutant("improve_batch_lo_clip_wrong_side", "kernels.py",
            "clip = np.less_equal(phi, value)",
            "clip = np.greater_equal(phi, value)", ("test_improvement.py",)),
-    Mutant("improve_batch_hi_clip_wrong_side", "oracles.py",
+    Mutant("improve_batch_hi_clip_wrong_side", "kernels.py",
            "hi_clip = np.greater_equal(phi, value)",
            "hi_clip = np.less_equal(phi, value)", ("test_risksim.py",)),
-    Mutant("improve_batch_hi_clip_dropped", "oracles.py",
+    Mutant("improve_batch_hi_clip_dropped", "kernels.py",
            "    clip |= hi_clip\n", "", ("test_risksim.py",)),
-    Mutant("improve_batch_writes_the_band", "oracles.py",
+    Mutant("improve_batch_writes_the_band", "kernels.py",
            "    hi_clip &= hi_set\n", "    hi_set &= hi_clip\n    hi_clip = hi_set\n",
            ("test_risksim.py",)),
     Mutant("phi_bounds_takes_non_finite_differences", "oracles.py",
@@ -296,9 +296,9 @@ MUTANTS: tuple[Mutant, ...] = (
            "    from .improvement import estimate_rows, estimates_csv, format_value\n"
            "    from . import analysis  # noqa: F401\n", ("test_cli.py",)),
     Mutant("oracles_import_admissibility_eagerly", "oracles.py",
-           "from .selection import SelectionSummary\n",
-           "from .admissibility import shift_risk  # noqa: F401\n"
-           "from .selection import SelectionSummary\n", ("test_cli.py",)),
+           "from .core import CovarianceSpec, InvalidParameterError, LinexParams, remember_last\n",
+           "from .core import CovarianceSpec, InvalidParameterError, LinexParams, remember_last\n"
+           "from .admissibility import shift_risk  # noqa: F401\n", ("test_cli.py",)),
     Mutant("package_imports_a_submodule_eagerly", "__init__.py",
            '__version__ = "0.1.0"\n',
            '__version__ = "0.1.0"\n\nfrom . import risksim  # noqa: F401\n',

@@ -37,11 +37,11 @@ from linexsel import (
     log_sum_exp,
     rng_stream,
     std_normal_cdf,
-    std_normal_cdf_batch,
     std_normal_pdf,
 )
 from linexsel.core import log_std_normal_cdf_tail
 from linexsel.estimators import N3_LOG_SWITCH
+from linexsel.kernels import std_normal_cdf_batch
 
 QUAD_ABS_TOL = 1e-12
 QUAD_HALF_WIDTH = 12.0  # integration half-width in component standard deviations

@@ -656,7 +656,7 @@ SUBCOMMAND_MODULES = {
     "admissibility": {"core", "admissibility"},
     "estimate": _ESTIMATORS,
     "analyze": _ESTIMATORS | {"analysis"},
-    "simulate": _ESTIMATORS | {"risksim"},
+    "simulate": _ESTIMATORS | {"kernels", "risksim"},
 }
 
 #: the cold-start runs of the benchmark's `cli` workload, without --out
@@ -679,10 +679,10 @@ PUBLIC_NAMES = [
     "analyze", "applicable_case", "base_phi", "base_phi_batch", "bayes_posterior", "bounds",
     "bundled_dataset_path", "case_label", "classify", "clip_band", "core", "est_bayes",
     "estimate_rows", "estimates_csv", "estimators", "evaluate", "evaluate_batch", "fit", "h_a",
-    "improve", "improve_batch", "improvement", "linex_loss", "load_dataset", "log_std_normal_cdf",
-    "log_sum_exp", "oracles", "paired_risk_difference", "phi_bounds", "psi", "risk_grid",
-    "risksim", "rng_stream", "sample_batch", "select", "select_batch", "selection", "shift_risk",
-    "simulate_all", "simulate_risk", "std_normal_cdf", "std_normal_cdf_batch", "std_normal_pdf",
+    "improve", "improve_batch", "improvement", "kernels", "linex_loss", "load_dataset",
+    "log_std_normal_cdf", "log_sum_exp", "oracles", "paired_risk_difference", "phi_bounds", "psi",
+    "risk_grid", "risksim", "rng_stream", "sample_batch", "select", "select_batch", "selection",
+    "shift_risk", "simulate_all", "simulate_risk", "std_normal_cdf", "std_normal_pdf",
 ]
 
 

@@ -30,10 +30,10 @@ from linexsel import (
     select,
     select_batch,
     std_normal_cdf,
-    std_normal_cdf_batch,
     std_normal_pdf,
 )
 from linexsel.core import log_std_normal_cdf_tail, replace, sample_block
+from linexsel.kernels import std_normal_cdf_batch
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
 

@@ -24,7 +24,8 @@ from linexsel import (
     select,
     select_batch,
 )
-from linexsel.estimators import base_phi, base_phi_batch, n3_offset, n3_offset_batch
+from linexsel.estimators import base_phi, n3_offset
+from linexsel.kernels import base_phi_batch, n3_offset_batch
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
 from .reference import posterior_numeric, posterior_risk_constant

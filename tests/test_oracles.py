@@ -22,7 +22,8 @@ from linexsel import (
     shift_risk,
 )
 from linexsel.core import sample_batch, rng_stream, std_normal_cdf, std_normal_pdf
-from linexsel.oracles import clip_band_batch, clip_component
+from linexsel.kernels import clip_band_batch
+from linexsel.oracles import clip_component
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE
 from .reference import (

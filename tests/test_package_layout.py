@@ -7,7 +7,9 @@ benchmark in `perfbench/`; code that only the tests call lives in `tests/`.
 A method counts as used only where it is read as an attribute (`x.name`),
 so a local variable or parameter of the same name does not keep it. No
 module imports `dataclasses`: it loads `inspect` on every start, and the
-records build on `core.Record` instead.
+records build on `core.Record` instead. numpy is imported only by the
+risk cell's modules, `kernels` and `risksim`, and by core's stream layout
+v1, so the modules a scalar start loads hold no other numpy code.
 """
 
 import ast
@@ -130,3 +132,37 @@ def test_no_module_imports_dataclasses():
         if module.split(".")[0] == "dataclasses"
     ]
     assert not offenders, "imports dataclasses: " + ", ".join(offenders)
+
+
+#: where the package may import numpy: anywhere (`*`) in the risk cell's modules, and in
+#: core only inside stream layout v1 and under `if TYPE_CHECKING:` for its annotations
+NUMPY_HOMES = {
+    "kernels": "*", "risksim": "*",
+    "core": {"rng_stream", "sample_batch", "sample_block", "TYPE_CHECKING"},
+}
+
+
+def _top_level_owner(node: ast.stmt) -> str:
+    """A top-level function's or class's name; `TYPE_CHECKING` for that guard; else `<module>`."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+        return "TYPE_CHECKING"
+    return "<module>"
+
+
+def test_numpy_is_imported_only_by_the_risk_cell():
+    offenders = []
+    for name, tree in _trees(PACKAGE).items():
+        allowed = NUMPY_HOMES.get(name, ())
+        for top in tree.body:
+            owner = _top_level_owner(top)
+            if allowed == "*" or owner in allowed:
+                continue
+            offenders += [
+                f"{name}.py:{node.lineno} ({owner})"
+                for node in ast.walk(top)
+                for module in _imported_modules(node)
+                if module.split(".")[0] == "numpy"
+            ]
+    assert not offenders, "imports numpy outside the risk cell's modules: " + ", ".join(offenders)

@@ -980,19 +980,19 @@ class TestStackedPass:
             simulate_all(replace(cfg, estimators=(EstimatorSpec.n1(), cfg.estimators[1])))
 
     def test_four_improved_columns_build_one_band(self, monkeypatch):
-        from linexsel import oracles
+        from linexsel import kernels
 
         cfg = replace(config(theta1=(1.0, 0.5), rho=0.5, reps=5000), estimators=tuple(
             spec for _, spec in table_columns(1.0, 0.5, ("N1", "N2", "N3", "N4"), 1.0)))
         expected = simulate_all(cfg)
-        band, calls = oracles.clip_band_batch, []
+        band, calls = kernels.clip_band_batch, []
 
         def counted(*args):
             calls.append(args)
             return band(*args)
 
         monkeypatch.setattr(risksim, "clip_band_batch", counted)
-        monkeypatch.setattr(oracles, "clip_band_batch", counted)
+        monkeypatch.setattr(kernels, "clip_band_batch", counted)
         assert simulate_all(cfg) == expected
         assert len(calls) == 1
         # each column alone, building its own band, gives the bits it has beside the others
