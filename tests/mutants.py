@@ -303,7 +303,8 @@ MUTANTS: tuple[Mutant, ...] = (
            '__version__ = "0.1.0"\n',
            '__version__ = "0.1.0"\n\nfrom . import risksim  # noqa: F401\n',
            ("test_cli.py",)),
-    # the program's exit: run() alone freezes the collector, then exits normally
+    # the program's own process: run() alone defaults OPENBLAS_NUM_THREADS,
+    # disables the collector and freezes it before a normal exit
     Mutant("freeze_in_main", "cli.py",
            "    code = main()\n    gc.freeze()\n    sys.exit(code)\n",
            "    sys.exit(main())\n\n\n_main = main\n\n\n"
@@ -311,9 +312,22 @@ MUTANTS: tuple[Mutant, ...] = (
            "    try:\n        return _main(argv)\n    finally:\n        gc.freeze()\n",
            ("test_cli.py",)),
     Mutant("exit_skips_finalization", "cli.py",
-           "    sys.exit(code)\n",
-           "    import os\n\n    sys.stdout.flush()\n    sys.stderr.flush()\n    os._exit(code)\n",
+           "    gc.freeze()\n    sys.exit(code)\n",
+           "    gc.freeze()\n    sys.stdout.flush()\n    sys.stderr.flush()\n    os._exit(code)\n",
            ("test_cli.py",)),
+    Mutant("blas_default_in_main", "cli.py",
+           "    os.environ.setdefault(\"OPENBLAS_NUM_THREADS\", \"1\")\n    gc.disable()\n"
+           "    code = main()\n    gc.freeze()\n    sys.exit(code)\n",
+           "    gc.disable()\n    code = main()\n    gc.freeze()\n    sys.exit(code)\n\n\n"
+           "_main = main\n\n\n"
+           "def main(argv: list[str] | None = None) -> int:\n"
+           "    os.environ.setdefault(\"OPENBLAS_NUM_THREADS\", \"1\")\n    return _main(argv)\n",
+           ("test_cli.py",)),
+    Mutant("blas_default_overrides_user", "cli.py",
+           "os.environ.setdefault(\"OPENBLAS_NUM_THREADS\", \"1\")",
+           "os.environ[\"OPENBLAS_NUM_THREADS\"] = \"1\"", ("test_cli.py",)),
+    Mutant("collector_on_during_run", "cli.py",
+           "    gc.disable()\n", "", ("test_cli.py",)),
     # analysis
     Mutant("non_utf8_file_uncaught", "analysis.py",
            "except (UnicodeDecodeError, csv.Error) as exc:", "except csv.Error as exc:",

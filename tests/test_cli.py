@@ -866,20 +866,24 @@ PROGRAM_RUNS = {
     PROGRAM_RUNS["overflow"],
     PROGRAM_RUNS["zero_a"],
 ], ids=[*sorted(SUBCOMMAND_ARGS), "overflow", "zero_a"])
-def test_main_leaves_the_callers_collector_alone(capsys, tmp_path, argv, code):
-    # only the program's own process freezes the collector, in run(); a freeze
-    # in main would pin every object alive at its return in the test suite, in
-    # the benchmark's in-process sweeps and in any library caller
-    before = gc.isenabled(), gc.get_freeze_count()
+def test_main_leaves_the_callers_collector_alone(capsys, tmp_path, monkeypatch, argv, code):
+    # only the program's own process disables and freezes the collector and
+    # defaults OPENBLAS_NUM_THREADS, in run(); in main, a freeze would pin every
+    # object alive at its return, and the rest would change the environment, in
+    # the test suite, in the benchmark's in-process sweeps and in any library caller
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = gc.isenabled(), gc.get_freeze_count(), os.environ.get("OPENBLAS_NUM_THREADS")
     assert run(capsys, *argv, "--out", str(tmp_path))[0] == code
-    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    assert (gc.isenabled(), gc.get_freeze_count(), os.environ.get("OPENBLAS_NUM_THREADS")) == before
 
 
 @pytest.mark.parametrize("case", sorted(PROGRAM_RUNS))
 def test_program_exits_as_main_returns(capsysbinary, tmp_path, monkeypatch, case):
     # `python -m linexsel.cli` writes what main writes in process, byte for
-    # byte, and exits with main's code; its collector is frozen by then, and
-    # it still runs the atexit handlers that an exit through os._exit skips
+    # byte, and exits with main's code; its collector is disabled and frozen by
+    # then, and it still runs the atexit handlers that an exit through os._exit
+    # skips. It ran with OPENBLAS_NUM_THREADS defaulted to 1, so numpy started
+    # no BLAS worker thread, unless the caller set the variable itself
     argv, code = PROGRAM_RUNS[case]
     argv = [*argv, "--out", "out"]  # relative, so `wrote out/...` reads the same in both runs
     for side in ("main", "program"):
@@ -896,18 +900,31 @@ def test_program_exits_as_main_returns(capsysbinary, tmp_path, monkeypatch, case
                for side in ("main", "program")]
     assert written[0] == written[1]
     probe = (
-        "import atexit, gc, sys\n"
+        "import atexit, gc, os, sys\n"
         "marker = sys.argv[1]\n"
-        "atexit.register(lambda: open(marker, 'w').write(f'frozen={gc.get_freeze_count() > 0}'))\n"
+        "def threads():\n"
+        "    if not os.path.exists('/proc/self/status'):\n"
+        "        return None\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(ln.split()[1]) for ln in status if ln.startswith('Threads:'))\n"
+        "atexit.register(lambda: open(marker, 'w').write(repr((\n"
+        "    gc.get_freeze_count() > 0, gc.isenabled(), os.environ.get('OPENBLAS_NUM_THREADS'), threads()))))\n"
         "import linexsel.cli\n"
         "sys.argv = ['linexsel', *sys.argv[2:]]\n"
         "linexsel.cli.run()\n"
     )
     marker = tmp_path / "atexit"
-    exited = subprocess.run([sys.executable, "-c", probe, str(marker), *argv], cwd=tmp_path / "program",
-                            env=_checkout_env(), capture_output=True)
-    assert exited.returncode == code
-    assert marker.read_text() == "frozen=True"
+    env = {k: v for k, v in _checkout_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    for blas in ([None, "2"] if case == "simulate" else [None]):  # None: the caller set no value
+        run_env = env if blas is None else {**env, "OPENBLAS_NUM_THREADS": blas}
+        marker.unlink(missing_ok=True)
+        exited = subprocess.run([sys.executable, "-c", probe, str(marker), *argv],
+                                cwd=tmp_path / "program", env=run_env, capture_output=True)
+        assert exited.returncode == code
+        frozen, enabled, blas_threads, threads = ast.literal_eval(marker.read_text())
+        assert (frozen, enabled, blas_threads) == (True, False, blas or "1")
+        if blas is None and case == "simulate" and threads is not None:
+            assert threads == 1  # numpy is loaded, and OpenBLAS runs on the main thread alone
 
 
 @pytest.mark.parametrize("fails", ["workspace", "sweep"])
