@@ -33,15 +33,15 @@ _HOMES: dict[str, tuple[str, ...]] = {
         "CovarianceSpec", "DatasetError", "InvalidParameterError", "LinexError",
         "LinexOverflowError", "LinexParams", "MeanVectorPair", "ObservationPair",
         "SingularCovarianceError", "ThetaStar", "log_std_normal_cdf", "log_sum_exp", "rng_stream",
-        "sample_batch", "std_normal_cdf", "std_normal_pdf",
+        "std_normal_cdf", "std_normal_pdf",
     ),
-    "estimators": ("EstimatorSpec", "PriorSpec", "base_phi", "bayes_posterior", "est_bayes", "evaluate"),
+    "estimators": ("EstimatorSpec", "PriorSpec", "base_phi", "est_bayes", "evaluate"),
     "improvement": (
         "ImprovementOutcome", "applicable_case", "case_label", "estimate_rows", "estimates_csv",
         "improve",
     ),
-    "kernels": ("base_phi_batch", "evaluate_batch", "improve_batch", "linex_loss", "select_batch"),
-    "oracles": ("clip_band", "phi_bounds"),
+    "kernels": ("linex_loss",),
+    "oracles": ("phi_bounds",),
     "risksim": (
         "TABLE_SPECS", "THETA_CONFIGS", "RiskEstimate", "RiskTable", "SimConfig", "TableSpec",
         "paired_risk_difference", "risk_grid", "simulate_all", "simulate_risk",

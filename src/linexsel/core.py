@@ -293,25 +293,22 @@ def std_normal_cdf(u: float) -> float:
     return 0.5 * math.erfc(-u / _SQRT2)
 
 
-def log_std_normal_cdf_tail(u):
-    """log Phi(u) for u below about -37.5, where Phi(u) is subnormal or 0; floats or arrays.
+def _tail_series(u):
+    """-u^-2 + 3u^-4 - ... to u^-14, log Phi's tail series: arithmetic alone, for floats or arrays."""
+    r = 1.0 / (u * u)
+    return r * (-1.0 + r * (3.0 + r * (-15.0 + r * (105.0 + r * (
+        -945.0 + r * (10395.0 - r * 135135.0))))))
+
+
+def log_std_normal_cdf_tail(u: float) -> float:
+    """log Phi(u) for u below about -37.5, where Phi(u) is subnormal or 0.
 
     The asymptotic series of Abramowitz & Stegun 26.2.12,
-    log Phi(u) = -u^2/2 - log(-u) - log(2 pi)/2 + log(1 - u^-2 + 3u^-4 - 15u^-6 + ...).
+    log Phi(u) = -u^2/2 - log(-u) - log(2 pi)/2 + log(1 + _tail_series(u)).
     Below -37.5, u^-2 < 7.2e-4, so the terms kept (to u^-14) leave an error
-    below 2e-19 in the argument of the last logarithm. Floats take math's
-    logarithms, so the scalar log Phi loads no numpy.
+    below 2e-19 in the argument of the last logarithm.
     """
-    # an array means numpy is loaded already, so this test imports nothing
-    np = sys.modules.get("numpy")
-    if np is None or not isinstance(u, np.ndarray):
-        log, log1p = math.log, math.log1p
-    else:
-        log, log1p = np.log, np.log1p
-    r = 1.0 / (u * u)
-    series = r * (-1.0 + r * (3.0 + r * (-15.0 + r * (105.0 + r * (
-        -945.0 + r * (10395.0 - r * 135135.0))))))
-    return -0.5 * u * u - log(-u) - _HALF_LOG_2PI + log1p(series)
+    return -0.5 * u * u - math.log(-u) - _HALF_LOG_2PI + math.log1p(_tail_series(u))
 
 
 def log_std_normal_cdf(u: float) -> float:

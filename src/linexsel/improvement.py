@@ -74,11 +74,13 @@ def case_in_region(case_id: int, a: float, rho: float) -> bool:
 
 
 def applicable_case(base_kind: str, a: float, rho: float) -> int | None:
-    """The named case covering (a, rho) for a base estimator, if any.
+    """The named case covering a finite a and a rho in [-1, 1] for a base estimator, if any.
 
     None in the regions where the truncation argument provides no
     improvement (e.g. a > 0, rho = 0 for the plug-in estimator).
     """
+    if not (math.isfinite(a) and -1.0 <= rho <= 1.0):
+        raise InvalidParameterError(f"no case can place a={a}, rho={rho}")
     for case_id, (kind, _, _) in _CASES.items():
         if kind == base_kind and case_in_region(case_id, a, rho):
             return case_id

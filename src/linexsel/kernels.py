@@ -4,13 +4,13 @@ Each is the array twin of a float form in its rule's module and gives that
 form's bits draw for draw. The mask a branch becomes (the tie rule of
 `selection.select`, N3's log switch and N4's window in `estimators`, the
 band's condition sets in `oracles`) lives here; the constants and helpers
-it reads are imported from there. Beside them are the batch normal cdf,
-the LINEX loss and the bit blend that the kernels select with. A scalar
-start (`estimate`, `admissibility`, `analyze`) neither loads nor compiles
-this module, and loading it loads no numpy: each kernel imports numpy on
-first use. An array kernel writes its result into `out` if given and takes
-its temporaries from its own ufuncs; which arrays outlive a call is the
-caller's to decide.
+it reads are imported from there. Beside them are the batch normal cdf
+and log cdf tail, the LINEX loss and the bit blend that the kernels select
+with. A scalar start (`estimate`, `admissibility`, `analyze`) neither loads
+nor compiles this module, and loading it loads no numpy: each kernel
+imports numpy on first use. An array kernel writes its result into `out`
+if given and takes its temporaries from its own ufuncs; which arrays
+outlive a call is the caller's to decide.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .core import (
     InvalidParameterError,
     LinexOverflowError,
     LinexParams,
-    log_std_normal_cdf_tail,
+    _HALF_LOG_2PI,
+    _tail_series,
 )
 from .estimators import N3_LOG_SWITCH, EstimatorSpec, _n4_cut, base_phi, est_bayes
 from .oracles import _band_edges
@@ -219,24 +220,19 @@ def clip_band_batch(t1, t2, a: LinexParams, cov: CovarianceSpec, out=None):
 
 
 def improve_batch(
-    s: SelectionSummary,
-    a: LinexParams,
-    cov: CovarianceSpec,
-    phi: float | np.ndarray,
+    s: SelectionSummary, phi: float | np.ndarray, band: tuple[np.ndarray, np.ndarray, np.ndarray],
     out: Optional[np.ndarray] = None,
-    band: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """The clipped estimate Y_[2] + clip_component(phi, ...) over a `select_batch` summary.
 
-    `phi` is the base estimator's component from `base_phi_batch` on the same
-    draws, which a sweep has already computed for the base column; it must
-    not be `out`. `band` is `clip_band_batch`'s (value, lo_set, hi_set) on these
-    draws, left as it is, when the caller has it; otherwise it is built here.
-    Writes into `out` if given.
+    `phi` is the base's component from `base_phi_batch` on the same draws,
+    which a sweep has already computed for the base column, and must not be
+    `out`; `band` is `clip_band_batch`'s (value, lo_set, hi_set) on these
+    draws, left as it is. Writes into `out` if given.
     """
     import numpy as np
 
-    value, lo_set, hi_set = clip_band_batch(s.t1, s.t2, a, cov) if band is None else band
+    value, lo_set, hi_set = band
     # the two sets are disjoint and both clip to value, so one blend serves both
     hi_clip = np.greater_equal(phi, value)
     hi_clip &= hi_set
@@ -245,6 +241,13 @@ def improve_batch(
     clip |= hi_clip
     out = blend(clip, value, phi, out)
     return np.add(s.y_sel, out, out=out)
+
+
+def log_std_normal_cdf_tail_batch(u: np.ndarray) -> np.ndarray:
+    """`log_std_normal_cdf_tail` over an array: the same series, through numpy's logarithms."""
+    import numpy as np
+
+    return -0.5 * u * u - np.log(-u) - _HALF_LOG_2PI + np.log1p(_tail_series(u))
 
 
 def n3_offset_batch(
@@ -274,7 +277,7 @@ def n3_offset_batch(
         under = inner == 0
         if under.any():
             log_inner[under] = np.logaddexp(
-                log_std_normal_cdf_tail(u[big][under]), np.log1p(-pb[under]) - zb[under]
+                log_std_normal_cdf_tail_batch(u[big][under]), np.log1p(-pb[under]) - zb[under]
             )
         out[big] = t2[big] + log_inner / a.a
     return out
@@ -314,9 +317,9 @@ def evaluate_batch(
 
     `phi` is the component `base_phi_batch` gives the spec (an improved
     spec's base) on these draws, and `band` the clip band `clip_band_batch`
-    gives an improved spec on them, when the caller already has them;
-    otherwise they are computed here. Writes into `out` if given; Bayes, in no
-    published table, allocates and needs the summary's x_max set.
+    gives an improved spec on them; a Shift or Bayes spec reads neither.
+    Writes into `out` if given; Bayes, in no published table, allocates and
+    needs the summary's x_max set.
     """
     import numpy as np
 
@@ -328,8 +331,6 @@ def evaluate_batch(
                 "a Bayes estimate needs the summary's x_max, which select_batch leaves None"
             )
         return est_bayes(s, spec.prior, a, cov)
-    if phi is None:
-        phi = base_phi_batch(spec.base if spec.kind == "Improved" else spec, s, a, cov)
     if spec.kind == "Improved":
-        return improve_batch(s, a, cov, phi, out, band)
+        return improve_batch(s, phi, band, out)
     return np.add(s.y_sel, phi, out=out)

@@ -244,13 +244,23 @@ def probe_base_phi_batch() -> str:
     return d.hexdigest()
 
 
+def _estimate(spec, s, a, cov):
+    """`evaluate_batch` of `spec`, handed a base's component and the clip band as the risk cell hands them."""
+    base = spec.base if spec.kind == "Improved" else spec
+    phi = None if base.kind in ("Shift", "Bayes") else kernel("base_phi_batch")(base, s, a, cov)
+    band = kernel("clip_band_batch")(s.t1, s.t2, a, cov)
+    return kernel("evaluate_batch")(spec, s, a, cov, phi, None, band)
+
+
 def probe_improve_batch() -> str:
+    from linexsel import EstimatorSpec
+
+    # through evaluate_batch: its arguments are the same in each checkout compared, improve_batch's are not
     s, _ = _summary(8)
     d = Digest()
     for cov, a in _models():
         for spec in _base_specs():
-            phi = kernel("base_phi_batch")(spec, s, a, cov)
-            d.add(kernel("improve_batch")(s, a, cov, phi))
+            d.add(_estimate(EstimatorSpec.improved(spec), s, a, cov))
     return d.hexdigest()
 
 
@@ -267,7 +277,7 @@ def probe_evaluate_batch() -> str:
     d = Digest()
     for cov, a in _models():
         for spec in specs:
-            d.add(kernel("evaluate_batch")(spec, s, a, cov))
+            d.add(_estimate(spec, s, a, cov))
         if not cov.is_singular:
             d.add(kernel("evaluate_batch")(EstimatorSpec.bayes(PriorSpec(0.5, -0.5, 2.0)), with_max, a, cov))
     return d.hexdigest()
@@ -300,7 +310,8 @@ def probe_scalar_reports() -> str:
     import random
 
     from linexsel import (CovarianceSpec, EstimatorSpec, LinexError, LinexParams, ObservationPair,
-                          PriorSpec, classify, clip_band, evaluate, select)
+                          PriorSpec, classify, evaluate, select)
+    from linexsel.oracles import clip_band
 
     rng = random.Random(2024)
     models = []

@@ -68,9 +68,9 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("cdf_unclipped", "kernels.py",
            "    np.minimum(t, _CDF_T_MAX, out=t)\n", "", ("test_core.py",)),
     Mutant("tail_series_first_term", "core.py",
-           "    series = r * (-1.0 + r * (3.0 + r * (-15.0 + r * (105.0 + r * (\n"
+           "    return r * (-1.0 + r * (3.0 + r * (-15.0 + r * (105.0 + r * (\n"
            "        -945.0 + r * (10395.0 - r * 135135.0))))))\n",
-           "    series = -r\n", ("test_core.py",)),
+           "    return -r\n", ("test_core.py",)),
     Mutant("log_cdf_without_upper_branch", "core.py",
            "    if u > 0:\n        return math.log1p(-std_normal_cdf(-u))\n", "",
            ("test_core.py",)),
@@ -328,6 +328,12 @@ MUTANTS: tuple[Mutant, ...] = (
            "os.environ[\"OPENBLAS_NUM_THREADS\"] = \"1\"", ("test_cli.py",)),
     Mutant("collector_on_during_run", "cli.py",
            "    gc.disable()\n", "", ("test_cli.py",)),
+    # the public boundary: the names the package serves, and what they refuse
+    Mutant("kernel_served_by_namespace", "__init__.py",
+           '"kernels": ("linex_loss",),', '"kernels": ("linex_loss", "select_batch"),',
+           ("test_boundary.py", "test_cli.py")),
+    Mutant("applicable_case_takes_nan", "improvement.py",
+           "if not (math.isfinite(a) and -1.0 <= rho <= 1.0):", "if False:", ("test_boundary.py",)),
     # analysis
     Mutant("non_utf8_file_uncaught", "analysis.py",
            "except (UnicodeDecodeError, csv.Error) as exc:", "except csv.Error as exc:",

@@ -31,7 +31,6 @@ from linexsel import (
     SelectionSummary,
     SimConfig,
     ThetaStar,
-    bayes_posterior,
     est_bayes,
     linex_loss,
     log_sum_exp,
@@ -39,9 +38,8 @@ from linexsel import (
     std_normal_cdf,
     std_normal_pdf,
 )
-from linexsel.core import log_std_normal_cdf_tail
-from linexsel.estimators import N3_LOG_SWITCH
-from linexsel.kernels import std_normal_cdf_batch
+from linexsel.estimators import N3_LOG_SWITCH, bayes_posterior
+from linexsel.kernels import log_std_normal_cdf_tail_batch, std_normal_cdf_batch
 
 QUAD_ABS_TOL = 1e-12
 QUAD_HALF_WIDTH = 12.0  # integration half-width in component standard deviations
@@ -294,7 +292,7 @@ def _n3_offset_plain(t1, t2, a: LinexParams, cov: CovarianceSpec) -> np.ndarray:
         under = inner == 0
         if under.any():
             log_inner[under] = np.logaddexp(
-                log_std_normal_cdf_tail(u[big][under]), np.log1p(-pb[under]) - zb[under]
+                log_std_normal_cdf_tail_batch(u[big][under]), np.log1p(-pb[under]) - zb[under]
             )
         out[big] = t2[big] + log_inner / a.a
     return out

@@ -676,13 +676,12 @@ PUBLIC_NAMES = [
     "LinexOverflowError", "LinexParams", "MeanVectorPair", "ObservationPair", "PriorSpec",
     "RiskEstimate", "RiskTable", "SelectionSummary", "SimConfig", "SingularCovarianceError",
     "TABLE_SPECS", "THETA_CONFIGS", "TableSpec", "ThetaStar", "admissibility", "analysis",
-    "analyze", "applicable_case", "base_phi", "base_phi_batch", "bayes_posterior", "bounds",
-    "bundled_dataset_path", "case_label", "classify", "clip_band", "core", "est_bayes",
-    "estimate_rows", "estimates_csv", "estimators", "evaluate", "evaluate_batch", "fit", "h_a",
-    "improve", "improve_batch", "improvement", "kernels", "linex_loss", "load_dataset",
+    "analyze", "applicable_case", "base_phi", "bounds", "bundled_dataset_path", "case_label",
+    "classify", "core", "est_bayes", "estimate_rows", "estimates_csv", "estimators", "evaluate",
+    "fit", "h_a", "improve", "improvement", "kernels", "linex_loss", "load_dataset",
     "log_std_normal_cdf", "log_sum_exp", "oracles", "paired_risk_difference", "phi_bounds", "psi",
-    "risk_grid", "risksim", "rng_stream", "sample_batch", "select", "select_batch", "selection",
-    "shift_risk", "simulate_all", "simulate_risk", "std_normal_cdf", "std_normal_pdf",
+    "risk_grid", "risksim", "rng_stream", "select", "selection", "shift_risk", "simulate_all",
+    "simulate_risk", "std_normal_cdf", "std_normal_pdf",
 ]
 
 

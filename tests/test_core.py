@@ -21,19 +21,23 @@ from linexsel import (
     PriorSpec,
     ThetaStar,
     evaluate,
-    evaluate_batch,
     linex_loss,
     log_std_normal_cdf,
     log_sum_exp,
     rng_stream,
-    sample_batch,
     select,
-    select_batch,
     std_normal_cdf,
     std_normal_pdf,
 )
-from linexsel.core import log_std_normal_cdf_tail, replace, sample_block
-from linexsel.kernels import std_normal_cdf_batch
+from linexsel.core import log_std_normal_cdf_tail, replace, sample_batch, sample_block
+from linexsel.kernels import (
+    base_phi_batch,
+    clip_band_batch,
+    evaluate_batch,
+    log_std_normal_cdf_tail_batch,
+    select_batch,
+    std_normal_cdf_batch,
+)
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
 
@@ -90,11 +94,16 @@ class TestStdNormal:
         assert np.isnan(std_normal_cdf_batch(np.array([np.nan]))[0])
 
     def test_log_cdf_tail_matches_log_ndtr(self):
+        # the float form in core and its array twin in kernels read one series
         grid = np.linspace(-60.0, -37.0, 2301)
-        np.testing.assert_allclose(log_std_normal_cdf_tail(grid), log_ndtr(grid), rtol=1e-12, atol=0)
+        arrays = log_std_normal_cdf_tail_batch(grid)
+        np.testing.assert_allclose(arrays, log_ndtr(grid), rtol=1e-12, atol=0)
         floats = [log_std_normal_cdf_tail(u) for u in grid.tolist()]
+        assert all(type(v) is float for v in floats)
         np.testing.assert_allclose(floats, log_ndtr(grid), rtol=1e-12, atol=0)
-        assert log_std_normal_cdf_tail(-np.inf) == -np.inf
+        np.testing.assert_allclose(arrays, floats, rtol=4e-16, atol=0)
+        assert log_std_normal_cdf_tail(-math.inf) == -math.inf
+        assert log_std_normal_cdf_tail_batch(np.array([-np.inf])).tolist() == [-np.inf]
 
 
     def test_log_cdf_matches_log_ndtr(self):
@@ -427,8 +436,12 @@ class TestSampling:
         specs = bases + [EstimatorSpec.improved(b) for b in bases] + [EstimatorSpec.shift(d)]
         if not cov.is_singular:  # the Bayes estimator needs |rho| < 1
             specs.append(EstimatorSpec.bayes(PriorSpec(*prior)))
+        # a base's component and the one clip band, as the risk cell computes them
+        band = clip_band_batch(batch.t1, batch.t2, a, cov)
         for spec in specs:
-            values = evaluate_batch(spec, batch, a, cov)
+            base = spec.base if spec.kind == "Improved" else spec
+            phi = None if base.kind in ("Shift", "Bayes") else base_phi_batch(base, batch, a, cov)
+            values = evaluate_batch(spec, batch, a, cov, phi, None, band)
             for k, s in enumerate(summaries):
                 scalar = evaluate(spec, s, a, cov)
                 assert values[k] == pytest.approx(scalar, rel=1e-12, abs=1e-12), spec.label

@@ -15,17 +15,14 @@ from linexsel import (
     ObservationPair,
     PriorSpec,
     SingularCovarianceError,
-    bayes_posterior,
     est_bayes,
     evaluate,
-    evaluate_batch,
     rng_stream,
-    sample_batch,
     select,
-    select_batch,
 )
-from linexsel.estimators import base_phi, n3_offset
-from linexsel.kernels import base_phi_batch, n3_offset_batch
+from linexsel.core import sample_batch
+from linexsel.estimators import base_phi, bayes_posterior, n3_offset
+from linexsel.kernels import base_phi_batch, evaluate_batch, n3_offset_batch, select_batch
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
 from .reference import posterior_numeric, posterior_risk_constant

@@ -13,16 +13,15 @@ from linexsel import (
     ObservationPair,
     SimConfig,
     base_phi,
-    base_phi_batch,
-    clip_band,
     improve,
     paired_risk_difference,
     phi_bounds,
     select,
-    select_batch,
 )
 from linexsel.core import rng_stream, sample_batch
 from linexsel.improvement import applicable_case, case_in_region, case_label, table_columns
+from linexsel.kernels import base_phi_batch, select_batch
+from linexsel.oracles import clip_band
 
 from ._cases import CaseRegionError, case_base_kind, named_case_rule
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE, SEED
@@ -182,6 +181,13 @@ class TestNamedCases:
         assert applicable_case("N2", -1.0, 0.5) is None
         assert applicable_case("N3", 0.7, -0.2) == 9
         assert applicable_case("N4", -2.0, 0.0) == 15
+        # the ends of [-1, 1] are placed; a non-finite a and a rho outside it are refused
+        assert applicable_case("N1", 1.0, 1.0) == 1
+        assert applicable_case("N1", -1.0, -1.0) == 2
+        for a, rho in ((math.nan, 0.5), (math.inf, 0.5), (-math.inf, -0.5), (1.0, math.nan),
+                       (1.0, 1.5), (-1.0, -1.0000001), (1.0, math.inf)):
+            with pytest.raises(InvalidParameterError, match=rf"^no case can place a={a}, rho={rho}$"):
+                applicable_case("N1", a, rho)
         assert case_label(12) == "N4_I2"
         assert case_base_kind(7) == "N3"
 

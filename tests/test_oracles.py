@@ -14,16 +14,13 @@ from linexsel import (
     LinexParams,
     MeanVectorPair,
     ThetaStar,
-    clip_band,
     h_a,
-    improve_batch,
     phi_bounds,
-    select_batch,
     shift_risk,
 )
 from linexsel.core import sample_batch, rng_stream, std_normal_cdf, std_normal_pdf
-from linexsel.kernels import clip_band_batch
-from linexsel.oracles import clip_component
+from linexsel.kernels import clip_band_batch, improve_batch, select_batch
+from linexsel.oracles import clip_band, clip_component
 
 from ._strategies import A, MEAN, PROPERTY, RHO, SCALE
 from .reference import (
@@ -316,7 +313,7 @@ class TestClipAtTheBandEdge:
         # population 1 selected with y_sel = 0, so the estimate is the clipped phi itself
         s = select_batch(np.zeros(1), np.zeros(1), np.array([t1]), np.array([t2]))
         assert (s.t1[0], s.t2[0], s.y_sel[0]) == (t1, t2, 0.0)
-        assert improve_batch(s, a, cov, phi).tolist() == [phi]
+        assert improve_batch(s, phi, clip_band_batch(s.t1, s.t2, a, cov)).tolist() == [phi]
 
 
     @pytest.mark.parametrize("a", [-1.0, 1.0])
@@ -329,7 +326,7 @@ class TestClipAtTheBandEdge:
         s = select_batch(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1))
         assert (_signed(s.t1[0]), s.t2[0], s.y_sel[0]) == ("+0.0", 0.0, 0.0)
         assert clip_component(0.0, s.t1[0], s.t2[0], a, cov) == (0.0, "none")
-        assert improve_batch(s, a, cov, 0.0).tolist() == [0.0]
+        assert improve_batch(s, 0.0, clip_band_batch(s.t1, s.t2, a, cov)).tolist() == [0.0]
 
 
 def _band_bits(band) -> tuple[list[str], list[bool], list[bool]]:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from linexsel import MeanVectorPair, ObservationPair, select, select_batch
+from linexsel import MeanVectorPair, ObservationPair, select
+from linexsel.kernels import select_batch
 
 
 def test_fitted_means_as_observations():
